@@ -293,6 +293,7 @@ def _bench_macro_day(
     result = scenario.run()
     wall_seconds = (clock() - start) / 1e9
     events = max(1, result.events_fired)
+    macro_report = result.report()
     report = {
         "ops_per_sec": round(result.submitted / wall_seconds, 1)
         if wall_seconds
@@ -310,14 +311,14 @@ def _bench_macro_day(
             "dropped": result.dropped,
             "shards": config.shards,
             "servers": config.shards * config.servers_per_shard,
-            "scheduler": config.scheduler,
+            "scheduler": macro_report["config"]["scheduler"],
             "loop_scheduler": config.loop_scheduler or "global",
-            "digest": result.report()["digest"],
+            "digest": macro_report["digest"],
         },
     }
     # Stash the deterministic report so bench_main can emit it for the
     # two-run byte-identical CI guard without a second scenario run.
-    report["_macro_report"] = result.report()
+    report["_macro_report"] = macro_report
     return report
 
 

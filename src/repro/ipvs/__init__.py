@@ -37,6 +37,7 @@ from repro.ipvs.server import (
 
 __all__ = [
     "AddressRegistry",
+    # Alias of LeastConnectionScheduler; benchmarks/suite/micro.py imports it.
     "BucketedLeastConnectionScheduler",
     "ConsistentHashRing",
     "DirectorCluster",

@@ -2,14 +2,14 @@
 
 The three classic Linux Virtual Server schedulers the load-balancing
 claims rest on: round-robin, weighted round-robin (interleaved, as in
-the kernel implementation) and least-connection — plus
-:class:`BucketedLeastConnectionScheduler`, an O(1) least-connection
-variant for macro-scale runs that indexes servers by live connection
-count instead of scanning the whole pool per request.
+the kernel implementation) and least-connection, the last one as an
+exact index over live connection counts so a pick costs the same at 12
+servers and at 96.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -92,145 +92,111 @@ class WeightedRoundRobinScheduler(Scheduler):
         return max(1, value)
 
 
+_NODE_ID = attrgetter("node_id")
+
+
 class LeastConnectionScheduler(Scheduler):
     """Send new connections to the server with the fewest active ones.
 
-    Ties break on ``node_id`` so the choice is deterministic. The scan is
-    a single allocation-free pass (no filtered list, no key tuples): the
-    pick runs once per routed request, so its constant factor is directly
-    visible in the macro benchmark.
+    Ties break on ``node_id`` so the choice is deterministic: the pick is
+    the minimum of ``(active_connections, node_id)`` over the available
+    servers. It is read off an index instead of a scan of the pool.
+    Servers are ranked once by ``node_id``; ``_masks[count]`` is an int
+    whose bit ``rank`` is set when that server has ``count`` connections
+    in flight. The lowest set bit of the lowest non-empty count is the
+    minimum; the walk continues past servers that fail the availability
+    test, which reads ``alive``, ``weight`` and ``queue_limit`` off the
+    server at pick time, so health flips, drains and re-weights need no
+    notification. Counts reach the index through the servers'
+    active-connection watchers (two integer operations per admit or
+    finish), so they must move through ``admit`` once the index is
+    built. Pool membership changes (the director calls
+    :meth:`topology_changed`; another list object or length is also
+    detected) rebuild the index on the next pick, from the counts the
+    servers hold at that moment.
     """
 
     name = "lc"
 
-    def pick(self, servers: Sequence["RealServer"]) -> Optional["RealServer"]:
-        best: Optional["RealServer"] = None
-        best_active = 0
-        best_node = ""
-        for server in servers:
-            # Inlined RealServer.available — property dispatch is ~20% of
-            # the pick under profile at macro request volumes.
-            if not server.alive or server.weight <= 0:
-                continue
-            active = server.active_connections
-            if active >= server.queue_limit:
-                continue
-            if (
-                best is None
-                or active < best_active
-                or (active == best_active and server.node_id < best_node)
-            ):
-                best = server
-                best_active = active
-                best_node = server.node_id
-        return best
-
-
-class BucketedLeastConnectionScheduler(Scheduler):
-    """Least-connection with O(1) amortised picks via count buckets.
-
-    Maintains ``active_connections -> [servers in node_id order]``
-    buckets, kept exact by per-server active-connection watchers
-    (connections move by ±1, so each update is one bucket move). A pick
-    walks counts from the lowest live bucket upwards and returns the
-    first *available* server — exactly the server the naive
-    :class:`LeastConnectionScheduler` scan would choose, since taking
-    the first available entry in ascending ``(count, node_id)`` order is
-    the minimum over available servers of that same key.
-
-    Pool membership changes invalidate the index (the director calls
-    :meth:`topology_changed`; identity/length changes of the server list
-    are also detected) and the next pick rebuilds it.
-    """
-
-    name = "lc-bucketed"
-
     def __init__(self) -> None:
+        #: The list the index was built from; None while it is stale.
         self._servers_ref: Optional[Sequence["RealServer"]] = None
-        self._count = -1
-        self._dirty = True
-        self._buckets: Dict[int, List["RealServer"]] = {}
-        self._min_active = 0
-        self._max_active = 0
-        self._watched: List["RealServer"] = []
+        self._count = 0
+        self._ranked: List["RealServer"] = []
+        self._bits: Dict["RealServer", int] = {}
+        self._masks: List[int] = [0]
+        #: No mask below this count has a bit set.
+        self._floor = 0
 
     def topology_changed(self) -> None:
-        self._dirty = True
+        # Until the next pick rebuilds it the old index keeps following
+        # the servers it watches, which is harmless.
+        self._servers_ref = None
 
     def pick(self, servers: Sequence["RealServer"]) -> Optional["RealServer"]:
-        if (
-            self._dirty
-            or servers is not self._servers_ref
-            or len(servers) != self._count
-        ):
-            self._resync(servers)
-        buckets = self._buckets
-        count = self._min_active
-        max_count = self._max_active
-        while count <= max_count:
-            bucket = buckets.get(count)
-            if bucket:
-                for server in bucket:
-                    # Inlined RealServer.available (hot path).
-                    if (
-                        server.alive
-                        and server.weight > 0
-                        and server.active_connections < server.queue_limit
-                    ):
-                        return server
-            elif count == self._min_active:
-                # Empty front bucket: advance the floor. Amortised O(1) —
-                # counts only ever move by ±1 per completed request.
-                self._min_active = count + 1
+        if servers is not self._servers_ref or len(servers) != self._count:
+            self._rebuild(servers)
+        masks = self._masks
+        ranked = self._ranked
+        count = self._floor
+        counts = len(masks)
+        while count < counts:
+            mask = masks[count]
+            if not mask and count == self._floor:
+                self._floor = count + 1
+            while mask:
+                low = mask & -mask
+                server = ranked[low.bit_length() - 1]
+                # Inlined RealServer.available (hot path); the server's
+                # active count is ``count``.
+                if (
+                    server.alive
+                    and server.weight > 0
+                    and count < server.queue_limit
+                ):
+                    return server
+                mask ^= low
             count += 1
         return None
 
     # -- index maintenance -------------------------------------------------
-    def _resync(self, servers: Sequence["RealServer"]) -> None:
-        for server in self._watched:
-            server.remove_active_watcher(self._on_active)
-        self._watched = list(servers)
-        for server in self._watched:
-            server.add_active_watcher(self._on_active)
-        buckets: Dict[int, List["RealServer"]] = {}
-        # Appending in globally node_id-sorted order leaves every bucket
-        # internally sorted.
-        for server in sorted(self._watched, key=lambda s: s.node_id):
-            buckets.setdefault(server.active_connections, []).append(server)
-        self._buckets = buckets
-        self._min_active = min(buckets) if buckets else 0
-        self._max_active = max(buckets) if buckets else 0
+    def _rebuild(self, servers: Sequence["RealServer"]) -> None:
+        on_active = self._on_active
+        ranked = sorted(servers, key=_NODE_ID)
+        highest = max([s.active_connections for s in ranked], default=0)
+        masks = [0] * (highest + 1)
+        bits: Dict["RealServer", int] = {}
+        bit = 1
+        for server in ranked:
+            server.add_active_watcher(on_active)
+            bits[server] = bit
+            masks[server.active_connections] |= bit
+            bit <<= 1
+        for server in self._ranked:
+            if server not in bits:
+                server.remove_active_watcher(on_active)
+        self._ranked = ranked
+        self._bits = bits
+        self._masks = masks
+        self._floor = 0
         self._servers_ref = servers
         self._count = len(servers)
-        self._dirty = False
 
     def _on_active(self, server: "RealServer", delta: int) -> None:
         """Watcher: ``server.active_connections`` just moved by ``delta``."""
-        if self._dirty:
-            return  # index is stale anyway; next pick rebuilds it
+        bit = self._bits[server]
+        masks = self._masks
         new = server.active_connections
-        old = new - delta
-        bucket = self._buckets.get(old)
-        if bucket is not None:
-            try:
-                bucket.remove(server)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        target = self._buckets.get(new)
-        if target is None:
-            self._buckets[new] = [server]
-        else:
-            # Manual bisect on node_id (bisect(key=) needs py>=3.10).
-            node = server.node_id
-            lo, hi = 0, len(target)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if target[mid].node_id < node:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            target.insert(lo, server)
-        if new < self._min_active:
-            self._min_active = new
-        if new > self._max_active:
-            self._max_active = new
+        masks[new - delta] ^= bit
+        try:
+            masks[new] |= bit
+        except IndexError:
+            masks.extend([0] * (new + 1 - len(masks)))
+            masks[new] = bit
+        if new < self._floor:
+            self._floor = new
+
+
+#: The former list-bucket variant, now the same class. The name stays
+#: because ``benchmarks/suite/micro.py`` imports it.
+BucketedLeastConnectionScheduler = LeastConnectionScheduler

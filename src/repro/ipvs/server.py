@@ -115,10 +115,13 @@ class RealServer:
         #: Callback ``(request) -> None`` at completion — the hook that
         #: charges the serving customer's resource ledger.
         self.on_served = on_served
+        #: Times the ``on_served`` hook raised; the completion stands, the
+        #: failure is counted here and summed in ``DirectorCluster.stats``.
+        self.on_served_errors = 0
         #: Observers of :attr:`active_connections` changes, called as
         #: ``watcher(server, delta)`` with ``delta`` in {+1, -1} *after*
-        #: the counter moved. Keeps the bucketed scheduler's index and
-        #: the director's per-node counters exact without scans.
+        #: the counter moved. Keeps the least-connection scheduler's
+        #: count index exact without scans.
         self._watchers: List = []
 
     @property
@@ -176,7 +179,7 @@ class RealServer:
                 try:
                     self.on_served(request)
                 except Exception:
-                    pass
+                    self.on_served_errors += 1
 
         loop.call_at(finish_at, finish, label="req:%d" % request.request_id)
 
@@ -205,7 +208,7 @@ class RealServer:
             try:
                 self.on_served(request)
             except Exception:
-                pass
+                self.on_served_errors += 1
 
     def __repr__(self) -> str:
         return "RealServer(%s:%d, w=%d, active=%d, served=%d, %s)" % (
@@ -443,9 +446,6 @@ class DirectorCluster:
         self._next_request_id = 1
         #: node_id -> pre-drain weight (see :meth:`drain_node`).
         self._drained_weights: Dict[str, int] = {}
-        #: node_id -> live in-flight count across every replica, kept by
-        #: per-server watchers so drain polling never scans the tables.
-        self._node_active: Dict[str, int] = {}
 
     # -- configuration fan-out ---------------------------------------------
     def add_service(
@@ -479,7 +479,6 @@ class DirectorCluster:
                 queue_limit=queue_limit,
                 on_served=on_served,
             )
-            server.add_active_watcher(self._on_server_active)
             director.add_real_server(endpoint, server)
 
     def remove_real_server(self, endpoint: IpEndpoint, node_id: str) -> None:
@@ -503,30 +502,33 @@ class DirectorCluster:
             # replica identically), so one remembered value suffices.
             weight = 1
             for director in self.directors:
-                for _endpoint, server in director.all_real_servers():
-                    if server.node_id == node_id:
-                        weight = server.weight
-                        break
+                hosted = director._node_index.get(node_id)
+                if hosted:
+                    weight = hosted[0].weight
             self._drained_weights[node_id] = weight
         for director in self.directors:
             director.set_node_weight(node_id, 0)
 
     def undrain_node(self, node_id: str) -> None:
-        """Restore the weight remembered by :meth:`drain_node`."""
-        weight = self._drained_weights.pop(node_id, 1)
+        """Restore the weight remembered by :meth:`drain_node`.
+
+        A node that is not draining keeps its configured weights.
+        """
+        weight = self._drained_weights.pop(node_id, None)
+        if weight is None:
+            return
         for director in self.directors:
             director.set_node_weight(node_id, max(1, weight))
 
     def is_draining(self, node_id: str) -> bool:
         return node_id in self._drained_weights
 
-    def _on_server_active(self, server: RealServer, delta: int) -> None:
-        counters = self._node_active
-        counters[server.node_id] = counters.get(server.node_id, 0) + delta
-
     def node_active_connections(self, node_id: str) -> int:
-        """In-flight requests to ``node_id``, across every replica (O(1))."""
-        return self._node_active.get(node_id, 0)
+        """In-flight requests to ``node_id``, across every replica."""
+        return sum(
+            director.node_active_connections(node_id)
+            for director in self.directors
+        )
 
     def set_node_service_time(self, node_id: str, service_time: float) -> None:
         """Re-profile ``node_id``'s real servers (new release behaviour)."""
@@ -618,13 +620,13 @@ class DirectorCluster:
 
     # -- statistics -----------------------------------------------------------
     def stats(self) -> Dict[str, float]:
+        served = hook_errors = 0.0
+        for _endpoint, server in self.all_real_servers():
+            served += server.served
+            hook_errors += server.on_served_errors
         if not self.retain_requests:
             # Aggregate-counter mode: per-request latency lives with the
             # caller's ``on_served`` hook (see repro.macrobench).
-            served = 0.0
-            for director in self.directors:
-                for _endpoint, server in director.all_real_servers():
-                    served += server.served
             return {
                 "submitted": float(self.submitted),
                 "completed": served,
@@ -633,6 +635,7 @@ class DirectorCluster:
                 ),
                 "mean_latency": 0.0,
                 "max_latency": 0.0,
+                "on_served_errors": hook_errors,
             }
         completed = [r for r in self.requests if r.ok]
         dropped = [r for r in self.requests if r.dropped is not None]
@@ -645,6 +648,7 @@ class DirectorCluster:
                 sum(latencies) / len(latencies) if latencies else 0.0
             ),
             "max_latency": max(latencies) if latencies else 0.0,
+            "on_served_errors": hook_errors,
         }
 
     def per_node_served(self) -> Dict[str, int]:

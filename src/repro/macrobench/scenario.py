@@ -30,6 +30,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.ipvs.addressing import IpEndpoint
 from repro.ipvs.hashring import ConsistentHashRing
+from repro.ipvs.schedulers import LeastConnectionScheduler
 from repro.ipvs.server import DirectorCluster, Request
 from repro.sim.rng import RngStreams
 from repro.sim.scheduler import make_loop
@@ -55,9 +56,6 @@ class MacroConfig:
     clients: int = 10000
     vnodes: int = 64
     seed: int = 2026
-    #: Scheduler discipline per shard service: "lc" (naive scan) or
-    #: "lc-bucketed" (O(1) connection-count buckets).
-    scheduler: str = "lc"
     #: Event-loop scheduler: "global", "laned", or None for the ambient
     #: default (:mod:`repro.sim.scheduler`). Deliberately excluded from
     #: :meth:`MacroResult.report` — both values produce the identical
@@ -124,7 +122,7 @@ class MacroResult:
                 "clients": config.clients,
                 "vnodes": config.vnodes,
                 "seed": config.seed,
-                "scheduler": config.scheduler,
+                "scheduler": LeastConnectionScheduler.name,
             },
             "requests": {
                 "submitted": self.submitted,
@@ -152,17 +150,6 @@ class MacroResult:
         return payload
 
 
-def _scheduler_factory(name: str):
-    from repro.ipvs import schedulers
-
-    if name == "lc":
-        return schedulers.LeastConnectionScheduler
-    bucketed = getattr(schedulers, "BucketedLeastConnectionScheduler", None)
-    if name == "lc-bucketed" and bucketed is not None:
-        return bucketed
-    raise ValueError("unknown macro scheduler: %r" % name)
-
-
 class MacroScenario:
     """Builds the sharded topology and runs one simulated day through it."""
 
@@ -185,7 +172,6 @@ class MacroScenario:
     # -- topology ----------------------------------------------------------
     def _build(self) -> None:
         config = self.config
-        factory = _scheduler_factory(config.scheduler)
         ring = ConsistentHashRing(vnodes=config.vnodes)
         for s in range(config.shards):
             ring.add_shard("shard%d" % s)
@@ -204,7 +190,9 @@ class MacroScenario:
                     replicas=config.replicas_per_shard,
                     retain_requests=False,
                 )
-                shard.add_service(vip, scheduler_factory=factory)
+                shard.add_service(
+                    vip, scheduler_factory=LeastConnectionScheduler
+                )
                 for _ in range(config.servers_per_shard):
                     node += 1
                     shard.add_real_server(

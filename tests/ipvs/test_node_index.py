@@ -72,22 +72,26 @@ def test_index_follows_removal():
     assert director.node_active_connections("x") == 0
 
 
-def test_cluster_counter_tracks_all_replicas():
+def test_cluster_sums_replicas_and_services_without_a_watcher():
     loop = EventLoop()
-    cluster = DirectorCluster(loop, replicas=2)
+    cluster = DirectorCluster(loop, replicas=2, failover_seconds=0.1)
     cluster.add_service(VIP_A)
-    cluster.add_real_server(VIP_A, "n1", service_time=0.01)
-    cluster.add_real_server(VIP_A, "n2", service_time=0.01)
+    cluster.add_service(VIP_B)
+    cluster.add_real_server(VIP_A, "n1", service_time=1.0)
+    cluster.add_real_server(VIP_B, "n1", service_time=1.0)
+    cluster.add_real_server(VIP_A, "n2", service_time=1.0)
+    # Round-robin services index nothing, so nobody watches the servers.
+    assert all(server._watchers == [] for _, server in cluster.all_real_servers())
     for _ in range(4):
-        cluster.submit(VIP_A)
-    total = cluster.node_active_connections("n1") + cluster.node_active_connections(
-        "n2"
-    )
-    assert total == 4
-    # Counter equals the scan it replaced.
-    for node in ("n1", "n2"):
-        scan = sum(d.node_active_connections(node) for d in cluster.directors)
-        assert cluster.node_active_connections(node) == scan
+        cluster.submit(VIP_A)  # primary: two each on n1 and n2
+    cluster.submit(VIP_B)  # primary: n1's second service
+    assert cluster.node_active_connections("n1") == 3
+    assert cluster.node_active_connections("n2") == 2
+    cluster.fail_primary()
+    loop.run_for(0.2)
+    cluster.submit(VIP_A)  # standby replica's own server objects: n1
+    assert cluster.node_active_connections("n1") == 4
+    assert cluster.node_active_connections("ghost") == 0
     loop.run_for(5.0)
     assert cluster.node_active_connections("n1") == 0
     assert cluster.node_active_connections("n2") == 0
@@ -111,6 +115,22 @@ def test_drain_wait_undrain_cycle():
     for _, server in cluster.all_real_servers():
         if server.node_id == "n1":
             assert server.weight == 3
+
+
+def test_undrain_of_a_node_that_is_not_draining_keeps_its_weight():
+    loop = EventLoop()
+    cluster = DirectorCluster(loop, replicas=2)
+    cluster.add_service(VIP_A)
+    cluster.add_real_server(VIP_A, "n1", weight=3)
+    cluster.undrain_node("n1")  # rollout's restore() after a skipped drain
+    assert not cluster.is_draining("n1")
+    assert [server.weight for _, server in cluster.all_real_servers()] == [3, 3]
+    # A real cycle still restores, and a second undrain changes nothing.
+    cluster.drain_node("n1")
+    assert [server.weight for _, server in cluster.all_real_servers()] == [0, 0]
+    cluster.undrain_node("n1")
+    cluster.undrain_node("n1")
+    assert [server.weight for _, server in cluster.all_real_servers()] == [3, 3]
 
 
 def _req(loop, endpoint):

@@ -117,6 +117,61 @@ class TestVirtualServer:
         assert request.served_by == "idle"
 
 
+class TestOnServedHook:
+    """A raising ``on_served`` hook must neither kill the completion
+    nor go unseen."""
+
+    @staticmethod
+    def _cluster(loop, hook):
+        cluster = DirectorCluster(loop, replicas=2, retain_requests=False)
+        cluster.add_service(VIP)
+        cluster.add_real_server(VIP, "n1", service_time=0.01, on_served=hook)
+        return cluster
+
+    def test_raising_hook_is_counted_and_the_request_completes(self, loop):
+        seen = []
+
+        def hook(request):
+            seen.append(request.request_id)
+            if len(seen) != 2:
+                raise RuntimeError("ledger unavailable")
+
+        cluster = self._cluster(loop, hook)
+        requests = [cluster.submit(VIP) for _ in range(3)]
+        loop.run_for(1.0)  # the raising hook does not escape into the loop
+        assert all(request.ok for request in requests)
+        assert seen == [1, 2, 3]
+        stats = cluster.stats()
+        assert stats["completed"] == 3
+        assert stats["on_served_errors"] == 2
+        served_on = [server for _, server in cluster.all_real_servers()]
+        assert [server.on_served_errors for server in served_on] == [2, 0]
+        assert served_on[0].active_connections == 0
+
+    def test_counted_on_the_traced_completion_path_too(self, loop):
+        from repro.sim.rng import RngStreams
+        from repro.telemetry import Telemetry, enabled
+
+        def hook(request):
+            raise RuntimeError("ledger unavailable")
+
+        cluster = self._cluster(loop, hook)
+        with enabled(Telemetry(loop.clock, RngStreams(1))):
+            request = cluster.submit(VIP)
+            loop.run_for(1.0)
+        assert request.ok
+        assert cluster.stats()["on_served_errors"] == 1
+
+    def test_quiet_hook_reports_zero(self, loop):
+        cluster = self._cluster(loop, lambda request: None)
+        cluster.submit(VIP)
+        loop.run_for(1.0)
+        assert cluster.stats()["on_served_errors"] == 0
+        retained = DirectorCluster(loop)
+        retained.add_service(VIP)
+        assert retained.stats()["on_served_errors"] == 0
+
+
 class TestDirectorCluster:
     def test_config_fans_out_to_replicas(self, loop):
         cluster = DirectorCluster(loop, replicas=2)

@@ -63,21 +63,20 @@ def test_report_shape(smoke_result):
     assert again["digest"] == decoded["digest"]
 
 
-def test_bucketed_scheduler_run_matches_naive():
-    """Config-level A/B: identical traffic outcome either way."""
-    naive = MacroScenario(MacroConfig.smoke(day_seconds=5.0)).run().report()
-    bucketed = (
-        MacroScenario(MacroConfig.smoke(day_seconds=5.0, scheduler="lc-bucketed"))
-        .run()
-        .report()
+def test_default_scheduler_digest_pinned():
+    """The one least-connection scheduler reproduces the report the
+    pool scan produced at commit 67bed3c, digest included."""
+    report = MacroScenario(MacroConfig.smoke(day_seconds=5.0)).run().report()
+    assert report["config"]["scheduler"] == "lc"
+    assert report["requests"]["submitted"] == 4936
+    assert report["sim"]["events_fired"] == 12880
+    assert report["digest"] == (
+        "9ea1039e400a32c51300e69766abd4c9ac4acef7f18879a87108a5fe594a20e6"
     )
-    naive["config"].pop("scheduler")
-    bucketed["config"].pop("scheduler")
-    naive.pop("digest")
-    bucketed.pop("digest")
-    assert naive == bucketed
 
 
-def test_unknown_scheduler_rejected():
-    with pytest.raises(ValueError):
-        MacroScenario(MacroConfig.smoke(scheduler="wlc"))
+def test_no_scheduler_knob():
+    with pytest.raises(TypeError):
+        MacroConfig.smoke(scheduler="lc-bucketed")
+
+
