@@ -144,10 +144,13 @@ class Bundle:
         if self.state == BundleState.INSTALLED:
             self.framework._resolve_bundle(self)
         self.autostart = True
-        if self.start_level > self.framework.start_level:
-            # Marked for activation but gated by the framework start level.
-            return
-        self._do_start()
+        try:
+            # Above the framework start level the bundle is only marked
+            # for activation; the mark is persisted either way.
+            if self.start_level <= self.framework.start_level:
+                self._do_start()
+        finally:
+            self.framework._changed()
 
     def _do_start(self) -> None:
         self.state = BundleState.STARTING
@@ -172,9 +175,11 @@ class Bundle:
         """Run the activator's stop and return to RESOLVED."""
         self._ensure_not_uninstalled()
         self.autostart = False
-        if self.state != BundleState.ACTIVE:
-            return
-        self._do_stop()
+        try:
+            if self.state == BundleState.ACTIVE:
+                self._do_stop()
+        finally:
+            self.framework._changed()
 
     def _do_stop(self) -> None:
         self.state = BundleState.STOPPING
@@ -215,6 +220,7 @@ class Bundle:
         self.definition = new_definition
         self.state = BundleState.INSTALLED
         self.framework._fire_bundle_event(BundleEventType.UPDATED, self)
+        self.framework._changed()
         if was_active:
             self.autostart = True
             self.framework._resolve_bundle(self)
@@ -232,6 +238,7 @@ class Bundle:
         self.state = BundleState.UNINSTALLED
         self.framework._remove_bundle(self)
         self.framework._fire_bundle_event(BundleEventType.UNINSTALLED, self)
+        self.framework._changed()
 
     def _install_wires(self, wires: Dict[str, PackageWire]) -> None:
         if self.state != BundleState.INSTALLED:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 
 class BundleEventType(enum.Enum):
@@ -93,15 +93,20 @@ class EventDispatcher:
     (or explicit ``classes`` hint) pins the object classes it can match
     is only visited for events on those classes, so a service event costs
     O(interested listeners) rather than a broadcast over every listener.
+    Entries are keyed by the listener itself (equality, so a bound method
+    finds the entry an earlier ``obj.method`` created) and buckets are
+    insertion-ordered sets of entries (dicts with no values), so removal
+    unlinks one entry and leaves the rest in order.
     """
 
     def __init__(self) -> None:
         self._bundle_listeners: List[Callable[[BundleEvent], None]] = []
-        self._service_entries: List[_ServiceListenerEntry] = []
-        #: objectClass -> entries whose interest set contains that class.
-        self._service_index: dict = {}
-        #: entries with no class constraint — visited for every event.
-        self._service_wildcard: List[_ServiceListenerEntry] = []
+        #: listener -> entry, in registration order.
+        self._service_entries: Dict[Any, _ServiceListenerEntry] = {}
+        #: objectClass -> {entry: None} of the entries interested in it.
+        self._service_index: Dict[str, Dict[_ServiceListenerEntry, None]] = {}
+        #: {entry: None} with no class constraint — visited for every event.
+        self._service_wildcard: Dict[_ServiceListenerEntry, None] = {}
         self._listener_seq = 0
         self._framework_listeners: List[Callable[[FrameworkEvent], None]] = []
         self._delivering_error = False
@@ -138,31 +143,26 @@ class EventDispatcher:
             interest = None
         entry = _ServiceListenerEntry(listener, filter, interest, self._listener_seq)
         self._listener_seq += 1
-        self._service_entries.append(entry)
+        self._service_entries[listener] = entry
         if interest is None:
-            self._service_wildcard.append(entry)
+            self._service_wildcard[entry] = None
         else:
             for clazz in interest:
-                self._service_index.setdefault(clazz, []).append(entry)
+                self._service_index.setdefault(clazz, {})[entry] = None
 
     def remove_service_listener(
         self, listener: Callable[[ServiceEvent], None]
     ) -> None:
-        kept = [e for e in self._service_entries if e.listener is not listener]
-        if len(kept) == len(self._service_entries):
+        entry = self._service_entries.pop(listener, None)
+        if entry is None:
             return
-        self._service_entries = kept
-        self._rebuild_service_index()
-
-    def _rebuild_service_index(self) -> None:
-        self._service_index = {}
-        self._service_wildcard = []
-        for entry in self._service_entries:
-            if entry.classes is None:
-                self._service_wildcard.append(entry)
-            else:
-                for clazz in entry.classes:
-                    self._service_index.setdefault(clazz, []).append(entry)
+        if entry.classes is None:
+            del self._service_wildcard[entry]
+        for clazz in entry.classes or ():
+            bucket = self._service_index[clazz]
+            del bucket[entry]
+            if not bucket:
+                del self._service_index[clazz]
 
     def add_framework_listener(
         self, listener: Callable[[FrameworkEvent], None]
@@ -178,9 +178,9 @@ class EventDispatcher:
 
     def clear(self) -> None:
         self._bundle_listeners = []
-        self._service_entries = []
+        self._service_entries = {}
         self._service_index = {}
-        self._service_wildcard = []
+        self._service_wildcard = {}
         self._framework_listeners = []
 
     # -- dispatch ---------------------------------------------------------
@@ -193,7 +193,7 @@ class EventDispatcher:
         classes = getattr(reference, "object_classes", None)
         if classes is None:
             # Reference without class metadata: visit every listener.
-            entries = list(self._service_entries)
+            entries = list(self._service_entries.values())
         elif not self._service_index:
             entries = list(self._service_wildcard)
         else:

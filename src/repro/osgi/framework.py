@@ -93,10 +93,14 @@ class Framework:
             "stops": 0,
             "restores": 0,
         }
-        #: Persist on every lifecycle change (spec behaviour) so a crash —
-        #: which never reaches stop() — still leaves recoverable state.
+        #: Write-through (spec behaviour) so a crash — which never reaches
+        #: stop() — still leaves recoverable state: while set, storage
+        #: equals the current state whenever a public framework, bundle or
+        #: start-level operation returns. Each operation writes once, at
+        #: its boundary; start() and stop() are one operation each, however
+        #: many bundles the start-level walk starts or stops on the way.
         self.autopersist = True
-        self._restoring = False
+        self._in_transition = False
         self._system_bundle = self._make_system_bundle()
 
     # ------------------------------------------------------------------
@@ -137,28 +141,38 @@ class Framework:
         self.active = True
         self._system_bundle.state = BundleState.ACTIVE
         self._system_bundle._context = BundleContext(self._system_bundle)
-        restored = self.storage.load_state(self.instance_id)
-        if restored is not None:
-            self._restore(restored)
-            level = max(restored.start_level, 1)
-        else:
-            level = target_level
-        self.start_levels.set_level(level)
-        if self.autopersist:
-            # Make the environment recoverable immediately, even before the
-            # first bundle operation — a crash right after boot must still
-            # find the instance on the SAN.
-            self.persist()
+        self._in_transition = True
+        try:
+            restored = self.storage.load_state(self.instance_id)
+            if restored is not None:
+                self.counters["restores"] += 1
+                self._restore_records(restored)
+                target_level = max(restored.start_level, 1)
+            self.start_levels.set_level(target_level)
+        finally:
+            self._in_transition = False
+        # Make the environment recoverable immediately, even before the
+        # first bundle operation — a crash right after boot must still
+        # find the instance on the SAN.
+        self._changed()
         self.dispatcher.fire_framework_event(
             FrameworkEvent(FrameworkEventType.STARTED, source=self)
         )
 
     def stop(self) -> None:
-        """Persist state, stop every bundle and shut the framework down."""
+        """Stop every bundle, persist state and shut the framework down."""
         if not self.active:
             return
-        self.persist()
-        self.start_levels.set_level(0)
+        running_level = self.start_levels.level
+        self._in_transition = True
+        try:
+            self.start_levels.set_level(0)
+        finally:
+            self._in_transition = False
+        # Written after the walk, so it covers whatever activators did on
+        # the way down, at the level the framework ran at (the walk ends
+        # at 0): that is the level the next start() must come back to.
+        self._write_state(running_level)
         self.dispatcher.fire_framework_event(
             FrameworkEvent(FrameworkEventType.STOPPED, source=self)
         )
@@ -170,6 +184,14 @@ class Framework:
 
     def persist(self) -> None:
         """Write the current framework state to storage."""
+        self._write_state(self.start_levels.level)
+
+    def _changed(self) -> None:
+        """A public operation that may have touched persisted fields returns."""
+        if self.autopersist and self.active and not self._in_transition:
+            self.persist()
+
+    def _write_state(self, start_level: int) -> None:
         records = [
             BundleRecord(
                 location=b.location,
@@ -182,18 +204,10 @@ class Framework:
         ]
         state = FrameworkState(
             bundles=records,
-            start_level=self.start_levels.level,
+            start_level=start_level,
             properties=self.properties,
         )
         self.storage.save_state(self.instance_id, state)
-
-    def _restore(self, state: FrameworkState) -> None:
-        self.counters["restores"] += 1
-        self._restoring = True
-        try:
-            self._restore_records(state)
-        finally:
-            self._restoring = False
 
     def _restore_records(self, state: FrameworkState) -> None:
         for record in state.bundles:
@@ -270,6 +284,7 @@ class Framework:
         self.repository.setdefault(location, definition)
         self.counters["installs"] += 1
         self._fire_bundle_event(BundleEventType.INSTALLED, bundle)
+        self._changed()
         return bundle
 
     def bundles(self) -> List[Bundle]:
@@ -338,28 +353,11 @@ class Framework:
     # ------------------------------------------------------------------
     # Events & accounting
     # ------------------------------------------------------------------
-    _PERSISTED_EVENTS = frozenset(
-        {
-            BundleEventType.INSTALLED,
-            BundleEventType.STARTED,
-            BundleEventType.STOPPED,
-            BundleEventType.UPDATED,
-            BundleEventType.UNINSTALLED,
-        }
-    )
-
     def _fire_bundle_event(self, type: BundleEventType, bundle: Bundle) -> None:
         if type == BundleEventType.STARTED:
             self.counters["starts"] += 1
         elif type == BundleEventType.STOPPED:
             self.counters["stops"] += 1
-        if (
-            self.autopersist
-            and self.active
-            and not self._restoring
-            and type in self._PERSISTED_EVENTS
-        ):
-            self.persist()
         self.dispatcher.fire_bundle_event(BundleEvent(type, bundle))
 
     def _report_error(self, source: Any, error: Exception) -> None:

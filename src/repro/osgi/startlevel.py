@@ -10,7 +10,7 @@ VOSGi design relies on.
 
 from __future__ import annotations
 
-from typing import List, TYPE_CHECKING
+from typing import List, Set, TYPE_CHECKING
 
 from repro.osgi.errors import BundleException
 
@@ -38,26 +38,33 @@ class StartLevelManager:
         bundle.start_level = level
         from repro.osgi.bundle import BundleState
 
-        if bundle.autostart:
-            if level <= self._level and bundle.state == BundleState.RESOLVED:
-                bundle._do_start()
-            elif level > self._level and bundle.state == BundleState.ACTIVE:
-                was_autostart = bundle.autostart
-                bundle._do_stop()
-                bundle.autostart = was_autostart
+        try:
+            if bundle.autostart:
+                if level <= self._level and bundle.state == BundleState.RESOLVED:
+                    bundle._do_start()
+                elif level > self._level and bundle.state == BundleState.ACTIVE:
+                    was_autostart = bundle.autostart
+                    bundle._do_stop()
+                    bundle.autostart = was_autostart
+        finally:
+            self._framework._changed()
 
     def set_level(self, target: int) -> None:
-        """Walk the framework start level to ``target``, one level at a time."""
+        """Walk the framework start level to ``target``.
+
+        Only levels some bundle lives at are visited, looked up afresh at
+        each step because an activator may install or move bundles.
+        """
         if target < 0:
             raise BundleException("framework start level must be >= 0")
         if target == self._level:
             return
         while self._level < target:
-            self._level += 1
+            self._level = min(self._occupied(self._level, target), default=target)
             self._activate_level(self._level)
         while self._level > target:
             self._deactivate_level(self._level)
-            self._level -= 1
+            self._level = max(self._occupied(target, self._level - 1), default=target)
         from repro.osgi.events import FrameworkEvent, FrameworkEventType
 
         self._framework.dispatcher.fire_framework_event(
@@ -67,18 +74,26 @@ class StartLevelManager:
                 message="start level is now %d" % self._level,
             )
         )
+        self._framework._changed()
+
+    def _occupied(self, low: int, high: int) -> Set[int]:
+        """Bundle start levels in ``(low, high]``."""
+        return {
+            b.start_level
+            for b in self._framework._bundles.values()
+            if low < b.start_level <= high
+        }
 
     def _activate_level(self, level: int) -> None:
         from repro.osgi.bundle import BundleState
 
         candidates: List["Bundle"] = [
             b
-            for b in self._framework.bundles()
+            for b in self._framework.bundles()  # in bundle-id order
             if b.autostart
             and b.start_level == level
             and b.state in (BundleState.INSTALLED, BundleState.RESOLVED)
         ]
-        candidates.sort(key=lambda b: b.bundle_id)
         for bundle in candidates:
             try:
                 if bundle.state == BundleState.INSTALLED:
@@ -95,8 +110,7 @@ class StartLevelManager:
             for b in self._framework.bundles()
             if b.start_level == level and b.state == BundleState.ACTIVE
         ]
-        candidates.sort(key=lambda b: b.bundle_id, reverse=True)
-        for bundle in candidates:
+        for bundle in reversed(candidates):
             was_autostart = bundle.autostart
             try:
                 bundle._do_stop()

@@ -15,7 +15,7 @@ reference crosses the boundary without administrator instruction.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.osgi.bundle import Bundle, BundleState
 from repro.osgi.events import ServiceEvent, ServiceEventType
@@ -141,8 +141,11 @@ class ServiceMirror:
         self._host = host
         self._child = child
         self.policy = policy
-        self._mirrors: Dict[int, ServiceRegistration] = {}
+        #: host service id -> (host reference, registration in the child).
+        self._mirrors: Dict[int, Tuple[ServiceReference, ServiceRegistration]] = {}
         self._active = False
+        #: Withdrawals or host releases that raised; the mirror went on.
+        self.release_errors = 0
 
     # ------------------------------------------------------------------
     def open(self) -> None:
@@ -150,7 +153,15 @@ class ServiceMirror:
         if self._active:
             return
         self._active = True
-        self._host.dispatcher.add_service_listener(self._on_host_event, None)
+        self._listen_and_mirror()
+
+    def _listen_and_mirror(self) -> None:
+        # The policy names its classes exactly, so they double as the
+        # listener's interest set: host events on other classes never
+        # visit this mirror.
+        self._host.dispatcher.add_service_listener(
+            self._on_host_event, classes=self.policy.service_classes
+        )
         for reference in self._host.registry.get_references():
             self._maybe_mirror(reference)
 
@@ -159,35 +170,18 @@ class ServiceMirror:
             return
         self._active = False
         self._host.dispatcher.remove_service_listener(self._on_host_event)
-        for host_service_id, registration in list(self._mirrors.items()):
-            try:
-                registration.unregister()
-            except Exception:
-                pass
-            # Release the use count taken from the host registry when the
-            # mirror was created, or stopped instances pile up phantom uses.
-            for reference in self._host.registry.get_references():
-                if reference.service_id == host_service_id:
-                    try:
-                        self._host.registry.unget_service(
-                            self._host.system_bundle, reference
-                        )
-                    except Exception:
-                        pass
-                    break
-        self._mirrors.clear()
+        for host_service_id in list(self._mirrors):
+            self._release(host_service_id)
 
     def refresh(self) -> None:
-        """Re-apply the policy after it changed (withdraw/extend exports)."""
+        """Re-apply the policy after it changed (withdraw/extend exports);
+        newly exported classes reach the host listener from here on."""
         if not self._active:
             return
-        for service_id, registration in list(self._mirrors.items()):
-            classes = registration.reference.get_property(OBJECTCLASS)
-            if not self.policy.allows_service(classes):
-                registration.unregister()
-                del self._mirrors[service_id]
-        for reference in self._host.registry.get_references():
-            self._maybe_mirror(reference)
+        for service_id, (reference, _) in list(self._mirrors.items()):
+            if not self.policy.allows_service(reference.object_classes):
+                self._release(service_id)
+        self._listen_and_mirror()
 
     @property
     def mirrored_count(self) -> int:
@@ -203,7 +197,7 @@ class ServiceMirror:
         elif event.type == ServiceEventType.MODIFIED:
             self._update_mirror(reference)
         elif event.type == ServiceEventType.UNREGISTERING:
-            self._drop_mirror(reference)
+            self._release(reference.service_id)
 
     def _maybe_mirror(self, reference: ServiceReference) -> None:
         if not self._child.active:
@@ -230,15 +224,14 @@ class ServiceMirror:
         registration = self._child.registry.register(
             self._child.system_bundle, classes, service, properties
         )
-        self._mirrors[reference.service_id] = registration
+        self._mirrors[reference.service_id] = (reference, registration)
 
     def _update_mirror(self, reference: ServiceReference) -> None:
-        registration = self._mirrors.get(reference.service_id)
-        if registration is None:
+        if reference.service_id not in self._mirrors:
             self._maybe_mirror(reference)
             return
         if not self.policy.allows_service(reference.object_classes):
-            self._drop_mirror(reference)
+            self._release(reference.service_id)
             return
         properties = {
             k: v
@@ -247,20 +240,25 @@ class ServiceMirror:
         }
         properties[IMPORTED_MARK] = True
         properties[IMPORTED_FROM] = reference.service_id
+        _, registration = self._mirrors[reference.service_id]
         registration.set_properties(properties)
 
-    def _drop_mirror(self, reference: ServiceReference) -> None:
-        registration = self._mirrors.pop(reference.service_id, None)
-        if registration is not None:
-            try:
-                registration.unregister()
-            finally:
-                try:
-                    self._host.registry.unget_service(
-                        self._host.system_bundle, reference
-                    )
-                except Exception:
-                    pass
+    def _release(self, host_service_id: int) -> None:
+        """Withdraw one mirror and give back the host use count taken when
+        it was created, or stopped instances pile up phantom uses. A step
+        that raises is counted and the rest of the release still happens."""
+        mirror = self._mirrors.pop(host_service_id, None)
+        if mirror is None:
+            return
+        reference, registration = mirror
+        try:
+            registration.unregister()
+        except Exception:
+            self.release_errors += 1
+        try:
+            self._host.registry.unget_service(self._host.system_bundle, reference)
+        except Exception:
+            self.release_errors += 1
 
     def __repr__(self) -> str:
         return "ServiceMirror(%d mirrored, %s)" % (

@@ -179,6 +179,10 @@ class VirtualInstance:
                 "packages": sorted(self.policy.packages),
                 "services": sorted(self.policy.service_classes),
             },
+            "mirror": {
+                "mirrored": self.mirror.mirrored_count,
+                "release_errors": self.mirror.release_errors,
+            },
         }
 
     def __repr__(self) -> str:

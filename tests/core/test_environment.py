@@ -99,6 +99,23 @@ def test_planned_migration_via_facade(env):
     assert env.locate("acme") == "n2"
 
 
+def test_planned_migration_restarts_at_the_level_the_instance_ran_at(env):
+    """stop() used to store whatever level its shutdown walk had reached
+    (1), so a bundle at start level 5 arrived on the target node RESOLVED."""
+    instance = admit(env, "acme", node_id="n1", bundles=[simple_bundle("app")])
+    app = instance.get_bundle_by_name("app")
+    instance.framework.start_levels.set_bundle_level(app, 5)
+    assert app.state.value == "ACTIVE"
+    migration = env.migrate_customer("acme", "n2")
+    env.cluster.run_until_settled([migration], timeout=60)
+    assert env.locate("acme") == "n2"
+    moved = env.instance_of("acme")
+    assert moved is not instance
+    assert moved.framework.start_level == 10
+    arrived = moved.get_bundle_by_name("app")
+    assert (arrived.start_level, arrived.state.value) == (5, "ACTIVE")
+
+
 def test_graceful_node_shutdown_evacuates(env):
     admit(env, "acme", node_id="n1")
     graceful = env.shutdown_node_gracefully("n1")

@@ -70,3 +70,53 @@ def test_removed_listener_leaves_index_clean():
     registry.register(object(), "a", object())
     assert seen == []
     assert dispatcher._service_index == {}
+
+
+# ----------------------------------------------------------------------
+# Removal is keyed by equality: a bound method is a new object at every
+# attribute access, so an identity compare never found it and every
+# close() leaked its entry.
+# ----------------------------------------------------------------------
+class Recorder:
+    def __init__(self, name="recorder", seen=None):
+        self.name = name
+        self.seen = [] if seen is None else seen
+
+    def on_event(self, event):
+        self.seen.append(self.name)
+
+
+def test_bound_method_listener_is_removed():
+    dispatcher, registry = make()
+    recorder = Recorder()
+    dispatcher.add_service_listener(recorder.on_event, classes=("a",))
+    dispatcher.add_service_listener(recorder.on_event)  # re-add replaces
+    assert len(dispatcher._service_entries) == 1
+    dispatcher.remove_service_listener(recorder.on_event)
+    registry.register(object(), "a", object())
+    assert recorder.seen == []
+    assert dispatcher._service_entries == {}
+    assert dispatcher._service_wildcard == {} and dispatcher._service_index == {}
+
+
+def test_removal_unlinks_one_entry_and_leaves_the_rest_in_order():
+    dispatcher, registry = make()
+    order = []
+    recorders = [Recorder(name, order) for name in ("ab", "wild", "b-only", "a-only")]
+    for recorder, classes in zip(recorders, [("a", "b"), None, ("b",), ("a",)]):
+        dispatcher.add_service_listener(recorder.on_event, classes=classes)
+
+    def layout():
+        return (
+            [e.seq for e in dispatcher._service_entries.values()],
+            [e.seq for e in dispatcher._service_wildcard],
+            {c: [e.seq for e in b] for c, b in dispatcher._service_index.items()},
+        )
+
+    assert layout() == ([0, 1, 2, 3], [1], {"a": [0, 3], "b": [0, 2]})
+    dispatcher.remove_service_listener(recorders[0].on_event)
+    assert layout() == ([1, 2, 3], [1], {"a": [3], "b": [2]})
+    registry.register(object(), ("a", "b"), object())
+    assert order == ["wild", "b-only", "a-only"]
+    dispatcher.remove_service_listener(recorders[2].on_event)
+    assert layout() == ([1, 3], [1], {"a": [3]})

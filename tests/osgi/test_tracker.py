@@ -167,3 +167,18 @@ def test_modules_find_each_other_via_tracker(framework):
     assert seen == [{"answer": 42}]
     # Provider goes away; consumer notices via the tracker.
     provider_bundle.stop()
+
+
+def test_open_close_leaves_no_listener_behind(framework, context):
+    """close() removes a bound method; an identity compare never found it."""
+    entries = len(framework.dispatcher._service_entries)
+    context.register_service("x.S", "svc")
+    removed = []
+    tracker = ServiceTracker(context, "x.S", on_removed=lambda r, s: removed.append(s))
+    for _ in range(50):
+        tracker.open()
+        tracker.close()
+    assert len(framework.dispatcher._service_entries) == entries
+    assert framework.dispatcher._service_index == {}
+    context.register_service("x.S", "late")
+    assert tracker.size == 0 and len(removed) == 50

@@ -176,3 +176,60 @@ def test_close_releases_host_use_counts(host, child):
     assert host.system_bundle in ref.using_bundles
     mirror.close()
     assert host.system_bundle not in ref.using_bundles
+
+
+def test_host_events_on_other_classes_never_visit_the_mirror(host, child):
+    policy = ExportPolicy(service_classes={"x"})
+    mirror = ServiceMirror(host, child, policy)
+    visits = []
+    mirror._on_host_event = visits.append
+    mirror.open()
+    host.system_context.register_service("unrelated", "svc")
+    assert visits == []
+    host.system_context.register_service(("x", "unrelated"), "svc")
+    assert len(visits) == 1
+    # refresh() re-reads the policy for the listener's interest set too.
+    policy.export_service("y")
+    mirror.refresh()
+    host.system_context.register_service("y", "svc")
+    assert len(visits) == 2
+
+
+def test_refresh_releases_the_withdrawn_host_use_count(host, child):
+    policy = ExportPolicy(service_classes={"x"})
+    mirror = ServiceMirror(host, child, policy)
+    mirror.open()
+    reference = host.system_context.register_service("x", "svc").reference
+    assert host.system_bundle in reference.using_bundles
+    policy.withdraw_service("x")
+    mirror.refresh()
+    assert host.system_bundle not in reference.using_bundles
+
+
+def test_failing_release_is_counted_and_the_rest_still_withdrawn(
+    host, child, monkeypatch
+):
+    mirror = ServiceMirror(host, child, ExportPolicy(service_classes={"x"}))
+    mirror.open()
+    references = [
+        host.system_context.register_service("x", "svc%d" % i).reference
+        for i in range(3)
+    ]
+    assert mirror.mirrored_count == 3
+    unget = host.registry.unget_service
+
+    def flaky_unget(bundle, reference):
+        if reference == references[0]:
+            raise RuntimeError("host registry hiccup")
+        return unget(bundle, reference)
+
+    monkeypatch.setattr(host.registry, "unget_service", flaky_unget)
+    mirror.close()
+    assert mirror.release_errors == 1
+    assert mirror.mirrored_count == 0
+    assert child.registry.get_references("x") == []
+    assert [host.system_bundle in r.using_bundles for r in references] == [
+        True,
+        False,
+        False,
+    ]

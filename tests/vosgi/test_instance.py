@@ -145,6 +145,7 @@ def test_describe_reports_inventory(host):
     assert info["running"] is True
     assert info["bundles"][0]["symbolic_name"] == "app"
     assert info["bundles"][0]["state"] == "ACTIVE"
+    assert info["mirror"] == {"mirrored": 0, "release_errors": 0}
 
 
 def test_same_identity_restores_across_hosts():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.osgi.bundle import BundleState
 from repro.osgi.definition import simple_bundle
 from repro.osgi.errors import BundleException
 from repro.osgi.framework import Framework
@@ -159,3 +160,53 @@ class TestActivatorPackaging:
         bundle.stop()
         assert not instance.running
         assert host.registry.get_reference(INSTANCE_MANAGER_CLASS) is None
+
+
+def test_restarts_leave_the_host_dispatcher_as_they_found_it(host, manager):
+    """Each mirror open used to leave one more wildcard entry on the host,
+    and every later restart scanned them all."""
+    host.system_context.register_service("base.Service", "shared")
+    policy = ExportPolicy(service_classes={"base.Service"})
+    manager.create_instance("acme", policy=policy)
+    manager.create_instance("other", policy=policy)
+    dispatcher = host.dispatcher
+
+    def layout():
+        return (
+            len(dispatcher._service_entries),
+            len(dispatcher._service_wildcard),
+            {clazz: len(bucket) for clazz, bucket in dispatcher._service_index.items()},
+        )
+
+    before = layout()
+    assert before[2] == {"base.Service": 2}
+    for _ in range(1000):
+        manager.stop_instance("acme")
+        assert layout()[2] == {"base.Service": 1}
+        manager.start_instance("acme")
+    assert layout() == before
+    assert manager.require("acme").mirror.mirrored_count == 1
+    reference = host.registry.get_reference("base.Service")
+    manager.stop_instance("acme")
+    manager.stop_instance("other")
+    assert reference.using_bundles == []
+
+
+def test_restart_brings_back_bundles_above_start_level_one(host):
+    """The stored start level is the one the instance ran at, not where the
+    shutdown walk happened to be when a bundle stopped."""
+    store = SharedStore()
+    manager = InstanceManager(
+        host,
+        storage_factory=lambda iid: store.mount("n1").framework_storage(),
+        repository=store,
+    )
+    instance = manager.create_instance("acme")
+    bundle = instance.install(simple_bundle("app"))
+    instance.framework.start_levels.set_bundle_level(bundle, 5)
+    bundle.start()
+    manager.stop_instance("acme")
+    assert store.load_state("vosgi:acme").start_level == 10
+    manager.start_instance("acme")
+    assert instance.framework.start_level == 10
+    assert bundle.state == BundleState.ACTIVE
