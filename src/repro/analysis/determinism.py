@@ -168,6 +168,7 @@ _SCHEDULING_NAMES = frozenset(
         "multicast",
         "schedule",
         "send",
+        "send_all",
         "send_to",
         "submit",
     }

@@ -30,7 +30,7 @@ configuration leaking into the simulated world.
 
 Sinks are the places where a value's bits or timing become part of the
 replayable execution: ``EventLoop.call_at``/``call_after``/``call_soon``
-/``call_transient_*``, ``Network.send``/``send_to``/``broadcast``/
+/``call_transient_*``, ``Network.send``/``send_all``/``send_to``/``broadcast``/
 ``multicast``/``deliver``, scheduling helpers (``schedule``,
 ``enqueue``), and digest constructors (``hashlib.sha256`` and friends —
 the trace/history digest inputs).
@@ -112,6 +112,7 @@ DEFAULT_TAINT_MODEL = TaintModel(
             "multicast",
             "schedule",
             "send",
+            "send_all",
             "send_to",
         }
     ),
@@ -122,7 +123,9 @@ DEFAULT_TAINT_MODEL = TaintModel(
         "EventLoop.call_transient_at",
         "EventLoop.call_transient_after",
         "Network.send",
+        "Network.send_all",
         "Endpoint.send",
+        "Endpoint.send_all",
     ),
     digest_calls=frozenset(
         {

@@ -137,6 +137,13 @@ class Cluster:
     def total_power_watts(self) -> float:
         return sum(n.power_watts() for n in self.nodes())
 
+    def gcs_listener_errors(self) -> int:
+        """GCS view and message listeners that raised, over all nodes.
+
+        A raising listener is skipped so the others still run; this count
+        is what is left of the exception (0 in a healthy run)."""
+        return sum(n.gcs_listener_errors for n in self.nodes())
+
     def __repr__(self) -> str:
         states = {n.node_id: n.state.value for n in self.nodes()}
         return "Cluster(t=%.2f, %s)" % (self.loop.clock.now, states)

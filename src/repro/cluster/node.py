@@ -93,6 +93,8 @@ class Node:
         self.monitoring: Optional[MonitoringModule] = None
         self.security = SecurityManager()
         self.protocol = Protocol(node_id, loop, network, directory)
+        #: ``listener_errors`` of the protocols that died with a crash.
+        self._crashed_listener_errors = 0
         #: Arbitrary per-node attachments (migration module, autonomic...).
         self.modules: Dict[str, Any] = {}
         self._state_listeners: List[Callable[["Node", NodeState], None]] = []
@@ -113,6 +115,11 @@ class Node:
         if self.instance_manager is None:
             return []
         return self.instance_manager.names()
+
+    @property
+    def gcs_listener_errors(self) -> int:
+        """GCS listeners that raised on this node, across crashes."""
+        return self._crashed_listener_errors + self.protocol.listener_errors
 
     def power_watts(self) -> float:
         """Instantaneous power draw under the node's power model."""
@@ -226,6 +233,7 @@ class Node:
         self.instance_manager = None
         self.monitoring = None
         self.modules = {}
+        self._crashed_listener_errors += self.protocol.listener_errors
         self.protocol = Protocol(
             self.node_id, self.loop, self.network, self.directory
         )

@@ -45,6 +45,8 @@ class Protocol:
         self._network = network
         self._directory = directory
         self._members: Dict[str, GroupMember] = {}
+        #: ``listener_errors`` of members already replaced by a rejoin.
+        self._retired_listener_errors = 0
 
     def _member(self, config: GroupConfiguration) -> GroupMember:
         member = self._members.get(config.group)
@@ -55,6 +57,7 @@ class Protocol:
             # merely hasn't joined *yet* is kept: paired data/control
             # sessions must share it.)
             member.crash()
+            self._retired_listener_errors += member.listener_errors
             self._members.pop(config.group, None)
             member = None
         if member is None:
@@ -89,6 +92,14 @@ class Protocol:
         fault injector (clock-skew perturbs member timers through it).
         """
         return [self._members[g] for g in sorted(self._members)]
+
+    @property
+    def listener_errors(self) -> int:
+        """View/message listeners that raised in any member this protocol
+        ever held (see :attr:`GroupMember.listener_errors`)."""
+        return self._retired_listener_errors + sum(
+            member.listener_errors for member in self._members.values()
+        )
 
     def __repr__(self) -> str:
         return "Protocol(%s, groups=%s)" % (self.node_id, sorted(self._members))

@@ -92,7 +92,8 @@ class GroupMember:
         #: that has joined before is dead for good (see Protocol._member).
         self.ever_joined = False
         self._beat_count = 0
-        self._timers: List[ScheduledEvent] = []
+        #: Live timer handles only: the pending heartbeat and join retry.
+        self._timers: Dict[str, ScheduledEvent] = {}
         self._last_heard: Dict[str, float] = {}
         self._suspected: Set[str] = set()
 
@@ -111,6 +112,8 @@ class GroupMember:
         #: (virtual time, suspected member) — consumed by the ABL-DETECT bench.
         self.suspicions: List[Tuple[float, str]] = []
         self.delivered_count = 0
+        #: View and message listeners that raised; the others still ran.
+        self.listener_errors = 0
 
     # ------------------------------------------------------------------
     # Public API
@@ -238,23 +241,29 @@ class GroupMember:
     # Timers
     # ------------------------------------------------------------------
     def _arm_heartbeats(self) -> None:
+        me = self.endpoint_name
+        # One payload object for every beat and every peer; receivers
+        # only read it.
+        heartbeat = {"hb": me}
+
         def beat() -> None:
             if not self.running:
                 return
-            if self.view is not None:
-                for member in self.view.members:
-                    if member != self.endpoint_name:
-                        self._endpoint.send(member, {"hb": self.endpoint_name})
+            view = self.view
+            if view is not None:
+                self._endpoint.send_all(
+                    [member for member in view.members if member != me], heartbeat
+                )
             self._check_failures()
             self._beat_count += 1
             if self._beat_count % 10 == 0 and self.is_coordinator:
                 self._probe_strangers()
-            self._timers.append(
-                self._loop.call_after(self.hb_interval, beat, label="gcs-hb")
+            self._timers["hb"] = self._loop.call_after(
+                self.hb_interval, beat, label="gcs-hb"
             )
 
-        self._timers.append(
-            self._loop.call_after(self.hb_interval, beat, label="gcs-hb")
+        self._timers["hb"] = self._loop.call_after(
+            self.hb_interval, beat, label="gcs-hb"
         )
 
     def _probe_strangers(self) -> None:
@@ -300,6 +309,7 @@ class GroupMember:
 
     def _arm_join_retry(self) -> None:
         def retry() -> None:
+            self._timers.pop("join", None)  # fired: no longer a live handle
             if not self.running:
                 return
             if self.view is not None and self.view.contains(self.endpoint_name):
@@ -311,20 +321,20 @@ class GroupMember:
             ]
             if peers:
                 self._send_join(peers)
-                self._timers.append(
-                    self._loop.call_after(self.join_retry, retry, label="gcs-join")
+                self._timers["join"] = self._loop.call_after(
+                    self.join_retry, retry, label="gcs-join"
                 )
             else:
                 self._install(View(1, (self.endpoint_name,)), order_seq=1)
 
-        self._timers.append(
-            self._loop.call_after(self.join_retry, retry, label="gcs-join")
+        self._timers["join"] = self._loop.call_after(
+            self.join_retry, retry, label="gcs-join"
         )
 
     def _cancel_timers(self) -> None:
-        for timer in self._timers:
+        for timer in self._timers.values():
             timer.cancel()
-        self._timers = []
+        self._timers.clear()
 
     def _final_close(self) -> None:
         if not self.running:
@@ -473,7 +483,7 @@ class GroupMember:
                 try:
                     listener(change)
                 except Exception:
-                    pass
+                    self.listener_errors += 1
 
         if _rt.ACTIVE is not None:
             telemetry = _rt.ACTIVE
@@ -649,7 +659,7 @@ class GroupMember:
             try:
                 listener(sender, payload)
             except Exception:
-                pass
+                self.listener_errors += 1
 
     def __repr__(self) -> str:
         return "GroupMember(%s, %s, %s)" % (

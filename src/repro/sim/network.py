@@ -10,25 +10,50 @@ paper's middleware (jGCS over a LAN) would use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.sim.eventloop import EventLoop
 from repro.sim.rng import RngStreams
 from repro.telemetry import runtime as _rt
 
 
-@dataclass(frozen=True)
 class Message:
-    """An opaque payload in flight between two endpoints."""
+    """An opaque payload in flight between two endpoints.
 
-    source: str
-    destination: str
-    payload: Any
-    sent_at: float
-    size_bytes: int = 256
-    #: Captured telemetry span context; not part of message identity.
-    trace: Any = field(compare=False, repr=False, default=None)
+    One is built per message sent, so it is a plain slotted class: the
+    six attributes and the positional constructor are the contract.
+    Messages compare by identity and handlers must treat them, and the
+    payload a :meth:`Network.send_all` fan-out shares, as read-only.
+    """
+
+    __slots__ = ("source", "destination", "payload", "sent_at", "size_bytes", "trace")
+
+    def __init__(
+        self,
+        source: str,
+        destination: str,
+        payload: Any,
+        sent_at: float,
+        size_bytes: int = 256,
+        trace: Any = None,
+    ) -> None:
+        self.source = source
+        self.destination = destination
+        self.payload = payload
+        self.sent_at = sent_at
+        self.size_bytes = size_bytes
+        #: Captured telemetry span context, re-activated around delivery.
+        self.trace = trace
+
+    def __repr__(self) -> str:
+        return "Message(%s -> %s at %r, %d bytes: %r)" % (
+            self.source,
+            self.destination,
+            self.sent_at,
+            self.size_bytes,
+            self.payload,
+        )
 
 
 @dataclass
@@ -69,7 +94,13 @@ class Endpoint:
 
     def send(self, destination: str, payload: Any, size_bytes: int = 256) -> None:
         """Send ``payload`` to the endpoint named ``destination``."""
-        self._network.send(self.name, destination, payload, size_bytes)
+        self._network.send_all(self.name, (destination,), payload, size_bytes)
+
+    def send_all(
+        self, destinations: Iterable[str], payload: Any, size_bytes: int = 256
+    ) -> None:
+        """Send the one ``payload`` object to each of ``destinations``."""
+        self._network.send_all(self.name, destinations, payload, size_bytes)
 
     def deliver(self, message: Message) -> None:
         if self.alive:
@@ -80,18 +111,21 @@ class Endpoint:
         return "Endpoint(%s, %s)" % (self.name, state)
 
 
-@dataclass
 class _Link:
     """Per-ordered-pair FIFO state: earliest allowed delivery time.
 
     ``batch``/``batch_at`` coalesce same-instant deliveries: when FIFO
     backpressure collapses several messages onto one delivery timestamp,
-    they share a single scheduled event instead of one each.
+    they share a single scheduled event instead of one each. ``batch``
+    is ``None`` while no delivery event is pending for the link.
     """
 
-    next_free_at: float = 0.0
-    batch_at: float = -1.0
-    batch: List[Message] = field(default_factory=list)
+    __slots__ = ("next_free_at", "batch_at", "batch")
+
+    def __init__(self) -> None:
+        self.next_free_at = 0.0
+        self.batch_at = -1.0
+        self.batch: Optional[List[Message]] = None
 
 
 class Network:
@@ -131,8 +165,11 @@ class Network:
         self.stats = NetworkStats()
         self._endpoints: Dict[str, Endpoint] = {}
         self._links: Dict[Tuple[str, str], _Link] = {}
-        self._partitions: List[FrozenSet[str]] = []
-        self._node_partitions: List[FrozenSet[str]] = []
+        #: endpoint name -> group index / node id -> group index while a
+        #: partition of that kind is installed, else ``None``. Built by
+        #: the partition setters only; the message path just reads them.
+        self._group_of: Optional[Dict[str, int]] = None
+        self._node_group_of: Optional[Dict[str, int]] = None
         #: node id -> extra one-way latency applied to its traffic.
         self._node_latency: Dict[str, float] = {}
         #: Open delivery tick: link batches sharing one scheduled event.
@@ -181,7 +218,7 @@ class Network:
         Endpoints not named in any group can talk to each other but to no
         partitioned endpoint. Replaces any previous partition layout.
         """
-        self._partitions = [frozenset(g) for g in groups]
+        self._group_of = self._index(groups)
 
     def partition_nodes(self, *groups: Set[str]) -> None:
         """Split the network by *node id* rather than endpoint name.
@@ -194,45 +231,41 @@ class Network:
         side. Replaces any previous node-partition layout; coexists with
         endpoint-level :meth:`partition`.
         """
-        self._node_partitions = [frozenset(g) for g in groups]
+        self._node_group_of = self._index(groups)
 
     @property
     def partitioned(self) -> bool:
         """True while any partition (endpoint- or node-level) is active."""
-        return bool(self._partitions or self._node_partitions)
+        return self._group_of is not None or self._node_group_of is not None
 
     def heal(self) -> None:
         """Remove all partitions (endpoint- and node-level)."""
-        self._partitions = []
-        self._node_partitions = []
+        self._group_of = None
+        self._node_group_of = None
 
     @staticmethod
     def node_of(endpoint_name: str) -> str:
         """Owning node id of an endpoint: the last path segment."""
         return endpoint_name.rsplit("/", 1)[-1]
 
-    def _partitioned(self, a: str, b: str) -> bool:
-        if self._split_by(self._partitions, a, b):
-            return True
-        if self._node_partitions and self._split_by(
-            self._node_partitions, self.node_of(a), self.node_of(b)
-        ):
-            return True
-        return False
-
     @staticmethod
-    def _split_by(partitions: List[FrozenSet[str]], a: str, b: str) -> bool:
-        if not partitions:
+    def _index(groups: Tuple[Set[str], ...]) -> Optional[Dict[str, int]]:
+        """Member -> group index of one partition layout (``None``: no layout)."""
+        if not groups:
+            return None
+        return {member: i for i, group in enumerate(groups) for member in group}
+
+    def _partitioned(self, a: str, b: str) -> bool:
+        # Members of no group read as ``None``: they reach each other
+        # and nobody inside a group.
+        group_of = self._group_of
+        if group_of is not None and group_of.get(a) != group_of.get(b):
+            return True
+        group_of = self._node_group_of
+        if group_of is None:
             return False
-        group_of: Dict[str, int] = {}
-        for i, group in enumerate(partitions):
-            for member in group:
-                group_of[member] = i
-        ga = group_of.get(a)
-        gb = group_of.get(b)
-        if ga is None and gb is None:
-            return False
-        return ga != gb
+        node_of = self.node_of
+        return group_of.get(node_of(a)) != group_of.get(node_of(b))
 
     # ------------------------------------------------------------------
     # Per-node latency (slow-node fault model)
@@ -253,8 +286,6 @@ class Network:
         self._node_latency.pop(node_id, None)
 
     def _extra_latency(self, source: str, destination: str) -> float:
-        if not self._node_latency:
-            return 0.0
         return self._node_latency.get(
             self.node_of(source), 0.0
         ) + self._node_latency.get(self.node_of(destination), 0.0)
@@ -266,62 +297,95 @@ class Network:
         self, source: str, destination: str, payload: Any, size_bytes: int = 256
     ) -> None:
         """Queue a message for FIFO delivery, applying loss and partitions."""
-        self.stats.sent += 1
-        self.stats.bytes_sent += size_bytes
+        self.send_all(source, (destination,), payload, size_bytes)
+
+    def send_all(
+        self,
+        source: str,
+        destinations: Iterable[str],
+        payload: Any,
+        size_bytes: int = 256,
+    ) -> None:
+        """Queue the one ``payload`` object for each of ``destinations``.
+
+        Exactly ``for d in destinations: send(source, d, payload)``: the
+        same RNG draws (loss before jitter), counters, link FIFO, batch
+        and tick coalescing and event sequence numbers, in that order.
+        Only what cannot change between two of those sends is read once:
+        the clock, the ambient trace context and the fault configuration.
+        """
+        stats = self.stats
+        loop = self.loop
+        now = loop.clock.now
         trace = None
         if _rt.ACTIVE is not None:
             trace = _rt.ACTIVE.tracer.current_context()
-        message = Message(
-            source, destination, payload, self.loop.clock.now, size_bytes, trace
-        )
-        if self._partitioned(source, destination):
-            self.stats.dropped_partition += 1
-            return
-        if self.loss_rate and self._rng.random() < self.loss_rate:
-            self.stats.dropped_loss += 1
-            return
-        delay = self.latency + (self._rng.random() * self.jitter if self.jitter else 0.0)
-        delay += self._extra_latency(source, destination)
-        link = self._links.setdefault((source, destination), _Link())
-        deliver_at = max(self.loop.clock.now + delay, link.next_free_at)
-        link.next_free_at = deliver_at
-        if link.batch and link.batch_at == deliver_at:
-            # Piggyback on the delivery event already scheduled for this
-            # instant; FIFO order within the link is preserved.
-            link.batch.append(message)
-            return
-        batch = [message]
-        link.batch = batch
-        link.batch_at = deliver_at
-        # Per-tick coalescing: links whose batches land on the *same*
-        # delivery instant share one scheduled event, provided (a) no
-        # other event was scheduled since the tick event went in (the
-        # loop's sequence counter is unchanged) and (b) both batches
-        # deliver into the same lane. Under guard (a) the merged firing
-        # order is provably identical to one-event-per-batch: the
-        # would-be events carry consecutive seqs with nothing in
-        # between, so seq order at the instant equals append order.
-        # Guard (b) is lane ownership: a tick event belongs to the lane
-        # of the node it delivers to, and merging batches bound for
-        # different lanes would execute one lane's deliveries inside
-        # another lane's event (always trivially true — lane 0 — on the
-        # global scheduler).
-        lane = self.loop.lane_of_node(self.node_of(destination)) if self._laned else 0
-        entries = self._tick_entries
-        if (
-            entries is not None
-            and self._tick_when == deliver_at
-            and self._tick_lane == lane
-            and self.loop.scheduled == self._tick_guard_seq
-        ):
-            entries.append((link, batch))
-            return
-        entries = [(link, batch)]
-        self._tick_entries = entries
-        self._tick_when = deliver_at
-        self._tick_lane = lane
-        self.loop.call_transient_at(deliver_at, self._fire_tick, entries, lane)
-        self._tick_guard_seq = self.loop.scheduled
+        latency = self.latency
+        jitter = self.jitter
+        loss_rate = self.loss_rate
+        random = self._rng.random
+        split = self.partitioned
+        slow = bool(self._node_latency)
+        laned = self._laned
+        links = self._links
+        for destination in destinations:
+            stats.sent += 1
+            stats.bytes_sent += size_bytes
+            if split and self._partitioned(source, destination):
+                stats.dropped_partition += 1
+                continue
+            if loss_rate and random() < loss_rate:
+                stats.dropped_loss += 1
+                continue
+            delay = latency + (random() * jitter if jitter else 0.0)
+            if slow:
+                delay += self._extra_latency(source, destination)
+            key = (source, destination)
+            link = links.get(key)
+            if link is None:
+                link = links[key] = _Link()
+            deliver_at = now + delay
+            if deliver_at < link.next_free_at:
+                deliver_at = link.next_free_at
+            link.next_free_at = deliver_at
+            message = Message(source, destination, payload, now, size_bytes, trace)
+            if link.batch is not None and link.batch_at == deliver_at:
+                # Piggyback on the delivery event already scheduled for
+                # this instant; FIFO order within the link is preserved.
+                link.batch.append(message)
+                continue
+            batch = [message]
+            link.batch = batch
+            link.batch_at = deliver_at
+            # Per-tick coalescing: links whose batches land on the *same*
+            # delivery instant share one scheduled event, provided (a) no
+            # other event was scheduled since the tick event went in (the
+            # loop's sequence counter is unchanged) and (b) both batches
+            # deliver into the same lane. Under guard (a) the merged firing
+            # order is provably identical to one-event-per-batch: the
+            # would-be events carry consecutive seqs with nothing in
+            # between, so seq order at the instant equals append order.
+            # Guard (b) is lane ownership: a tick event belongs to the lane
+            # of the node it delivers to, and merging batches bound for
+            # different lanes would execute one lane's deliveries inside
+            # another lane's event (always trivially true — lane 0 — on the
+            # global scheduler).
+            lane = loop.lane_of_node(self.node_of(destination)) if laned else 0
+            entries = self._tick_entries
+            if (
+                entries is not None
+                and self._tick_when == deliver_at
+                and self._tick_lane == lane
+                and loop.scheduled == self._tick_guard_seq
+            ):
+                entries.append((link, batch))
+                continue
+            entries = [(link, batch)]
+            self._tick_entries = entries
+            self._tick_when = deliver_at
+            self._tick_lane = lane
+            loop.call_transient_at(deliver_at, self._fire_tick, entries, lane)
+            self._tick_guard_seq = loop.scheduled
 
     def _fire_tick(self, entries: List[Tuple[_Link, List[Message]]]) -> None:
         if self._tick_entries is entries:
@@ -333,7 +397,7 @@ class Network:
             if link.batch is batch:
                 # Later same-instant sends must open a fresh batch once
                 # this event has fired.
-                link.batch = []
+                link.batch = None
                 link.batch_at = -1.0
             for message in batch:
                 self._deliver(message)
@@ -341,7 +405,9 @@ class Network:
     def _deliver(self, message: Message) -> None:
         # Re-check the partition at delivery time: a partition raised while
         # the message was in flight also kills it, like a dropped TCP link.
-        if self._partitioned(message.source, message.destination):
+        if (
+            self._group_of is not None or self._node_group_of is not None
+        ) and self._partitioned(message.source, message.destination):
             self.stats.dropped_partition += 1
             return
         endpoint = self._endpoints.get(message.destination)
@@ -349,11 +415,19 @@ class Network:
             self.stats.dropped_dead += 1
             return
         self.stats.delivered += 1
-        if _rt.ACTIVE is not None and message.trace is not None:
-            with _rt.ACTIVE.tracer.activate(message.trace):
-                endpoint.deliver(message)
-        else:
+        trace = message.trace
+        if trace is None or _rt.ACTIVE is None:
             endpoint.deliver(message)
+            return
+        # The sender's context is the ambient parent while the handler
+        # runs. Pushed and popped directly: this runs once per delivered
+        # message, and a ``with`` block costs several times the two calls.
+        tracer = _rt.ACTIVE.tracer
+        tracer.push_scope(trace)
+        try:
+            endpoint.deliver(message)
+        finally:
+            tracer.pop_scope()
 
     def __repr__(self) -> str:
         return "Network(endpoints=%d, latency=%.4fs, loss=%.3f)" % (

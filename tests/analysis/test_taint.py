@@ -96,6 +96,28 @@ def test_det103_dict_order_reaches_digest(tmp_path):
     assert any("pkg/inventory.py" in step for step in det103[0].trace)
 
 
+def test_det103_hash_ordered_destinations_reach_send_all(tmp_path):
+    """``send_all`` has no loop for DET003 to see: the fan-out order is
+    the order of the iterable it is handed."""
+    findings = _deep_codes(
+        tmp_path,
+        {
+            "peers.py": (
+                "def peers(table):\n"
+                "    return [name for name in table.keys()]\n"
+            ),
+            "beat.py": (
+                "from pkg.peers import peers\n"
+                "def beat(endpoint, table):\n"
+                "    endpoint.send_all(peers(table), {'hb': 1})\n"
+            ),
+        },
+    )
+    assert [d.code for d in findings] == ["DET103"]
+    assert findings[0].source == "pkg/beat.py"
+    assert "send_all" in findings[0].message
+
+
 def test_det104_id_value_reaches_send(tmp_path):
     findings = _deep_codes(
         tmp_path,

@@ -63,3 +63,33 @@ def test_nodes_share_san():
     cluster = Cluster.build(2, seed=1)
     cluster.store.data_area("x", "y")["k"] = 1
     assert cluster.node("n2").store is cluster.store
+
+
+def test_gcs_listener_errors_are_summed_across_nodes_rejoins_and_crashes():
+    from repro.gcs.jgcs import GroupConfiguration
+
+    cluster = Cluster.build(3, seed=1)
+    config = GroupConfiguration("errors-test")
+    sessions = {}
+    for node in cluster.nodes():
+        sessions[node.node_id] = node.protocol.create_data_session(config)
+        node.protocol.create_control_session(config).join()
+        cluster.run_for(0.5)
+    assert cluster.gcs_listener_errors() == 0
+
+    def bad(sender, payload):
+        raise RuntimeError("listener bug")
+
+    for session in sessions.values():
+        session.set_message_listener(bad)
+    sessions["n1"].multicast("x")
+    cluster.run_for(1.0)
+    assert [n.gcs_listener_errors for n in cluster.nodes()] == [1, 1, 1]
+    # A crash replaces the node's protocol; a rejoin replaces the member.
+    cluster.node("n2").fail()
+    control = cluster.node("n3").protocol.create_control_session(config)
+    control.leave()
+    cluster.run_for(3.0)
+    cluster.node("n3").protocol.create_control_session(config).join()
+    cluster.run_for(3.0)
+    assert cluster.gcs_listener_errors() == 3

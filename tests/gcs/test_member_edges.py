@@ -190,3 +190,131 @@ class TestChannelEdges:
 
         assert channel.handle_raw(FakeMessage()) is False
         assert inbox == []
+
+
+class TestTimerHandles:
+    """``_timers`` holds live handles only: it used to gain one dead
+    ``ScheduledEvent`` per heartbeat for the life of the member."""
+
+    def test_ten_thousand_beats_keep_at_most_two_handles(
+        self, loop, network, directory
+    ):
+        members = form_group(loop, network, directory, ["n1", "n2"])
+        loop.run_for(1000.0)
+        for member in members:
+            assert member._beat_count >= 10_000
+            assert len(member._timers) <= 2
+            assert all(not timer.cancelled for timer in member._timers.values())
+
+    def test_leave_cancels_the_pending_beat(self, loop, network, directory):
+        members = form_group(loop, network, directory, ["n1", "n2"])
+        leaver = members[1]
+        leaver.leave()
+        assert leaver._timers == {}
+        beats = leaver._beat_count
+        loop.run_for(5.0)
+        assert leaver._beat_count == beats
+        assert members[0].view.members == ("gcs/g/n1",)
+
+    def test_crash_cancels_the_pending_beat_and_join_retry(
+        self, loop, network, directory
+    ):
+        form_group(loop, network, directory, ["n1"])
+        network.partition({"gcs/g/n1"}, {"gcs/g/n2"})
+        joiner = make_member("n2", loop, network, directory)
+        joiner.join()
+        loop.run_for(0.75)  # one retry has fired and re-armed
+        assert sorted(joiner._timers) == ["hb", "join"]
+        pending = loop.pending
+        joiner.crash()
+        assert joiner._timers == {}
+        # Exactly the beat and the retry left the queue (the reliable
+        # channel cancels its own retransmissions on top of that).
+        assert loop.pending <= pending - 2
+        beats = joiner._beat_count
+        network.heal()
+        loop.run_for(5.0)
+        assert joiner._beat_count == beats
+        assert joiner.view is None
+
+    def test_admitted_joiner_drops_its_fired_retry_handle(
+        self, loop, network, directory
+    ):
+        members = form_group(loop, network, directory, ["n1", "n2"])
+        loop.run_for(2.0)
+        assert [sorted(member._timers) for member in members] == [["hb"], ["hb"]]
+
+
+class TestHeartbeatPayload:
+    def test_one_payload_object_reaches_every_peer_unchanged(
+        self, loop, network, directory
+    ):
+        members = form_group(loop, network, directory, ["n1", "n2", "n3"])
+        seen = {}
+        for member in members:
+            endpoint = network.endpoint(member.endpoint_name)
+            inner = endpoint._handler
+
+            def tap(message, inner=inner):
+                payload = message.payload
+                if isinstance(payload, dict) and "hb" in payload:
+                    assert payload == {"hb": message.source}
+                    seen.setdefault(message.source, set()).add(id(payload))
+                inner(message)
+                if isinstance(payload, dict) and "hb" in payload:
+                    assert payload == {"hb": message.source}
+
+            endpoint._handler = tap
+        loop.run_for(20.0)
+        # ~200 beats x 2 peers per sender, all carrying the same dict.
+        assert {source: len(ids) for source, ids in seen.items()} == {
+            member.endpoint_name: 1 for member in members
+        }
+        assert all(member.view.size == 3 for member in members)
+
+
+class TestListenerErrors:
+    """A raising listener is counted, not silently swallowed, and does
+    not keep the other listeners from running."""
+
+    def test_message_listeners_after_a_raising_one_still_run_in_order(
+        self, loop, network, directory
+    ):
+        members = form_group(loop, network, directory, ["n1", "n2"])
+        receiver = members[1]
+        calls = []
+
+        def bad(sender, payload):
+            calls.append(("bad", payload))
+            raise RuntimeError("listener bug")
+
+        receiver.message_listeners.append(lambda s, p: calls.append(("first", p)))
+        receiver.message_listeners.append(bad)
+        receiver.message_listeners.append(lambda s, p: calls.append(("last", p)))
+        for index in range(3):
+            members[0].multicast(index, total_order=(index == 1))
+        loop.run_for(1.0)
+        assert calls == [
+            (who, index) for index in range(3) for who in ("first", "bad", "last")
+        ]
+        assert receiver.listener_errors == 3
+        assert receiver.delivered_count == 3
+        assert members[0].listener_errors == 0
+
+    def test_view_listeners_after_a_raising_one_still_run(
+        self, loop, network, directory
+    ):
+        members = form_group(loop, network, directory, ["n1", "n2"])
+        seen = []
+
+        def bad(change):
+            raise RuntimeError("listener bug")
+
+        members[0].view_listeners.append(bad)
+        members[0].view_listeners.append(lambda change: seen.append(change.view))
+        joiner = make_member("n3", loop, network, directory)
+        joiner.join()
+        loop.run_for(2.0)
+        assert [view.size for view in seen] == [3]
+        assert members[0].listener_errors == 1
+        assert members[0].view == joiner.view

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.sim.clock import Clock
 from repro.sim.eventloop import EventLoop
 from repro.sim.network import Network
@@ -53,6 +55,46 @@ def test_activate_sets_ambient_parent():
         child = tracer.start_span("local")
     assert child.parent_id == remote.context.span_id
     assert tracer.current_context() is None
+
+
+def test_activate_none_is_a_no_op_inside_an_active_scope():
+    tracer = make_tracer()
+    outer = tracer.start_span("outer")
+    with tracer.activate(outer.context):
+        with tracer.activate(None):
+            assert tracer.current_context() is outer.context
+        assert tracer.current_context() is outer.context
+    assert tracer.current_context() is None
+
+
+def test_activations_nest_and_unwind_in_order():
+    tracer = make_tracer()
+    outer, inner = tracer.start_span("outer"), tracer.start_span("inner")
+    with tracer.activate(outer.context):
+        with tracer.activate(inner.context):
+            assert tracer.current_context() is inner.context
+            assert tracer.start_span("leaf").parent_id == inner.context.span_id
+        assert tracer.current_context() is outer.context
+    assert tracer.current_context() is None
+
+
+def test_activation_is_popped_when_the_block_raises():
+    tracer = make_tracer()
+    remote = tracer.start_span("remote")
+    with pytest.raises(RuntimeError):
+        with tracer.activate(remote.context):
+            raise RuntimeError("handler bug")
+    assert tracer.current_context() is None
+    # The exception is not swallowed and a later span is a fresh root.
+    assert tracer.start_span("next").parent_id is None
+
+
+def test_activation_is_a_plain_slotted_object_not_a_generator():
+    tracer = make_tracer()
+    activation = tracer.activate(None)
+    assert not hasattr(activation, "__dict__") and not hasattr(activation, "gen")
+    with activation:
+        pass
 
 
 def test_finish_is_idempotent():
@@ -120,6 +162,45 @@ def test_untraced_send_leaves_receiver_parentless():
         network.send("a", "b", {"op": "ping"})
         loop.run_for(1.0)
     assert received[0].parent_id is None
+
+
+def test_fan_out_carries_one_context_to_every_receiver_and_unwinds():
+    loop, rng, network = build_sim()
+    telemetry = Telemetry(loop.clock, rng)
+    depths, parents = [], []
+
+    def handler(message):
+        depths.append(len(telemetry.tracer._stack))
+        parents.append(telemetry.tracer.start_span("handle").parent_id)
+
+    network.attach("a", lambda m: None)
+    for name in ("b", "c", "d"):
+        network.attach(name, handler)
+    with enabled(telemetry):
+        with telemetry.tracer.span("request", node="a") as request:
+            network.send_all("a", ["b", "c", "d"], {"op": "ping"})
+        loop.run_for(1.0)
+    assert parents == [request.context.span_id] * 3
+    # One context deep in each handler: no activation leaks into the next.
+    assert depths == [1, 1, 1]
+    assert telemetry.tracer.current_context() is None
+
+
+def test_delivery_pops_the_context_when_the_handler_raises():
+    loop, rng, network = build_sim()
+    telemetry = Telemetry(loop.clock, rng)
+
+    def handler(message):
+        raise RuntimeError("handler bug")
+
+    network.attach("a", lambda m: None)
+    network.attach("b", handler)
+    with enabled(telemetry):
+        with telemetry.tracer.span("request", node="a"):
+            network.send("a", "b", {"op": "ping"})
+        with pytest.raises(RuntimeError):
+            loop.run_for(1.0)
+    assert telemetry.tracer.current_context() is None
 
 
 # ----------------------------------------------------------------------
