@@ -1,13 +1,10 @@
-"""``python -m repro`` — demo tour, chaos campaigns, benchmarks, linting.
+"""``python -m repro`` — demo tour, chaos campaigns, linting.
 
 With no subcommand (or ``demo``): builds a 3-node cluster, admits two
 customers (one with a warm standby), injects a crash, and prints the
 dependability story. With ``chaos``: runs a seeded chaos campaign of
 random fault schedules with invariant checking (see docs/FAULTS.md) and
-prints a reproduction snippet for any violation. With ``bench``: runs
-the hot-path microbenchmark suite — and, via ``--suite macro``, the
-million-user-day macro scenario — writing ``BENCH_<rev>.json``, with
-``--compare`` regression gating (see docs/PERF.md). With ``lint``: runs
+prints a reproduction snippet for any violation. With ``lint``: runs
 the sim-safety analysis engine — per-file determinism rules plus the
 whole-program taint/lane tiers — over the package (or given paths) and
 exits non-zero on findings not covered by the ratchet baseline (see
@@ -35,10 +32,6 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "chaos":
         return chaos_main(argv[1:])
-    if argv and argv[0] == "bench":
-        from repro.bench import bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "lint":
         from repro.analysis.cli import lint_main
 

@@ -16,8 +16,8 @@ rules tracking nondeterminism to scheduling/network/digest sinks
 (``DET101``.., :mod:`repro.analysis.taintrules`) and the lane-safety
 escape analyzer flagging shared mutable state that would break parallel
 event lanes (``LANE001``.., :mod:`repro.analysis.lanes`). Use
-:func:`analyze_paths` to run everything with ratchet-baseline and AST
-caching support; :func:`sarif_report` exports findings as SARIF 2.1.0.
+:func:`analyze_paths` to run everything with ratchet-baseline support;
+:func:`sarif_report` exports findings as SARIF 2.1.0.
 
 Surfaces: ``python -m repro lint`` (CI), ``Framework.install(...,
 verify=True)`` (install time) and chaos-campaign deployment verdicts
@@ -25,7 +25,6 @@ verify=True)`` (install time) and chaos-campaign deployment verdicts
 the full rule catalogue and the JSON schema.
 """
 
-from repro.analysis.astcache import AstCache, content_hash
 from repro.analysis.baseline import (
     default_baseline_path,
     fingerprint_diagnostics,
@@ -54,7 +53,6 @@ from repro.analysis.suppressions import Suppressions, scan_suppressions
 from repro.analysis.taintrules import TAINT_RULES, run_taint_rules
 
 __all__ = [
-    "AstCache",
     "DET_RULES",
     "Diagnostic",
     "LANE_RULES",
@@ -66,7 +64,6 @@ __all__ = [
     "VER_RULES",
     "analyze_paths",
     "build_program",
-    "content_hash",
     "deep_rule_codes",
     "default_baseline_path",
     "fingerprint_diagnostics",

@@ -32,7 +32,6 @@ import os
 import sys
 from typing import Dict, List, Optional, Set
 
-from repro.analysis.astcache import AstCache
 from repro.analysis.baseline import (
     default_baseline_path,
     fingerprint_diagnostics,
@@ -126,13 +125,6 @@ def lint_main(argv: Optional[List[str]] = None) -> int:
         help="re-record the baseline file from this run's findings and exit 0",
     )
     parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persist the content-hash-keyed AST cache here (CI keeps it "
-        "between runs via actions/cache)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -160,10 +152,7 @@ def lint_main(argv: Optional[List[str]] = None) -> int:
         paths = [package_dir]
         root = os.path.dirname(package_dir)
 
-    cache = AstCache(args.cache_dir) if args.cache_dir else AstCache()
-    result = analyze_paths(
-        paths, root=root, select=select, deep=not args.no_deep, cache=cache
-    )
+    result = analyze_paths(paths, root=root, select=select, deep=not args.no_deep)
 
     baseline_path: Optional[str] = None
     if not args.no_baseline:

@@ -467,8 +467,8 @@ def lint_source(
 ) -> List[Diagnostic]:
     """Lint one module's text; ``rel_path`` is the reported source label.
 
-    ``tree`` lets callers that already parsed the file (the engine's
-    AST cache) skip the second parse; behaviour is identical.
+    ``tree`` lets callers that already parsed the file (the engine)
+    skip the second parse; behaviour is identical.
     """
     selected = {c.upper() for c in select} if select is not None else None
     if tree is None:

@@ -12,9 +12,7 @@ Suppression semantics are uniform: a ``# repro: allow[...]`` on the
 for LANE) silences it exactly like a per-file finding, and the
 suppression-free zones void directives for deep findings too.
 
-Parsing goes through an optional :class:`~repro.analysis.astcache.
-AstCache`; each file is parsed at most once per run and reused by both
-tiers.
+Each file is parsed once per run and the tree is handed to both tiers.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import ast
 import os
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.astcache import AstCache
 from repro.analysis.callgraph import Program, build_program
 from repro.analysis.determinism import (
     LintResult,
@@ -61,7 +58,6 @@ def analyze_paths(
     root: Optional[str] = None,
     select: Optional[Iterable[str]] = None,
     deep: bool = True,
-    cache: Optional[AstCache] = None,
 ) -> LintResult:
     """Run both analysis tiers over every ``.py`` under ``paths``.
 
@@ -90,7 +86,7 @@ def analyze_paths(
             source = handle.read()
         tree: Optional[ast.Module] = None
         try:
-            tree = cache.parse(source, rel) if cache else ast.parse(source)
+            tree = ast.parse(source)
         except SyntaxError:
             pass  # lint_source reports DET000 on its own parse attempt
         result.diagnostics.extend(lint_source(source, rel, select=select, tree=tree))

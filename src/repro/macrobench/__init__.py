@@ -1,7 +1,6 @@
-"""The "million-user day" macro-benchmark (``python -m repro bench --suite macro``).
+"""The "million-user day" macro scenario (workload ``macro_day`` of ``benchmarks/suite/``).
 
-Where :mod:`repro.bench` measures micro hot paths in isolation, this
-package runs the platform shaped like production: several
+Runs the platform shaped like production: several
 :class:`~repro.ipvs.server.DirectorCluster` shards behind a
 consistent-hash ring, dozens of real-server instances, and an open-loop
 diurnal arrival process pushing millions of simulated requests through

@@ -22,7 +22,6 @@ from repro.sim.clock import Clock
 from repro.sim.eventloop import EventLoop, ScheduledEvent
 from repro.sim.lanes import Lane, LanedEventLoop, LaneScheduler
 from repro.sim.network import Endpoint, Message, Network, NetworkStats
-from repro.sim.poolexec import PoolRunner, PoolTask
 from repro.sim.rng import RngStreams
 from repro.sim.scheduler import (
     SCHEDULERS,
@@ -43,8 +42,6 @@ __all__ = [
     "Message",
     "Network",
     "NetworkStats",
-    "PoolRunner",
-    "PoolTask",
     "RngStreams",
     "SCHEDULERS",
     "default_scheduler",

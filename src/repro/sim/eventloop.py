@@ -175,13 +175,6 @@ class EventLoop:
         finally:
             self.set_schedule_lane(previous)
 
-    def note_link_latency(self, latency: float) -> None:
-        """Record a network's minimum link latency for lane lookahead.
-
-        The global loop needs no lookahead; the laned scheduler uses the
-        smallest reported latency as its conservative horizon bound.
-        """
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------

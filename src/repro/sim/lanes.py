@@ -13,15 +13,7 @@ while keeping execution **byte-identical** to the global loop:
   owning the globally-smallest key, then lets that lane *batch* —
   draining consecutive events without re-consulting the merge — for as
   long as its next key stays below every other lane's head (and below
-  any key the batch itself scheduled into a foreign lane);
-* conservative lookahead on the minimum network link latency
-  (:meth:`LaneScheduler.safe_horizon`) bounds how far a lane's future
-  can be *planned* independently: events another lane could still cause
-  must lie at least one link latency past that lane's current head.
-  The single-process merge never needs the horizon for correctness — it
-  is the planning window for the opt-in process-pool executor
-  (:mod:`repro.sim.poolexec`), which precomputes pure lane batches in
-  worker processes and applies their results in canonical order.
+  any key the batch itself scheduled into a foreign lane).
 
 Determinism contract: for any program, a :class:`LanedEventLoop` fires
 the same actions, in the same order, at the same virtual times, with the
@@ -139,7 +131,7 @@ class Lane:
 
 
 class LaneScheduler:
-    """Lazy k-way merge over lane heads with conservative lookahead.
+    """Lazy k-way merge over lane heads.
 
     Owns the *head index*: a heap of ``(when, seq, lane_id)`` entries,
     one live entry per non-empty lane (stale entries are tolerated and
@@ -149,14 +141,11 @@ class LaneScheduler:
     never overtakes a lane silently.
     """
 
-    __slots__ = ("lanes", "heads", "min_link_latency")
+    __slots__ = ("lanes", "heads")
 
     def __init__(self, lanes: List[Lane]) -> None:
         self.lanes = lanes
         self.heads: List[Tuple[float, int, int]] = []
-        #: Smallest latency of any attached network; conservative
-        #: lookahead window for independent lane planning.
-        self.min_link_latency: float = float("inf")
 
     # -- head index ----------------------------------------------------
     def post(self, lane: Lane, key: Tuple[float, int]) -> None:
@@ -217,39 +206,10 @@ class LaneScheduler:
                 self.post(lane, actual)
         return None
 
-    # -- conservative lookahead ---------------------------------------
-    def note_link_latency(self, latency: float) -> None:
-        if latency < self.min_link_latency:
-            self.min_link_latency = latency
-
-    def safe_horizon(self, lane_id: int) -> float:
-        """Virtual time before which ``lane_id``'s future is sealed.
-
-        Chandy–Misra-style conservative bound: any event another lane
-        could still inject into this lane must travel a network link, so
-        it lands no earlier than that lane's current head time plus the
-        minimum link latency. Events of ``lane_id`` strictly before the
-        horizon can be planned (e.g. precomputed by the process pool)
-        without waiting on any other lane. With no cross-lane traffic
-        possible (no other lane has work) the horizon is infinite.
-        """
-        horizon = float("inf")
-        lookahead = self.min_link_latency
-        for lane in self.lanes:
-            if lane.lane_id == lane_id:
-                continue
-            key = lane.head_key()
-            if key is not None and key[0] + lookahead < horizon:
-                horizon = key[0] + lookahead
-        return horizon
-
     def __repr__(self) -> str:
-        return "LaneScheduler(lanes=%d, indexed=%d, lookahead=%s)" % (
+        return "LaneScheduler(lanes=%d, indexed=%d)" % (
             len(self.lanes),
             len(self.heads),
-            "%.4fs" % self.min_link_latency
-            if self.min_link_latency != float("inf")
-            else "inf",
         )
 
 
@@ -321,9 +281,6 @@ class LanedEventLoop(EventLoop):
         previous = self._sched_lane
         self._sched_lane = lane
         return previous
-
-    def note_link_latency(self, latency: float) -> None:
-        self._merge.note_link_latency(latency)
 
     def lane_fired_counts(self) -> Dict[str, int]:
         """Events fired per lane, keyed by registration key ('' = lane 0)."""

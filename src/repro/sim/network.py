@@ -180,11 +180,6 @@ class Network:
         #: of the shared event; always 0 on the global scheduler).
         self._tick_lane: int = -1
         self._laned = bool(getattr(loop, "laned", False))
-        # The base latency is the floor of every one-way delay (jitter,
-        # per-node extras and FIFO backpressure only add); the laned
-        # scheduler uses the smallest such floor as its conservative
-        # cross-lane lookahead window.
-        loop.note_link_latency(latency)
 
     # ------------------------------------------------------------------
     # Topology

@@ -15,6 +15,7 @@ from typing import Any, Dict, List, Optional
 from repro.migration.statefulness import TransactionalStore
 from repro.osgi.bundle import BundleContext
 from repro.osgi.definition import BundleActivator, BundleDefinition, simple_bundle
+from repro.osgi.errors import BundleException
 
 #: Object class the store registers under, inside its virtual instance.
 KV_SERVICE_CLASS = "kv.KeyValueStore"
@@ -52,12 +53,12 @@ class KeyValueStore(BundleActivator):
 
     def get(self, key: str, default: Any = None) -> Any:
         self._ensure_running()
-        self._account()
+        self._operation()
         return self._store.get(key, default)
 
     def keys(self) -> List[str]:
         self._ensure_running()
-        self._account()
+        self._operation()
         return sorted(self._store._area)
 
     # -- plumbing -----------------------------------------------------------
@@ -65,11 +66,16 @@ class KeyValueStore(BundleActivator):
         if self.context is None or self._store is None:
             raise RuntimeError("KeyValueStore is not active (mid-migration?)")
 
-    def _account(self) -> None:
+    def _operation(self) -> None:
         self.operations += 1
+        self._account(cpu=_OP_CPU)
+
+    def _account(self, cpu: float = 0.0, memory_delta: int = 0) -> None:
         try:
-            self.context.account(cpu=_OP_CPU)
-        except Exception:
+            self.context.account(cpu=cpu, memory_delta=memory_delta)
+        except BundleException:
+            # Context invalidated mid-migration: the ledger went with the
+            # bundle, the operation itself still completes.
             pass
 
     @property
@@ -88,32 +94,23 @@ class Transaction:
     def put(self, key: str, value: Any) -> "Transaction":
         self._check()
         self._service._store.stage(key, value)
-        self._service._account()
-        try:
-            self._service.context.account(memory_delta=_ENTRY_BYTES)
-        except Exception:
-            pass
+        self._service._operation()
+        self._service._account(memory_delta=_ENTRY_BYTES)
         return self
 
     def commit(self) -> None:
         self._check()
         staged = self._service._store.in_flight
         self._service._store.commit()
-        self._service._account()
-        try:
-            self._service.context.account(memory_delta=-_ENTRY_BYTES * staged)
-        except Exception:
-            pass
+        self._service._operation()
+        self._service._account(memory_delta=-_ENTRY_BYTES * staged)
         self._open = False
 
     def abort(self) -> None:
         self._check()
         staged = self._service._store.in_flight
         self._service._store.abort()
-        try:
-            self._service.context.account(memory_delta=-_ENTRY_BYTES * staged)
-        except Exception:
-            pass
+        self._service._account(memory_delta=-_ENTRY_BYTES * staged)
         self._open = False
 
     def _check(self) -> None:

@@ -1,5 +1,5 @@
-"""Ratchet baseline (fingerprints, --update-baseline, new-vs-known split),
-SARIF export, and the content-hash AST cache."""
+"""Ratchet baseline (fingerprints, --update-baseline, new-vs-known split)
+and SARIF export."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.__main__ import main as repro_main
 from repro.analysis import (
-    AstCache,
     Diagnostic,
     Severity,
     fingerprint_diagnostics,
@@ -182,51 +181,3 @@ def test_cli_sarif_output_parses(tmp_path, capsys):
     results = document["runs"][0]["results"]
     assert [r["ruleId"] for r in results] == ["DET001"]
     assert results[0]["level"] == "error"
-
-
-# ----------------------------------------------------------------------
-# AST cache
-# ----------------------------------------------------------------------
-def test_astcache_memory_hits():
-    cache = AstCache()
-    tree1 = cache.parse("x = 1\n", "a.py")
-    tree2 = cache.parse("x = 1\n", "b.py")  # same content, other file
-    assert tree1 is tree2
-    stats = cache.stats()
-    assert stats["hits"] == 1
-    assert stats["misses"] == 1
-
-
-def test_astcache_disk_roundtrip(tmp_path):
-    cache_dir = str(tmp_path / "astcache")
-    first = AstCache(cache_dir)
-    first.parse("value = 40 + 2\n", "mod.py")
-    assert first.stats()["misses"] == 1
-    second = AstCache(cache_dir)  # new process, same directory
-    tree = second.parse("value = 40 + 2\n", "mod.py")
-    assert second.stats()["hits"] == 1
-    compiled = compile(tree, "mod.py", "exec")
-    namespace = {}
-    exec(compiled, namespace)
-    assert namespace["value"] == 42
-
-
-def test_astcache_corrupt_disk_entry_is_a_miss(tmp_path):
-    cache_dir = tmp_path / "astcache"
-    first = AstCache(str(cache_dir))
-    first.parse("x = 1\n", "a.py")
-    for entry in cache_dir.iterdir():
-        entry.write_bytes(b"not a pickle")
-    second = AstCache(str(cache_dir))
-    tree = second.parse("x = 1\n", "a.py")
-    assert second.stats()["hits"] == 0
-    assert tree is not None
-
-
-def test_astcache_syntax_errors_are_not_cached():
-    cache = AstCache()
-    with pytest.raises(SyntaxError):
-        cache.parse("def broken(:\n", "bad.py")
-    with pytest.raises(SyntaxError):
-        cache.parse("def broken(:\n", "bad.py")
-    assert cache.stats()["hits"] == 0

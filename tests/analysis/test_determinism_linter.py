@@ -45,7 +45,7 @@ def test_det001_flags_aliased_import_and_bare_reference():
         """
     )
     # A bare reference (stashing the function) is as non-deterministic
-    # as calling it — bench.py does exactly this.
+    # as calling it.
     assert "DET001" in codes(
         """
         import time
@@ -377,8 +377,7 @@ def test_rule_catalogue_is_complete():
 
 def test_src_tree_is_lint_clean():
     """The CI baseline: the shipped tree has zero findings (suppressions
-    in sim/clock.py, sim/rng.py and bench.py carry their justifications
-    in-line)."""
+    in sim/clock.py and sim/rng.py carry their justifications in-line)."""
     package = os.path.join(SRC_ROOT, "repro")
     result = lint_paths([package], root=SRC_ROOT)
     assert len(result.files) > 50

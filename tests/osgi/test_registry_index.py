@@ -8,6 +8,7 @@ sequences.
 """
 
 import random
+import timeit
 
 import pytest
 
@@ -171,3 +172,26 @@ def test_candidate_merge_dedup_is_keyed_by_service_id(registry):
         assert refs == linear_model(registry, flt=flt)
         for extra in extras:
             extra.unregister()
+
+
+def test_indexed_lookup_is_ten_times_a_linear_scan(registry):
+    """The acceptance bar for the index: >= 10x over the linear scan on
+    1000 services / 10 matching. Same process, same data set, so the
+    ratio holds on noisy machines (typically 30-80x)."""
+    for i in range(1000):
+        registry.register(
+            object(),
+            "bench.Kind%d" % (i % 100),
+            object(),
+            {"shard": i % 10, "service.ranking": i % 5, "owner": "acme"},
+        )
+    refs = registry.get_references("bench.Kind7")
+    assert len(refs) == 10
+    assert refs == linear_model(registry, "bench.Kind7")
+
+    def best_of_three(lookup):
+        return min(timeit.repeat(lookup, number=200, repeat=3))
+
+    indexed = best_of_three(lambda: registry.get_references("bench.Kind7"))
+    linear = best_of_three(lambda: linear_model(registry, "bench.Kind7"))
+    assert linear >= 10.0 * indexed, "speedup only %.1fx" % (linear / indexed)

@@ -1,5 +1,6 @@
 """Macro-benchmark scenario: deterministic, accounted, and schedulable."""
 
+import hashlib
 import json
 
 import pytest
@@ -61,6 +62,10 @@ def test_report_shape(smoke_result):
     # Digest covers the payload: recompute by clearing and re-reporting.
     again = smoke_result.report()
     assert again["digest"] == decoded["digest"]
+    # ... and independently of the reporting code.
+    digest = decoded.pop("digest")
+    payload = json.dumps(decoded, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(payload).hexdigest() == digest
 
 
 def test_default_scheduler_digest_pinned():

@@ -3,8 +3,8 @@
 The differential parity harness (``tests/parity``) proves whole-scenario
 equivalence; these tests pin the individual mechanisms the proof rests
 on — exact ``(when, seq)`` merge order, lane routing, cross-lane
-cancellation bookkeeping, transient-pool sharing, same-instant FIFO
-across a merge boundary, and the conservative lookahead horizon.
+cancellation bookkeeping, transient-pool sharing and same-instant FIFO
+across a merge boundary.
 """
 
 from __future__ import annotations
@@ -186,26 +186,6 @@ def test_step_and_peek_follow_global_order(laned):
     assert laned.step()
     assert not laned.step()
     assert fired == ["a", "b"]
-
-
-def test_safe_horizon_uses_min_link_latency(laned):
-    l1 = laned.register_lane("n1")
-    l2 = laned.register_lane("n2")
-    laned.note_link_latency(0.01)
-    laned.note_link_latency(0.002)  # a second, faster network wins
-    laned.call_at(1.0, lambda: None, lane=l1)
-    laned.call_at(5.0, lambda: None, lane=l2)
-    # Lane 2's future is sealed until lane 1's head plus the lookahead;
-    # lane 0 is empty and does not constrain anyone.
-    assert laned.scheduler.safe_horizon(l2) == pytest.approx(1.002)
-    assert laned.scheduler.safe_horizon(l1) == pytest.approx(5.002)
-
-
-def test_safe_horizon_is_infinite_with_no_other_work(laned):
-    l1 = laned.register_lane("n1")
-    laned.note_link_latency(0.001)
-    laned.call_at(1.0, lambda: None, lane=l1)
-    assert laned.scheduler.safe_horizon(l1) == float("inf")
 
 
 def test_mirrors_global_loop_counters():

@@ -60,7 +60,6 @@ class ReferenceNetwork:
         self._tick_guard_seq = -1
         self._tick_lane = -1
         self._laned = bool(getattr(loop, "laned", False))
-        loop.note_link_latency(latency)
 
     def attach(self, name: str, handler: Callable[[Message], None]) -> Endpoint:
         if name in self._endpoints:

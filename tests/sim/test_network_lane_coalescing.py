@@ -12,8 +12,6 @@ lane-equality check.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.sim.clock import Clock
 from repro.sim.eventloop import EventLoop
 from repro.sim.lanes import LanedEventLoop
@@ -109,12 +107,3 @@ def test_interleaved_lane_sends_match_global_delivery_order():
     assert laned_order == global_order
     # Per-link FIFO held: 3 never overtakes 1 on the src->n1 link.
     assert laned_order.index(1) < laned_order.index(3)
-
-
-def test_network_reports_link_latency_for_lookahead():
-    loop = LanedEventLoop(Clock())
-    assert loop.scheduler.min_link_latency == float("inf")
-    Network(loop, RngStreams(0), latency=0.004, jitter=0.0)
-    assert loop.scheduler.min_link_latency == pytest.approx(0.004)
-    Network(loop, RngStreams(0), latency=0.002, jitter=0.001)
-    assert loop.scheduler.min_link_latency == pytest.approx(0.002)

@@ -128,3 +128,30 @@ def test_api_refuses_when_stopped(store):
         kv.get("a")
     with pytest.raises(RuntimeError):
         kv.begin()
+
+
+def test_operations_complete_and_count_on_an_invalidated_context(store):
+    """Mid-migration the bundle's context can go invalid under a store
+    that still holds it; metering is skipped, the operation is not."""
+    host, instance, kv = build_instance(store)
+    kv.context._invalidate()
+    before = instance.usage()["cpu_seconds"]
+    kv.begin().put("a", 1).commit()
+    kv.begin().put("b", 2).abort()
+    assert kv.get("a") == 1
+    assert kv.keys() == ["a"]
+    assert kv.operations == 5  # put, commit, put, get, keys
+    assert instance.usage()["cpu_seconds"] == before
+
+
+def test_unexpected_accounting_errors_propagate(store):
+    class BrokenContext:
+        def account(self, cpu=0.0, memory_delta=0, disk_delta=0):
+            raise KeyError("ledger")
+
+    host, instance, kv = build_instance(store)
+    kv.context = BrokenContext()
+    with pytest.raises(KeyError):
+        kv.get("a")
+    with pytest.raises(KeyError):
+        kv.begin().put("a", 1)
