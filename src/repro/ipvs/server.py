@@ -14,7 +14,6 @@ requests are lost during the failover window, then the standby answers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.node import Node, NodeState
@@ -26,21 +25,49 @@ from repro.telemetry import runtime as _rt
 from repro.telemetry.tracer import Span
 
 
-@dataclass
 class Request:
-    """One client request to a virtual endpoint."""
+    """One client request to a virtual endpoint.
 
-    request_id: int
-    endpoint: IpEndpoint
-    arrived_at: float
-    #: Client identity (source address analogue), used by persistent
-    #: (sticky) services to pin a client to one real server.
-    client: Optional[str] = None
-    completed_at: Optional[float] = None
-    served_by: Optional[str] = None
-    dropped: Optional[str] = None
-    #: Open telemetry span for the request, if tracing is active.
-    span: Optional[Span] = field(default=None, repr=False, compare=False)
+    One is built per request submitted, so it is a plain slotted class
+    (``dataclass(slots=True)`` needs Python 3.10) written to behave as
+    ``@dataclass`` would make it: fields in constructor order, a
+    ``repr`` and field-wise equality that both leave ``span`` out, and
+    no hash.
+    """
+
+    __slots__ = (
+        "request_id",
+        "endpoint",
+        "arrived_at",
+        "client",
+        "completed_at",
+        "served_by",
+        "dropped",
+        "span",
+    )
+
+    def __init__(
+        self,
+        request_id: int,
+        endpoint: IpEndpoint,
+        arrived_at: float,
+        client: Optional[str] = None,
+        completed_at: Optional[float] = None,
+        served_by: Optional[str] = None,
+        dropped: Optional[str] = None,
+        span: Optional[Span] = None,
+    ) -> None:
+        self.request_id = request_id
+        self.endpoint = endpoint
+        self.arrived_at = arrived_at
+        #: Client identity (source address analogue), used by persistent
+        #: (sticky) services to pin a client to one real server.
+        self.client = client
+        self.completed_at = completed_at
+        self.served_by = served_by
+        self.dropped = dropped
+        #: Open telemetry span for the request, if tracing is active.
+        self.span = span
 
     @property
     def ok(self) -> bool:
@@ -51,6 +78,28 @@ class Request:
         if self.completed_at is None:
             return None
         return self.completed_at - self.arrived_at
+
+    def _compared(self) -> tuple:
+        return (
+            self.request_id,
+            self.endpoint,
+            self.arrived_at,
+            self.client,
+            self.completed_at,
+            self.served_by,
+            self.dropped,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        return (
+            "Request(request_id=%r, endpoint=%r, arrived_at=%r, client=%r, "
+            "completed_at=%r, served_by=%r, dropped=%r)" % self._compared()
+        )
 
 
 def _finish_request_telemetry(
@@ -111,6 +160,8 @@ class RealServer:
         self.active_connections = 0
         self.served = 0
         self._busy_until = 0.0
+        #: The clock of the loop this server runs on, bound by the first
+        #: :meth:`admit` (a real server lives on one loop).
         self._clock = None
         #: Callback ``(request) -> None`` at completion — the hook that
         #: charges the serving customer's resource ledger.
@@ -145,8 +196,10 @@ class RealServer:
         if self._watchers:
             for watcher in self._watchers:
                 watcher(self, 1)
-        self._clock = loop.clock
-        start = loop.clock.now
+        clock = self._clock
+        if clock is None:
+            clock = self._clock = loop.clock
+        start = clock.now
         if self._busy_until > start:
             start = self._busy_until
         finish_at = start + self.service_time
@@ -357,14 +410,20 @@ class VirtualServer:
             self.drops[request.dropped] += 1
             return
         scheduler, servers = entry
-        server = self._sticky_server(key, request, servers)
+        # Affinity is looked up and remembered only on a director that
+        # has a persistent service; most have none.
+        persistent = self._persistence
+        server = None
+        if persistent:
+            server = self._sticky_server(key, request, servers)
         if server is None:
             server = scheduler.pick(servers)
         if server is None:
             request.dropped = "no-real-server"
             self.drops[request.dropped] += 1
             return
-        self._remember_affinity(key, request, server)
+        if persistent:
+            self._remember_affinity(key, request, server)
         self.routed += 1
         server.admit(request, self._loop)
 
@@ -574,10 +633,7 @@ class DirectorCluster:
     def submit(self, endpoint: IpEndpoint, client: Optional[str] = None) -> Request:
         """Inject one request now; routing outcome is on the Request."""
         request = Request(
-            self._next_request_id,
-            endpoint,
-            arrived_at=self._loop.clock.now,
-            client=client,
+            self._next_request_id, endpoint, self._loop.clock.now, client
         )
         self._next_request_id += 1
         self.submitted += 1
@@ -590,7 +646,11 @@ class DirectorCluster:
                 "ipvs.request",
                 attributes={"vip": str(endpoint), "client": client or ""},
             )
-        director = self.active_director()
+        director = self.directors[0]
+        if self._primary_index != 0 or not director.alive:
+            # Anything but "the first director is the live primary" goes
+            # through the takeover logic (and its failover window).
+            director = self.active_director()
         if director is None:
             request.dropped = "no-director"
             self._finish_dropped(request)

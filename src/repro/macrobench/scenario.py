@@ -213,9 +213,8 @@ class MacroScenario:
 
     # -- per-request hooks -------------------------------------------------
     def _on_served(self, request: Request) -> None:
-        latency = request.latency
-        if latency is not None:
-            self._latencies.append(latency)
+        # The hook fires for completed requests only, so both stamps are set.
+        self._latencies.append(request.completed_at - request.arrived_at)
 
     def _on_arrival(self, _index: int) -> None:
         client = self._client_rng.randrange(self.config.clients)

@@ -16,19 +16,23 @@ class Clock:
 
     The clock starts at ``0.0``. Only the owning event loop should call
     :meth:`advance_to`; everything else treats the clock as read-only.
+
+    ``now`` is a plain attribute, not a property, because it is read
+    several times per simulated request. It has three writers:
+    ``__init__``, :meth:`advance_to` and ``EventLoop.run_until``, which
+    has made ``advance_to``'s comparison itself when it writes.
+    ``tests/sim/test_clock.py::test_now_has_three_writers`` walks
+    ``src/repro`` to keep it at those.
     """
 
-    __slots__ = ("_now",)
+    __slots__ = {
+        "now": "Current virtual time in seconds since the simulation epoch."
+    }
 
     def __init__(self, start: float = 0.0) -> None:
         if start < 0.0:
             raise ValueError("clock cannot start before t=0: %r" % start)
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds since the simulation epoch."""
-        return self._now
+        self.now = float(start)
 
     def advance_to(self, when: float) -> None:
         """Move the clock forward to ``when``.
@@ -36,11 +40,11 @@ class Clock:
         Raises :class:`ValueError` on an attempt to move backwards, which
         would indicate a scheduling bug rather than a recoverable state.
         """
-        if when < self._now:
+        if when < self.now:
             raise ValueError(
-                "clock moved backwards: now=%r requested=%r" % (self._now, when)
+                "clock moved backwards: now=%r requested=%r" % (self.now, when)
             )
-        self._now = float(when)
+        self.now = float(when)
 
     def __repr__(self) -> str:
-        return "Clock(now=%.6f)" % self._now
+        return "Clock(now=%.6f)" % self.now

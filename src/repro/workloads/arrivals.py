@@ -65,6 +65,11 @@ class DiurnalProfile:
 class OpenLoopArrivals:
     """Schedules ``on_arrival(index)`` calls on the event loop by thinning.
 
+    One loop event per accepted arrival: each callback draws candidates
+    until the next accepted one, so :attr:`candidates` and
+    :attr:`finished` advance when a candidate is drawn, ahead of the
+    virtual time it would have fired at.
+
     Parameters
     ----------
     loop:
@@ -107,26 +112,37 @@ class OpenLoopArrivals:
         """Begin generating; idempotent-guarded against double starts."""
         if self._started_at is not None:
             raise RuntimeError("arrival process already started")
-        self._started_at = self._loop.clock.now
-        self._deadline = self._started_at + self.duration
-        self._schedule_next(self._loop.clock.now)
-
-    def _schedule_next(self, from_when: float) -> None:
-        gap = self._rng.expovariate(self._profile.peak_rps)
-        next_at = from_when + gap
-        if next_at > self._deadline:
+        now = self._loop.clock.now
+        self._started_at = now
+        self._deadline = now + self.duration
+        if self._profile.peak_rps <= 0.0:
+            # A zero-peak day has no arrivals (and no rate to draw gaps at).
             self.finished = True
             return
-        self._loop.call_transient_at(next_at, self._candidate)
-
-    def _candidate(self) -> None:
-        now = self._loop.clock.now
-        self.candidates += 1
-        rate = self._profile.rate(now - self._started_at)
-        if self._rng.random() * self._profile.peak_rps < rate:
-            self.arrivals += 1
-            self._on_arrival(self.arrivals)
         self._schedule_next(now)
+
+    def _schedule_next(self, when: float) -> None:
+        """Draw candidates after ``when`` until one is accepted and
+        schedule that one; rejected candidates never reach the loop."""
+        rng = self._rng
+        profile = self._profile
+        peak_rps = profile.peak_rps
+        started_at = self._started_at
+        deadline = self._deadline
+        while True:
+            when += rng.expovariate(peak_rps)
+            if when > deadline:
+                self.finished = True
+                return
+            self.candidates += 1
+            if rng.random() * peak_rps < profile.rate(when - started_at):
+                self._loop.call_transient_at(when, self._arrive)
+                return
+
+    def _arrive(self) -> None:
+        self.arrivals += 1
+        self._on_arrival(self.arrivals)
+        self._schedule_next(self._loop.clock.now)
 
     def __repr__(self) -> str:
         return "OpenLoopArrivals(%d arrivals / %d candidates, %s)" % (

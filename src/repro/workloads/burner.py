@@ -6,6 +6,7 @@ from typing import Optional
 
 from repro.osgi.bundle import BundleContext
 from repro.osgi.definition import BundleActivator, BundleDefinition, simple_bundle
+from repro.osgi.errors import BundleException
 from repro.sim.eventloop import EventLoop
 
 
@@ -41,7 +42,8 @@ class CpuBurner(BundleActivator):
             return False
         try:
             self.context.account(cpu=self.cpu_per_second)
-        except Exception:
+        except BundleException:
+            # Context invalidated mid-migration: not running here any more.
             return False
         self.ticks += 1
         return True

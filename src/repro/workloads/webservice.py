@@ -13,6 +13,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.osgi.bundle import BundleContext
 from repro.osgi.definition import BundleActivator, BundleDefinition, simple_bundle
+from repro.osgi.errors import BundleException
 from repro.telemetry.runtime import maybe_span
 
 #: Object class of the host-provided HTTP service.
@@ -109,7 +110,9 @@ class EchoWebService(BundleActivator):
         if self.context is not None:
             try:
                 self.context.account(cpu=_REQUEST_CPU)
-            except Exception:
+            except BundleException:
+                # Context invalidated mid-migration: the ledger went with
+                # the bundle, the request is still answered.
                 pass
         return {"echo": request, "by": self.prefix}
 

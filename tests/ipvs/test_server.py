@@ -16,6 +16,39 @@ def director(loop):
     return d
 
 
+class TestRequest:
+    """The slotted class keeps the contract of the dataclass it was."""
+
+    def test_no_instance_dict(self):
+        request = Request(1, VIP, 0.0)
+        assert not hasattr(request, "__dict__")
+        with pytest.raises(AttributeError):
+            request.retries = 1
+
+    def test_positional_constructor_and_defaults(self):
+        request = Request(7, VIP, 1.5, "alice")
+        assert (request.request_id, request.endpoint) == (7, VIP)
+        assert (request.arrived_at, request.client) == (1.5, "alice")
+        assert request.completed_at is request.served_by is None
+        assert request.dropped is request.span is None
+        assert not request.ok and request.latency is None
+        request.completed_at = 2.0
+        assert request.ok and request.latency == 0.5
+
+    def test_repr_and_equality_leave_the_span_out(self):
+        request = Request(7, VIP, 1.5, "alice", span=object())
+        assert repr(request) == (
+            "Request(request_id=7, endpoint=IpEndpoint(ip='10.0.0.100', "
+            "port=80), arrived_at=1.5, client='alice', completed_at=None, "
+            "served_by=None, dropped=None)"
+        )
+        assert request == Request(7, VIP, 1.5, "alice")
+        assert request != Request(7, VIP, 1.5, "alice", dropped="no-service")
+        assert request != 7
+        with pytest.raises(TypeError):
+            hash(request)
+
+
 class TestVirtualServer:
     def test_route_to_real_server(self, loop, director):
         director.add_real_server(VIP, RealServer("n1", 80, service_time=0.01))
@@ -102,6 +135,25 @@ class TestVirtualServer:
         loop.run_for(1.0)
         assert not request.ok
         assert request.dropped == "server-died"
+
+    def test_stateless_route_never_enters_the_affinity_helpers(
+        self, loop, director, monkeypatch
+    ):
+        def entered(*_args):
+            raise AssertionError("affinity helper entered without a persistent service")
+
+        monkeypatch.setattr(VirtualServer, "_sticky_server", entered)
+        monkeypatch.setattr(VirtualServer, "_remember_affinity", entered)
+        director.add_real_server(VIP, RealServer("n1", 80, service_time=0.01))
+        requests = [
+            Request(i, VIP, loop.clock.now, client)
+            for i, client in enumerate([None, "alice", "alice"])
+        ]
+        for request in requests:
+            director.route(request)
+        loop.run_for(1.0)
+        assert all(request.ok for request in requests)
+        assert director.routed == 3
 
     def test_custom_scheduler(self, loop):
         director = VirtualServer("d", loop)
@@ -202,6 +254,26 @@ class TestDirectorCluster:
         loop.run_for(1.0)
         assert served.ok
         assert cluster.directors[1].routed == 1
+
+    def test_takeover_window_is_kept_to_the_instant(self, loop):
+        """``submit`` skips ``active_director()`` only while the first
+        director is the live primary; a failed one still costs the whole
+        window, and a revived one takes the VIPs back."""
+        cluster = DirectorCluster(loop, failover_seconds=1.0)
+        cluster.add_service(VIP)
+        cluster.add_real_server(VIP, "n1", service_time=0.01)
+        first, standby = cluster.directors
+        assert cluster.submit(VIP).dropped is None
+        cluster.fail_primary()
+        loop.run_for(0.999)
+        assert cluster.submit(VIP).dropped == "no-director"
+        loop.run_for(0.001)
+        assert cluster.submit(VIP).dropped is None
+        assert (first.routed, standby.routed) == (1, 1)
+        first.alive = True
+        assert cluster.submit(VIP).dropped is None
+        assert (first.routed, standby.routed) == (2, 1)
+        assert first.drops == standby.drops == {}
 
     def test_all_directors_dead_drops_everything(self, loop):
         cluster = DirectorCluster(loop, replicas=2, failover_seconds=0.1)

@@ -1,7 +1,11 @@
 """Clock invariants."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.sim.clock import Clock
 
 
@@ -38,3 +42,22 @@ def test_advance_backwards_raises():
 
 def test_repr_mentions_time():
     assert "1.5" in repr(Clock(1.5))
+
+
+def test_now_has_three_writers():
+    """``now`` is a bare attribute, so nothing but this walk stops a
+    module from setting it: ``Clock.__init__``, ``Clock.advance_to`` and
+    the run loop of ``EventLoop`` are the only stores in ``src/repro``."""
+    root = Path(repro.__file__).parent
+    stores = {}
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "now"
+                and not isinstance(node.ctx, ast.Load)
+            ):
+                name = path.relative_to(root).as_posix()
+                stores[name] = stores.get(name, 0) + 1
+    assert stores == {"sim/clock.py": 2, "sim/eventloop.py": 1}
+

@@ -69,6 +69,17 @@ def test_run_until_advances_clock_even_when_idle(loop):
     assert loop.clock.now == 7.0
 
 
+def test_clock_stays_a_float_over_int_event_times(loop):
+    seen = []
+    loop.call_at(2, lambda: seen.append(loop.clock.now))
+    loop.call_transient_at(3, lambda: seen.append(loop.clock.now))
+    loop.run_until(3)
+    assert seen == [2.0, 3.0]
+    assert [type(now) for now in seen] == [float, float]
+    loop.run_until(5)
+    assert type(loop.clock.now) is float
+
+
 def test_run_until_does_not_fire_later_events(loop):
     fired = []
     loop.call_at(5.0, lambda: fired.append(1))

@@ -88,6 +88,55 @@ def test_double_start_rejected():
         arrivals.start()
 
 
+def test_zero_peak_day_finishes_at_once():
+    """``DiurnalProfile(0, 0, d)`` is a valid curve; starting on it used
+    to die in ``expovariate(0.0)``."""
+
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError("rng.%s used on a zero-peak day" % name)
+
+    loop = EventLoop()
+    arrivals = OpenLoopArrivals(
+        loop,
+        NoDraws(),
+        DiurnalProfile(0.0, 0.0, 10.0),
+        lambda index: pytest.fail("arrival on a zero-peak day"),
+        duration=5.0,
+    )
+    arrivals.start()
+    assert arrivals.finished
+    assert (arrivals.arrivals, arrivals.candidates) == (0, 0)
+    assert loop.pending == 0 and loop.scheduled == 0
+    with pytest.raises(RuntimeError):
+        arrivals.start()
+
+
+def test_zero_base_day_started_late():
+    """Beside it: a zero trough is an ordinary day, and the curve is
+    read from the start time, not from the loop's epoch."""
+    loop = EventLoop()
+    loop.run_until(7.5)
+    times = []
+    arrivals = OpenLoopArrivals(
+        loop,
+        RngStreams(4).stream("arrivals"),
+        DiurnalProfile(0.0, 300.0, 10.0),
+        lambda index: times.append(loop.clock.now),
+        duration=10.0,
+    )
+    arrivals.start()
+    loop.run_for(11.0)
+    assert arrivals.finished
+    assert len(times) == arrivals.arrivals
+    assert abs(len(times) - 1500) < 150  # mean rate 150/s over 10 s
+    assert 7.5 < times[0] and times[-1] <= 17.5
+    # Midday sits at 12.5 on the loop's clock, the troughs at 7.5 / 17.5.
+    midday = sum(1 for t in times if 11.5 <= t <= 13.5)
+    edges = sum(1 for t in times if t < 8.5 or t > 16.5)
+    assert midday > 10 * edges
+
+
 def test_mean_rate_matches_integral():
     profile = DiurnalProfile(60.0, 180.0, 100.0)
     steps = 10000

@@ -1,5 +1,7 @@
 """CPU burner workload."""
 
+import pytest
+
 from repro.sim.eventloop import EventLoop
 from repro.workloads.burner import CpuBurner, burner_bundle, drive_burner
 
@@ -30,6 +32,31 @@ def test_tick_after_stop_returns_false(framework):
     bundle.stop()
     assert not burner.running
     assert burner.tick() is False
+
+
+def test_tick_on_an_invalidated_context_returns_false(framework):
+    """Mid-migration the context can go invalid before ``stop`` ran."""
+    burner = CpuBurner(cpu_per_second=0.3)
+    bundle = framework.install(burner_bundle(burner))
+    bundle.start()
+    burner.context._invalidate()
+    assert burner.running
+    assert burner.tick() is False
+    assert burner.ticks == 0
+    assert bundle.ledger.cpu_seconds == 0.0
+
+
+def test_unexpected_accounting_errors_propagate(framework):
+    class BrokenContext:
+        def account(self, cpu=0.0, memory_delta=0, disk_delta=0):
+            raise KeyError("ledger")
+
+    burner = CpuBurner()
+    framework.install(burner_bundle(burner)).start()
+    burner.context = BrokenContext()
+    with pytest.raises(KeyError):
+        burner.tick()
+    assert burner.ticks == 0
 
 
 def test_drive_burner_ticks_until_stop(framework):

@@ -89,6 +89,30 @@ def test_requests_metered_per_tenant(host):
     assert instance.usage()["cpu_seconds"] == pytest.approx(0.005)
 
 
+def test_request_is_answered_on_an_invalidated_context(host):
+    """Mid-migration the bundle's context can go invalid under a servlet
+    still registered; metering is skipped, the answer is not."""
+    instance, service = make_tenant(host, "acme")
+    service.context._invalidate()
+    status, body = http_of(host).dispatch("/acme/echo", "x")
+    assert (status, body["echo"]) == (200, "x")
+    assert service.served == 1
+    assert instance.usage()["cpu_seconds"] == 0.0
+
+
+def test_unexpected_accounting_errors_propagate(host):
+    class BrokenContext:
+        def account(self, cpu=0.0, memory_delta=0, disk_delta=0):
+            raise KeyError("ledger")
+
+    instance, service = make_tenant(host, "acme")
+    service.context = BrokenContext()
+    with pytest.raises(KeyError):
+        service._handle("x")
+    # Through the host service it is the servlet boundary's 500.
+    assert http_of(host).dispatch("/acme/echo", "x") == (500, "'ledger'")
+
+
 def test_tenant_without_export_cannot_start(host):
     instance = VirtualInstance("sneaky", host, policy=ExportPolicy())
     instance.start()
