@@ -5,9 +5,8 @@ customers (one with a warm standby), injects a crash, and prints the
 dependability story. With ``chaos``: runs a seeded chaos campaign of
 random fault schedules with invariant checking (see docs/FAULTS.md) and
 prints a reproduction snippet for any violation. With ``lint``: runs
-the sim-safety analysis engine — per-file determinism rules plus the
-whole-program taint/lane tiers — over the package (or given paths) and
-exits non-zero on findings not covered by the ratchet baseline (see
+the sim-safety determinism linter (per-file rules DET000-DET008) over
+the package (or given paths) and exits non-zero on findings (see
 docs/ANALYSIS.md). With ``trace``: runs a telemetry-enabled scenario and
 exports a Chrome ``trace_event`` file (see docs/TELEMETRY.md). With
 ``conform``: runs a conformance-checked chaos campaign (virtual-synchrony

@@ -1,34 +1,40 @@
 """Sim-safety determinism linter: the per-file DET rule family
-(DET001–DET007).
+(DET000–DET008).
 
 The whole reproduction runs on virtual time (:mod:`repro.sim.clock`) and
 seeded random streams (:mod:`repro.sim.rng`); chaos-campaign replay and
 the pinned trace digests depend on that discipline byte-for-byte. These
-AST rules turn the convention into a checkable contract. They are the
-*syntactic* tier: the interprocedural DET1xx taint rules
-(:mod:`repro.analysis.taintrules`) and the LANE0xx lane-safety rules
-(:mod:`repro.analysis.lanes`) build on the same diagnostics model but
-run whole-program via :func:`repro.analysis.engine.analyze_paths`.
+AST rules turn the convention into a checkable contract. Every rule is
+syntactic and looks at one file: a nondeterminism source is flagged
+where it is *read*, not where its value lands. Whether hash order
+crosses function boundaries into a run's output is checked dynamically
+(``tests/test_hashseed_bytes.py``, two ``PYTHONHASHSEED`` values, same
+bytes).
 
 ``DET001`` wall-clock reads (``time.time``, ``datetime.now`` ...) outside
 the virtual clock. Both calls *and* bare references are flagged — stashing
 ``time.perf_counter_ns`` in a variable is how the leak usually happens.
 
 ``DET002`` the process-global RNG (``random.random()``, ``random.seed``,
-``from random import choice``) or ad-hoc ``random.Random(...)``
-construction outside :mod:`repro.sim.rng` — randomness must be an
-injected ``random.Random`` drawn from ``RngStreams``.
+``from random import choice``), ad-hoc ``random.Random(...)``
+construction outside :mod:`repro.sim.rng`, or OS entropy
+(``os.urandom``, ``uuid.uuid1``/``uuid4``, ``secrets.*``) — randomness
+must be an injected ``random.Random`` drawn from ``RngStreams``.
 
 ``DET003`` ``for`` loops over ``set``/``frozenset`` values or
 ``dict.values()``/``keys()``/``items()`` whose body schedules events or
-sends messages. Set iteration order depends on ``PYTHONHASHSEED``;
-wrap the iterable in ``sorted(...)`` with an explicit key (or suppress
-with a justification when insertion order is the intended total order).
+sends messages, and the same shapes passed directly as an argument to a
+scheduling or send call. Set iteration order depends on
+``PYTHONHASHSEED``, a dict view's on insertion history; wrap the
+iterable in ``sorted(...)`` with an explicit key (or suppress with a
+justification when insertion order is the intended total order).
 
 ``DET004`` ``id()`` used in an ordering context — an inequality
-comparison or a ``sorted``/``sort``/``min``/``max`` key. CPython reuses
-object identities, so id-based order differs across runs. Dedup-only
-use (``id(x) in seen``, ``__hash__``) stays clean.
+comparison or a ``sorted``/``sort``/``min``/``max`` key — or builtin
+``hash()`` called outside a ``__hash__`` body. CPython reuses object
+identities and salts ``str``/``bytes`` hashes per process, so either
+differs across runs. Dedup-only ``id`` use (``id(x) in seen``) stays
+clean.
 
 ``DET005`` importing ``threading``/``asyncio``/``multiprocessing``
 primitives into the sim — real concurrency breaks the single-threaded
@@ -42,8 +48,12 @@ measurement instrument the other rules protect, so it may not even
 the findings they would have hidden are still emitted.
 
 ``DET007`` a suppression directive naming a rule code that does not
-exist in any catalogue (DET/DET1xx/LANE/VER) — usually a typo that would
-otherwise silently suppress nothing; diagnosed, never fatal.
+exist in any catalogue (DET/VER) — usually a typo that would otherwise
+silently suppress nothing; diagnosed, never fatal.
+
+``DET008`` a read of the process environment (``os.environ``,
+``os.environb``, ``os.getenv``) — host configuration leaking into the
+simulated world.
 
 Suppression syntax lives in :mod:`repro.analysis.suppressions`; the rule
 catalogue with examples is docs/ANALYSIS.md.
@@ -56,32 +66,25 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.bundles import VER_RULES
 from repro.analysis.diagnostics import Diagnostic, Severity, sort_diagnostics
 from repro.analysis.suppressions import Suppressions, scan_suppressions
 
 #: Rule catalogue: code -> one-line summary (mirrored in docs/ANALYSIS.md).
 DET_RULES: Dict[str, str] = {
-    "DET000": "file could not be parsed",
+    "DET000": "file could not be read or parsed",
     "DET001": "wall-clock read outside the virtual clock",
-    "DET002": "process-global or ad-hoc RNG instead of an injected stream",
+    "DET002": "process-global RNG, ad-hoc RNG or OS entropy instead of an injected stream",
     "DET003": "unordered iteration feeding event scheduling or sends",
-    "DET004": "id() used in an ordering context",
+    "DET004": "id() in an ordering context, or hash() outside __hash__",
     "DET005": "thread/async primitives inside the deterministic sim",
     "DET006": "suppression directive inside a suppression-free zone",
     "DET007": "suppression directive names an unknown rule code",
+    "DET008": "process-environment read inside the deterministic sim",
 }
 
-
-def _known_rule_codes() -> Set[str]:
-    """Every catalogued code, across all engines (for DET007 validation).
-
-    Imported lazily: the sibling rule modules depend on this one.
-    """
-    from repro.analysis.bundles import VER_RULES
-    from repro.analysis.lanes import LANE_RULES
-    from repro.analysis.taintrules import TAINT_RULES
-
-    return set(DET_RULES) | set(TAINT_RULES) | set(LANE_RULES) | set(VER_RULES)
+#: Every catalogued code, across both engines (for DET007 validation).
+_KNOWN_RULE_CODES = frozenset(DET_RULES) | frozenset(VER_RULES)
 
 #: Files (posix path suffixes) allowed to break a rule by design.
 PATH_ALLOWLIST: Dict[str, Tuple[str, ...]] = {
@@ -148,18 +151,39 @@ _GLOBAL_RANDOM_FUNCTIONS = frozenset(
 #: an unmanaged stream (SystemRandom is additionally never replayable).
 _RANDOM_CLASSES = frozenset({"Random", "SystemRandom"})
 
+#: Entropy the OS hands out; no seed replays it.
+_OS_ENTROPY = frozenset(
+    {
+        "os.urandom",
+        "secrets.SystemRandom",
+        "secrets.choice",
+        "secrets.randbelow",
+        "secrets.randbits",
+        "secrets.token_bytes",
+        "secrets.token_hex",
+        "secrets.token_urlsafe",
+        "uuid.uuid1",
+        "uuid.uuid4",
+    }
+)
+
+_ENVIRONMENT = frozenset({"os.environ", "os.environb", "os.getenv"})
+
 _FORBIDDEN_MODULES = frozenset(
     {"threading", "_thread", "asyncio", "multiprocessing", "concurrent"}
 )
 
 #: Callable names that schedule events or move messages; a DET003 loop
-#: body containing one of these makes the iteration order observable.
+#: body containing one of these, or an unordered argument to one, makes
+#: the iteration order observable.
 _SCHEDULING_NAMES = frozenset(
     {
         "broadcast",
         "call_after",
         "call_at",
         "call_soon",
+        "call_transient_after",
+        "call_transient_at",
         "deliver",
         "enqueue",
         "fire_bundle_event",
@@ -191,6 +215,15 @@ def _dotted_name(node: ast.AST) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
+def _call_name(node: ast.Call) -> Optional[str]:
+    """The last name of the callee: ``f`` for ``f(...)`` and ``x.f(...)``."""
+    if isinstance(node.func, ast.Attribute):
+        return node.func.attr
+    if isinstance(node.func, ast.Name):
+        return node.func.id
+    return None
+
+
 def _is_id_call(node: ast.AST) -> bool:
     return (
         isinstance(node, ast.Call)
@@ -213,6 +246,8 @@ class _FileVisitor(ast.NodeVisitor):
         self.diagnostics: List[Diagnostic] = []
         #: local name -> dotted origin ("t" -> "time", "now" -> "datetime.datetime.now")
         self._aliases: Dict[str, str] = {}
+        #: how many enclosing function definitions are named ``__hash__``
+        self._hash_bodies = 0
 
     # -- reporting ------------------------------------------------------
     def _enabled(self, code: str) -> bool:
@@ -286,7 +321,7 @@ class _FileVisitor(ast.NodeVisitor):
                 hint="model concurrency as events on repro.sim.eventloop.EventLoop",
             )
 
-    # -- DET001 / DET002 ------------------------------------------------
+    # -- DET001 / DET002 / DET008 ---------------------------------------
     def _resolve(self, node: ast.AST) -> Optional[str]:
         dotted = _dotted_name(node)
         if dotted is None:
@@ -297,8 +332,7 @@ class _FileVisitor(ast.NodeVisitor):
             return dotted
         return origin + ("." + rest if rest else "")
 
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        resolved = self._resolve(node)
+    def _check_reference(self, node: ast.AST, resolved: Optional[str]) -> None:
         if resolved in _WALL_CLOCK:
             self._report(
                 "DET001",
@@ -306,18 +340,22 @@ class _FileVisitor(ast.NodeVisitor):
                 "wall-clock reference %s" % resolved,
                 hint="take the sim Clock (repro.sim.clock) instead of host time",
             )
+        elif resolved in _ENVIRONMENT:
+            self._report(
+                "DET008",
+                node,
+                "process-environment read %s" % resolved,
+                hint="pass configuration in as a parameter; the host "
+                "environment is not part of the seed",
+            )
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self._check_reference(node, self._resolve(node))
         self.generic_visit(node)
 
     def visit_Name(self, node: ast.Name) -> None:
         if isinstance(node.ctx, ast.Load):
-            resolved = self._aliases.get(node.id)
-            if resolved in _WALL_CLOCK:
-                self._report(
-                    "DET001",
-                    node,
-                    "wall-clock reference %s" % resolved,
-                    hint="take the sim Clock (repro.sim.clock) instead of host time",
-                )
+            self._check_reference(node, self._aliases.get(node.id))
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -340,11 +378,50 @@ class _FileVisitor(ast.NodeVisitor):
                     hint="derive streams from RngStreams so seeds stay "
                     "comparable across runs",
                 )
-        self._check_sort_key(node)
+            elif resolved in _OS_ENTROPY:
+                self._report(
+                    "DET002",
+                    node,
+                    "call to OS entropy source %s()" % resolved,
+                    hint="draw from an injected random.Random stream "
+                    "(repro.sim.rng.RngStreams)",
+                )
+        name = _call_name(node)
+        if name in _SCHEDULING_NAMES:
+            for argument in node.args + [k.value for k in node.keywords]:
+                shape = self._unordered_shape(argument)
+                if shape is not None:
+                    self._report_unordered(
+                        argument, "%s passed to %s()" % (shape, name), shape
+                    )
+        self._check_hash_call(node)
+        self._check_sort_key(node, name)
         self.generic_visit(node)
 
     # -- DET004 ---------------------------------------------------------
     _ORDERING_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        in_hash = node.name == "__hash__"
+        self._hash_bodies += in_hash
+        self.generic_visit(node)
+        self._hash_bodies -= in_hash
+
+    def _check_hash_call(self, node: ast.Call) -> None:
+        if (
+            isinstance(node.func, ast.Name)
+            and node.func.id == "hash"
+            and "hash" not in self._aliases
+            and not self._hash_bodies
+        ):
+            self._report(
+                "DET004",
+                node,
+                "builtin hash() outside __hash__ — str/bytes hashes are "
+                "salted per process (PYTHONHASHSEED)",
+                hint="key on a stable value (name, sequence number, hashlib "
+                "digest); hash() is only safe for implementing __hash__",
+            )
 
     def visit_Compare(self, node: ast.Compare) -> None:
         if any(isinstance(op, self._ORDERING_OPS) for op in node.ops):
@@ -359,12 +436,7 @@ class _FileVisitor(ast.NodeVisitor):
                 )
         self.generic_visit(node)
 
-    def _check_sort_key(self, node: ast.Call) -> None:
-        func_name = None
-        if isinstance(node.func, ast.Name):
-            func_name = node.func.id
-        elif isinstance(node.func, ast.Attribute):
-            func_name = node.func.attr
+    def _check_sort_key(self, node: ast.Call, func_name: Optional[str]) -> None:
         if func_name not in ("sorted", "sort", "min", "max", "insort", "nsmallest", "nlargest"):
             return
         for keyword in node.keywords:
@@ -383,19 +455,27 @@ class _FileVisitor(ast.NodeVisitor):
         if shape is not None:
             offender = self._scheduling_call(node.body)
             if offender is not None:
-                self._report(
-                    "DET003",
-                    node,
-                    "iteration over %s drives %s() — order depends on "
-                    "PYTHONHASHSEED or insertion history" % (shape, offender),
-                    hint="iterate sorted(..., key=...) with an explicit key, "
-                    "or suppress with a justification if insertion order "
-                    "is the intended total order",
-                    # A heuristic, not a proof: insertion order may well be
-                    # the intended total order. --strict promotes it.
-                    severity=Severity.WARNING,
+                self._report_unordered(
+                    node, "iteration over %s drives %s()" % (shape, offender), shape
                 )
         self.generic_visit(node)
+
+    def _report_unordered(self, node: ast.AST, what: str, shape: str) -> None:
+        self._report(
+            "DET003",
+            node,
+            "%s — order depends on %s"
+            % (
+                what,
+                "insertion history" if shape.startswith("dict.") else "PYTHONHASHSEED",
+            ),
+            hint="iterate sorted(..., key=...) with an explicit key, "
+            "or suppress with a justification if insertion order "
+            "is the intended total order",
+            # A heuristic, not a proof: insertion order may well be
+            # the intended total order. --strict promotes it.
+            severity=Severity.WARNING,
+        )
 
     def _unordered_shape(self, node: ast.AST) -> Optional[str]:
         while (
@@ -421,15 +501,10 @@ class _FileVisitor(ast.NodeVisitor):
     def _scheduling_call(self, body: Sequence[ast.stmt]) -> Optional[str]:
         for statement in body:
             for child in ast.walk(statement):
-                if not isinstance(child, ast.Call):
-                    continue
-                name = None
-                if isinstance(child.func, ast.Attribute):
-                    name = child.func.attr
-                elif isinstance(child.func, ast.Name):
-                    name = child.func.id
-                if name in _SCHEDULING_NAMES:
-                    return name
+                if isinstance(child, ast.Call):
+                    name = _call_name(child)
+                    if name in _SCHEDULING_NAMES:
+                        return name
         return None
 
 
@@ -442,9 +517,6 @@ class LintResult:
 
     diagnostics: List[Diagnostic] = field(default_factory=list)
     files: List[str] = field(default_factory=list)
-    #: The linked whole-program model, when the deep tier ran
-    #: (:func:`repro.analysis.engine.analyze_paths` fills it in).
-    program: Optional[object] = None
 
     @property
     def errors(self) -> List[Diagnostic]:
@@ -459,39 +531,34 @@ class LintResult:
         return not self.errors
 
 
+def _unreadable(rel_path: str, line: int, reason: str) -> Diagnostic:
+    return Diagnostic(
+        code="DET000",
+        severity=Severity.ERROR,
+        source=rel_path,
+        line=line,
+        message="file could not be %s" % reason,
+    )
+
+
 def lint_source(
     source: str,
     rel_path: str,
     select: Optional[Iterable[str]] = None,
-    tree: Optional[ast.Module] = None,
 ) -> List[Diagnostic]:
-    """Lint one module's text; ``rel_path`` is the reported source label.
-
-    ``tree`` lets callers that already parsed the file (the engine)
-    skip the second parse; behaviour is identical.
-    """
+    """Lint one module's text; ``rel_path`` is the reported source label."""
     selected = {c.upper() for c in select} if select is not None else None
-    if tree is None:
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as exc:
-            return [
-                Diagnostic(
-                    code="DET000",
-                    severity=Severity.ERROR,
-                    source=rel_path,
-                    line=exc.lineno or 0,
-                    message="file could not be parsed: %s" % exc.msg,
-                )
-            ]
+    try:
+        tree = ast.parse(source)
+    except SyntaxError as exc:
+        return [_unreadable(rel_path, exc.lineno or 0, "parsed: %s" % exc.msg)]
     visitor = _FileVisitor(rel_path, selected)
     visitor.visit(tree)
     suppressions = scan_suppressions(source)
-    known_codes = _known_rule_codes()
     unknown_code_diagnostics: List[Diagnostic] = []
     if selected is None or "DET007" in selected:
         for line, kind, codes in suppressions.directives:
-            unknown = sorted(set(codes) - known_codes)
+            unknown = sorted(set(codes) - _KNOWN_RULE_CODES)
             if unknown:
                 unknown_code_diagnostics.append(
                     Diagnostic(
@@ -560,8 +627,12 @@ def lint_paths(
             rel = path  # outside the root: keep the caller's spelling
         rel = rel.replace(os.sep, "/")
         result.files.append(rel)
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                source = handle.read()
+        except (UnicodeDecodeError, OSError) as exc:
+            result.diagnostics.append(_unreadable(rel, 0, "read: %s" % exc))
+            continue
         result.diagnostics.extend(lint_source(source, rel, select=select))
     result.diagnostics = sort_diagnostics(result.diagnostics)
     return result

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List
 
 
 class Severity(enum.Enum):
@@ -46,10 +46,6 @@ class Diagnostic:
         What is wrong, specific enough to act on.
     hint:
         Optional remediation advice, shown indented under the message.
-    trace:
-        Optional ordered step chain (``"path:line: description"``
-        strings). Interprocedural findings carry their full source→sink
-        path here; ``python -m repro lint --explain CODE`` renders it.
     """
 
     code: str
@@ -58,7 +54,6 @@ class Diagnostic:
     line: int
     message: str
     hint: str = ""
-    trace: Tuple[str, ...] = ()
 
     def format(self) -> str:
         """Render as ``source:line: CODE severity: message`` text."""
@@ -77,7 +72,6 @@ class Diagnostic:
             "line": self.line,
             "message": self.message,
             "hint": self.hint,
-            "trace": list(self.trace),
         }
 
     def __str__(self) -> str:

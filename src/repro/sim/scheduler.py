@@ -39,8 +39,8 @@ __all__ = [
 #: Recognised scheduler names, in CLI/display order.
 SCHEDULERS = ("global", "laned")
 
-# repro: allow-next-line[LANE001] -- process-wide default, guarded by the
-# parity contract: both values produce byte-identical runs.
+# Process-wide default, guarded by the parity contract: both values
+# produce byte-identical runs.
 _DEFAULT = "global"
 
 

@@ -1,8 +1,10 @@
 """Determinism linter: one triggering and one clean case per DET rule,
-suppression directives, rule selection, and the self-clean baseline."""
+suppression directives, rule selection, and the self-clean tree."""
 
 import os
 import textwrap
+
+import pytest
 
 from repro.analysis import DET_RULES, lint_paths, lint_source
 
@@ -231,6 +233,91 @@ def test_det005_clean_on_sim_eventloop():
 
 
 # ----------------------------------------------------------------------
+# The source kinds flagged where they are read: OS entropy (DET002),
+# hash() (DET004), an unordered argument to a send (DET003), the
+# environment (DET008). One flagged fixture and its clean twin each.
+# ----------------------------------------------------------------------
+MOD = "pkg/mod.py"
+SOURCE_KINDS = [
+    pytest.param(
+        "DET002",
+        "import os\ntoken = os.urandom(8)\n",
+        "import random\n\ndef stream(seed):\n    return random.Random(seed)\n",
+        "repro/sim/rng.py",
+        id="urandom",
+    ),
+    pytest.param(
+        "DET002",
+        "from secrets import token_hex\nimport uuid\n"
+        "name = token_hex() + str(uuid.uuid4())\n",
+        "def name(rng):\n    return '%032x' % rng.getrandbits(128)\n",
+        MOD,
+        id="secrets-uuid",
+    ),
+    pytest.param(
+        "DET004",
+        "def shard(key, n):\n    return hash(key) % n\n",
+        "class Key:\n    def __hash__(self):\n        return hash(self.name)\n",
+        MOD,
+        id="hash",
+    ),
+    pytest.param(
+        "DET003",
+        "def beat(net, src, peers, m):\n"
+        "    net.send_all(src, peers.values(), m)\n",
+        "def beat(net, src, peers, m):\n"
+        "    net.send_all(src, sorted(peers.values()), m)\n",
+        MOD,
+        id="unordered-arg",
+    ),
+    pytest.param(
+        "DET008",
+        "import os\nlevel = os.getenv('X')\n",
+        "import os\npath = os.path.join('a', 'b')\n",
+        MOD,
+        id="getenv",
+    ),
+    pytest.param(
+        "DET008",
+        "from os import environ\nlevel = environ.get('X')\n",
+        "def level(config):\n    return config.get('X')\n",
+        MOD,
+        id="environ",
+    ),
+]
+
+
+@pytest.mark.parametrize("code,flagged,clean,clean_path", SOURCE_KINDS)
+def test_source_kind_flagged_where_read(code, flagged, clean, clean_path):
+    assert code in [d.code for d in lint_source(flagged, MOD)]
+    assert lint_source(clean, clean_path) == []
+
+
+def test_det003_message_names_the_cause_of_the_order():
+    by_dict, by_set, loop_dict = lint(
+        """
+        def beat(net, src, peers, m):
+            net.send_all(src, list(peers.keys()), m)
+            net.call_transient_after(0.1, beat, {p for p in peers})
+            for peer in peers.items():
+                net.send(src, peer, m)
+        """
+    )
+    assert by_dict.message == (
+        "dict.keys() passed to send_all() — order depends on insertion history"
+    )
+    assert by_set.message == (
+        "a set expression passed to call_transient_after() — order depends on "
+        "PYTHONHASHSEED"
+    )
+    assert loop_dict.message == (
+        "iteration over dict.items() drives send() — order depends on "
+        "insertion history"
+    )
+    assert {d.severity.value for d in (by_dict, by_set, loop_dict)} == {"warning"}
+
+
+# ----------------------------------------------------------------------
 # DET000 — parse failure
 # ----------------------------------------------------------------------
 def test_det000_on_syntax_error():
@@ -349,7 +436,7 @@ def test_telemetry_package_has_no_suppression_directives():
 
 
 # ----------------------------------------------------------------------
-# Selection + whole-tree baseline
+# Selection + the whole tree
 # ----------------------------------------------------------------------
 def test_select_filters_rules():
     snippet = """
@@ -372,46 +459,21 @@ def test_rule_catalogue_is_complete():
         "DET005",
         "DET006",
         "DET007",
+        "DET008",
     }
 
 
-def test_src_tree_is_lint_clean():
-    """The CI baseline: the shipped tree has zero findings (suppressions
-    in sim/clock.py and sim/rng.py carry their justifications in-line)."""
+def test_tree_is_clean():
+    """The CI gate: every file of the shipped package is scanned and none
+    has a finding (the suppressions in sim/clock.py and sim/rng.py carry
+    their justifications in-line; there is no baseline to hide behind)."""
     package = os.path.join(SRC_ROOT, "repro")
+    shipped = sum(
+        name.endswith(".py")
+        for _, _, names in os.walk(package)
+        for name in names
+    )
     result = lint_paths([package], root=SRC_ROOT)
-    assert len(result.files) > 50
+    assert len(result.files) == shipped > 50
     assert result.diagnostics == []
     assert result.ok
-
-
-def test_src_tree_deep_findings_are_covered_by_committed_baseline():
-    """The whole-program tier's findings over the shipped tree must all be
-    recorded in benchmarks/analysis/BASELINE_lint.json — the exact CI
-    ratchet. A failure here means: run
-    `python -m repro lint --update-baseline` and justify the new finding
-    in the PR."""
-    from repro.analysis import (
-        analyze_paths,
-        fingerprint_diagnostics,
-        load_baseline,
-        split_by_baseline,
-    )
-
-    repo_root = os.path.dirname(SRC_ROOT)
-    baseline = os.path.join(
-        repo_root, "benchmarks", "analysis", "BASELINE_lint.json"
-    )
-    package = os.path.join(SRC_ROOT, "repro")
-    result = analyze_paths([package], root=SRC_ROOT)
-    new, baselined = split_by_baseline(
-        result.diagnostics, load_baseline(baseline)
-    )
-    assert new == [], "un-baselined findings:\n%s" % "\n".join(
-        d.format() for d in new
-    )
-    # The deep tier genuinely fires on this tree (the inventory is real).
-    assert any(d.code.startswith(("DET1", "LANE")) for d in baselined)
-    # And fingerprinting stays collision-free over the full finding set.
-    fps = [fp for _, fp in fingerprint_diagnostics(result.diagnostics)]
-    assert len(set(fps)) == len(fps)

@@ -93,10 +93,11 @@ def test_det007_names_the_unknown_code():
     assert det007[0].severity.value == "warning"
 
 
-def test_det007_accepts_deep_rule_codes_as_known():
-    # DET1xx and LANE codes are legitimate suppression targets.
-    source = "x = send  # repro: allow[DET101,LANE001] -- deep-rule opt-out\n"
-    assert codes(source) == []
+def test_det007_knows_both_catalogues_and_nothing_else():
+    # DET and VER codes are legitimate suppression targets; the codes of
+    # the retired whole-program tier are unknown like any other typo.
+    assert codes("x = send  # repro: allow[DET008,VER001] -- both engines\n") == []
+    assert codes("x = send  # repro: allow[DET101,LANE001] -- retired\n") == ["DET007"]
 
 
 def test_det007_respects_select():
