@@ -44,7 +44,7 @@ def run_interval(interval, seed=151):
         module.start()
         modules[node.node_id] = module
     cluster.run_for(2.0)
-    CustomerDirectory(cluster.store).put(
+    CustomerDirectory(cluster.store, cluster.loop).put(
         CustomerDescriptor(name="svc", cpu_share=0.2, bundle_count_hint=1)
     )
     deploy = cluster.node("n1").deploy_instance("svc")

@@ -29,7 +29,7 @@ def run_discipline(coordination, seed=121):
         module.start()
         modules[node.node_id] = module
     cluster.run_for(2.0)
-    directory = CustomerDirectory(cluster.store)
+    directory = CustomerDirectory(cluster.store, cluster.loop)
     for i in range(CUSTOMERS):
         directory.put(CustomerDescriptor(name="c%02d" % i, cpu_share=0.15))
         deploy = cluster.node("n%d" % ((i % 3) + 1)).deploy_instance("c%02d" % i)

@@ -38,7 +38,7 @@ def build_platform(seed):
 
 def measure(bundle_count, with_standby, seed=131):
     cluster, modules, standbys = build_platform(seed)
-    CustomerDirectory(cluster.store).put(
+    CustomerDirectory(cluster.store, cluster.loop).put(
         CustomerDescriptor(name="svc", cpu_share=0.2, bundle_count_hint=bundle_count)
     )
     deploy = cluster.node("n1").deploy_instance("svc")

@@ -32,7 +32,7 @@ def measure_migration(bundle_count, state_bytes):
         module.start()
         modules[node.node_id] = module
     cluster.run_for(2.0)
-    CustomerDirectory(cluster.store).put(
+    CustomerDirectory(cluster.store, cluster.loop).put(
         CustomerDescriptor(
             name="svc",
             bundle_count_hint=bundle_count,

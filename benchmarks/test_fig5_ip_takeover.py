@@ -55,7 +55,7 @@ def full_service_migration_downtime():
         module.start()
         modules[node.node_id] = module
     cluster.run_for(2.0)
-    CustomerDirectory(cluster.store).put(
+    CustomerDirectory(cluster.store, cluster.loop).put(
         CustomerDescriptor(name="svc", bundle_count_hint=3)
     )
     deploy = cluster.node("n1").deploy_instance("svc")

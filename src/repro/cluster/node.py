@@ -38,7 +38,6 @@ from repro.osgi.framework import Framework
 from repro.sim.eventloop import EventLoop
 from repro.sim.network import Network
 from repro.sim.rng import RngStreams
-from repro.telemetry import runtime as _rt
 from repro.storage.san import Mount, SharedStore
 from repro.vosgi.delegation import ExportPolicy
 from repro.vosgi.instance import VirtualInstance
@@ -337,7 +336,7 @@ class Node:
             # which sits above the cluster in the import graph.
             from repro.migration.registry import CustomerDirectory
 
-            descriptor = CustomerDirectory(self.store).get(name)
+            descriptor = CustomerDirectory(self.store, self.loop).get(name)
             if descriptor is not None:
                 policy = descriptor.policy()
                 quota = descriptor.quota()
@@ -356,13 +355,12 @@ class Node:
             delay = self.costs.instance_start_seconds(
                 bundle_count=bundle_count_hint, state_bytes=state_bytes_hint
             )
-        deploy_span = None
-        if _rt.ACTIVE is not None:
-            deploy_span = _rt.ACTIVE.tracer.start_span(
-                "standby.activate" if warm else "node.deploy",
-                node=self.node_id,
-                attributes={"instance": name},
-            )
+        probe = self.loop.probe
+        deploy_span = None if probe is None else probe.start_span(
+            "standby.activate" if warm else "node.deploy",
+            self.node_id,
+            {"instance": name},
+        )
 
         def finish() -> None:
             if self.state != NodeState.ON or self.instance_manager is None:

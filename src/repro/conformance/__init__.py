@@ -10,14 +10,16 @@ then judge the history offline against virtual-synchrony axioms
 checker for the deployment registry
 (:mod:`~repro.conformance.linearizability`).
 
-Recording is off by default and costs one ``ACTIVE is None`` test per
-tap when off (:mod:`~repro.conformance.runtime`). Turn it on per block::
+Recording is off by default: a :class:`HistoryRecorder` observes one
+event loop once a driver attaches it in the loop's probe
+(:func:`repro.telemetry.attach`)::
 
-    from repro.conformance import recording, check_history
+    from repro.conformance import HistoryRecorder, check_history
+    from repro.telemetry import attach
 
-    with recording(env.loop.clock) as recorder:
+    with attach(env.loop, recorder=HistoryRecorder(env.loop.clock)) as probe:
         ...  # run the scenario
-    violations = check_history(recorder.history)
+    violations = check_history(probe.recorder.history)
 
 or per campaign with ``ChaosCampaign(conformance=True)``, or from the
 shell with ``python -m repro conform --scenario crash --seed 7``.
@@ -44,27 +46,12 @@ from repro.conformance.mutants import (
     protocol_mutation,
 )
 from repro.conformance.recorder import HistoryRecorder
-from repro.conformance.runtime import recording
-
-#: Lazily re-exported from repro.conformance.report (PEP 562): report pulls
-#: in repro.faults.campaign, and the instrumented protocol modules
-#: (gcs/member.py, migration/) import this package — an eager import here
-#: would make that a cycle.
-_REPORT_EXPORTS = (
-    "CHECKER_NAMES",
-    "campaign_verdict",
-    "check_history",
-    "replay_and_check",
-    "verdict_json",
+from repro.conformance.report import (
+    CHECKER_NAMES,
+    campaign_verdict,
+    check_history,
+    verdict_json,
 )
-
-
-def __getattr__(name):
-    if name in _REPORT_EXPORTS:
-        from repro.conformance import report
-
-        return getattr(report, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 __all__ = [
     "AXIOMS",
@@ -81,8 +68,6 @@ __all__ = [
     "operations_from",
     "payload_digest",
     "protocol_mutation",
-    "recording",
-    "replay_and_check",
     "run_axioms",
     "verdict_json",
 ]

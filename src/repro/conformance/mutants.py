@@ -4,17 +4,18 @@ A conformance checker earns its keep by *detecting* protocol bugs, so every
 axiom in :mod:`repro.conformance.axioms` is paired with at least one seeded
 mutation of the real protocol that it must flag (see the mutant matrix in
 ``tests/conformance/test_mutants.py`` and docs/CONFORMANCE.md). Mutations
-live behind this registry so that:
+ride on the event loop's probe (:mod:`repro.telemetry.runtime`) so that:
 
 * the production tree carries **zero** mutated behaviour — every hook site
-  guards with ``if _mut.ACTIVE and _mut.enabled(...)`` where ``ACTIVE`` is
-  an empty dict unless a test turned a mutation on, the same
-  one-load-and-truth-test cost profile as the telemetry guard;
+  guards with ``probe is not None and probe.mutated(...)``, and no probe
+  is attached unless a driver or a test attached one;
+* a mutation belongs to one loop: a second environment in the same
+  process runs unmutated;
 * a mutation can be scoped to specific protocol endpoints (e.g. one group
   member misses view installs while the rest behave), which is how real
   partial failures look;
 * tests cannot leave mutations behind: :func:`protocol_mutation` is a
-  context manager that always restores the previous state.
+  context manager that always restores the loop's previous probe.
 
 The catalogue (mutation -> axiom that must catch it):
 
@@ -43,7 +44,9 @@ The catalogue (mutation -> axiom that must catch it):
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, FrozenSet, Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
+
+from repro.telemetry.runtime import attach
 
 #: All known mutation names (spelling guard: enabling a typo is an error).
 MUTANT_NAMES = (
@@ -57,43 +60,24 @@ MUTANT_NAMES = (
     "skip_drain",
 )
 
-#: mutation name -> endpoint scope (None = every endpoint). Empty when no
-#: mutation is active — the common case the hot-path guard tests first.
-ACTIVE: Dict[str, Optional[FrozenSet[str]]] = {}
-
-
-def enable(name: str, endpoints: Optional[Sequence[str]] = None) -> None:
-    """Turn ``name`` on, optionally scoped to specific endpoint names."""
-    if name not in MUTANT_NAMES:
-        raise ValueError("unknown protocol mutation: %r" % name)
-    ACTIVE[name] = frozenset(endpoints) if endpoints is not None else None
-
-
-def disable(name: str) -> None:
-    ACTIVE.pop(name, None)
-
-
-def disable_all() -> None:
-    ACTIVE.clear()
-
-
-def enabled(name: str, endpoint: str = "") -> bool:
-    """Is ``name`` active for ``endpoint``? (Scope None matches everyone.)"""
-    if name not in ACTIVE:
-        return False
-    scope = ACTIVE[name]
-    return scope is None or endpoint in scope
-
-
 @contextmanager
 def protocol_mutation(
-    name: str, endpoints: Optional[Sequence[str]] = None
+    loop: Any, name: str, endpoints: Optional[Sequence[str]] = None
 ) -> Iterator[None]:
-    """Enable one mutation for a block, restoring the previous state."""
-    previous = dict(ACTIVE)
-    enable(name, endpoints)
-    try:
+    """Turn ``name`` on for ``loop`` inside the block, optionally scoped
+    to specific endpoint names (``None``: every endpoint).
+
+    The loop's telemetry, recorder and other mutations stay attached.
+    """
+    if name not in MUTANT_NAMES:
+        raise ValueError("unknown protocol mutation: %r" % name)
+    current = loop.probe
+    mutations = dict(current.mutations) if current is not None else {}
+    mutations[name] = frozenset(endpoints) if endpoints is not None else None
+    with attach(
+        loop,
+        telemetry=current.telemetry if current is not None else None,
+        recorder=current.recorder if current is not None else None,
+        mutations=mutations,
+    ):
         yield
-    finally:
-        ACTIVE.clear()
-        ACTIVE.update(previous)

@@ -1,20 +1,20 @@
-"""HistoryRecorder: the tap the protocol hot paths call into.
+"""HistoryRecorder: what a probe's protocol events are written into.
 
-One recorder observes one run. Instrumented sites (``gcs/member.py``,
-``migration/module.py``, ``migration/registry.py``) guard every call
-with the ``ACTIVE is not None`` pattern from
-:mod:`repro.conformance.runtime`, so with recording off the cost is one
-module-attribute load and a compare — identical to the telemetry guard
-and inside the same <3% bench budget.
+One recorder observes one run. It is attached to the run's event loop
+inside a :class:`~repro.telemetry.runtime.Probe` (see
+:func:`~repro.telemetry.runtime.attach`); instrumented sites
+(``gcs/member.py``, ``migration/``, ``ipvs/server.py``,
+``rollout/engine.py``) reach it through ``loop.probe`` only, so with
+nothing attached the cost is the probe's ``is not None`` test.
 
 The recorder does **no scheduling and draws no randomness**: it only
 appends to its :class:`~repro.conformance.history.History` with the sim
 clock's current time, so recording an episode leaves fault-trace digests
 — and therefore every pinned determinism guard — byte-identical.
 
-When a telemetry handle is simultaneously active, each event is stamped
-with the ambient span context, cross-linking conformance findings into
-the distributed trace.
+When the probe also carries telemetry, each event is stamped with the
+ambient span context, cross-linking conformance findings into the
+distributed trace.
 """
 
 from __future__ import annotations
@@ -22,7 +22,10 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Tuple
 
 from repro.conformance.history import History, payload_digest
-from repro.telemetry import runtime as _rt
+
+
+def _digest_or_none(data: Any) -> Optional[str]:
+    return None if data is None else payload_digest(data)
 
 
 class HistoryRecorder:
@@ -30,6 +33,9 @@ class HistoryRecorder:
 
     def __init__(self, clock: Any) -> None:
         self._clock = clock
+        #: The tracer whose ambient span stamps each event; bound by the
+        #: probe the recorder is attached in (``None``: unstamped).
+        self.tracer: Any = None
         self.history = History()
         self._next_op = 0
         #: op id -> (process, action, key) for response pairing sanity.
@@ -48,17 +54,12 @@ class HistoryRecorder:
         return ordinal
 
     # ------------------------------------------------------------------
-    def _span_context(self) -> Tuple[Optional[str], Optional[str]]:
-        telemetry = _rt.ACTIVE
-        if telemetry is None:
-            return None, None
-        context = telemetry.tracer.current_context()
-        if context is None:
-            return None, None
-        return context.trace_id, context.span_id
-
     def _append(self, kind: str, node: str, data: Dict[str, Any]) -> None:
-        trace_id, span_id = self._span_context()
+        trace_id = span_id = None
+        if self.tracer is not None:
+            context = self.tracer.current_context()
+            if context is not None:
+                trace_id, span_id = context.trace_id, context.span_id
         self.history.append(
             at=self._clock.now,
             kind=kind,
@@ -169,6 +170,16 @@ class HistoryRecorder:
         self._append(
             "op_return", process, {"op": op_id, "result": result, "ok": ok}
         )
+
+    def directory_op(
+        self, process: str, action: str, name: str, value: Any, result: Any
+    ) -> None:
+        """A customer-directory operation on ``descriptor:<name>``, written
+        as an invoke/return pair back to back (the directory is
+        synchronous); the raw descriptor dicts are recorded as digests."""
+        key = "descriptor:%s" % name
+        op_id = self.op_invoke(process, action, key, value=_digest_or_none(value))
+        self.op_return(op_id, result=_digest_or_none(result), ok=True)
 
     # ------------------------------------------------------------------
     # Migration milestones

@@ -1,23 +1,22 @@
-"""Run checkers over a history; replay episodes with checking; verdicts.
+"""Run checkers over a history; verdicts.
 
-Three layers on top of the recorder:
+Two layers on top of the recorder:
 
 * :func:`check_history` — run the virtual-synchrony axioms plus the
   linearizability checker over one recorded history.
-* :func:`replay_and_check` — :func:`repro.faults.campaign.replay_schedule`
-  with recording wrapped around it: the conformance analogue of the chaos
-  reproduction building block. Given the same scenario seed and schedule
-  it reproduces both the fault trace *and* the conformance verdict.
 * :func:`campaign_verdict` / :func:`verdict_json` — the deterministic
   JSON document ``python -m repro conform`` emits and CI diffs byte-for-
   byte across same-seed runs.
+
+Replaying an episode with recording on is
+:func:`repro.faults.campaign.replay_and_check`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.conformance.axioms import AXIOMS, ConformanceViolation, run_axioms
 from repro.conformance.history import History
@@ -26,11 +25,6 @@ from repro.conformance.rollout_checks import (
     check_rollout_no_dropped_request,
     check_rollout_version_monotonic,
 )
-from repro.conformance.runtime import recording
-from repro.faults.campaign import replay_schedule
-from repro.faults.invariants import InvariantRegistry, Violation
-from repro.faults.schedule import FaultSchedule
-from repro.faults.trace import FaultTrace
 
 #: Every checker, in reporting order.
 CHECKER_NAMES: Tuple[str, ...] = tuple(AXIOMS) + (
@@ -47,35 +41,6 @@ def check_history(history: History) -> List[ConformanceViolation]:
     violations.extend(check_rollout_no_dropped_request(history))
     violations.extend(check_rollout_version_monotonic(history))
     return violations
-
-
-def replay_and_check(
-    env: Any,
-    schedule: FaultSchedule,
-    duration: float,
-    settle: float = 10.0,
-    check_interval: float = 0.5,
-    registry: Optional[InvariantRegistry] = None,
-    repair: bool = True,
-) -> Tuple[FaultTrace, List[Violation], History, List[ConformanceViolation]]:
-    """Replay one episode with the history recorder on, then check it.
-
-    Drop-in superset of ``replay_schedule`` for reproduction snippets:
-    same trace and invariant results (the recorder schedules nothing and
-    draws no randomness), plus the recorded history and its conformance
-    verdict.
-    """
-    with recording(env.loop.clock) as recorder:
-        trace, violations = replay_schedule(
-            env,
-            schedule,
-            duration=duration,
-            settle=settle,
-            check_interval=check_interval,
-            registry=registry,
-            repair=repair,
-        )
-    return trace, violations, recorder.history, check_history(recorder.history)
 
 
 # ----------------------------------------------------------------------

@@ -71,7 +71,7 @@ class DependableEnvironment:
     ) -> None:
         self.cluster = cluster
         self.loop = cluster.loop
-        self.customers_directory = CustomerDirectory(cluster.store)
+        self.customers_directory = CustomerDirectory(cluster.store, cluster.loop)
         self.sla_tracker = SlaTracker()
         self.addresses = AddressRegistry(cluster.loop)
         self.director = DirectorCluster(cluster.loop, replicas=director_replicas)

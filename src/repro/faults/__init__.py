@@ -24,6 +24,7 @@ from repro.faults.campaign import (
     Episode,
     EpisodeVerdict,
     default_scenario,
+    replay_and_check,
     replay_schedule,
     verify_deployment,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "Episode",
     "EpisodeVerdict",
     "default_scenario",
+    "replay_and_check",
     "replay_schedule",
     "verify_deployment",
     "FaultInjector",

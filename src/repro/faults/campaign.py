@@ -23,6 +23,11 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.analysis.bundles import verify_bundles
 from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.conformance.axioms import ConformanceViolation
+from repro.conformance.history import History
+from repro.conformance.recorder import HistoryRecorder
+from repro.conformance.report import check_history
+from repro.core import DependableEnvironment
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import (
     InvariantChecker,
@@ -32,8 +37,9 @@ from repro.faults.invariants import (
 )
 from repro.faults.schedule import FaultSchedule
 from repro.faults.trace import FaultTrace
-from repro.telemetry import runtime as _rt
-from repro.telemetry.runtime import Telemetry
+from repro.ipvs.addressing import IpEndpoint
+from repro.sla import ServiceLevelAgreement
+from repro.telemetry.runtime import Telemetry, attach
 
 
 def derive_episode_seed(root_seed: int, index: int) -> int:
@@ -50,10 +56,6 @@ def default_scenario(seed: int) -> Any:
     SLA accounting, ipvs routing with background traffic) to exercise the
     whole invariant catalog, small enough to stay fast.
     """
-    from repro.core import DependableEnvironment
-    from repro.ipvs.addressing import IpEndpoint
-    from repro.sla import ServiceLevelAgreement
-
     env = DependableEnvironment.build(node_count=3, seed=seed)
     for name, share in (("acme", 0.25), ("globex", 0.25)):
         completion = env.admit_customer(
@@ -134,6 +136,35 @@ def replay_schedule(
     checker.check_now(mode=None)
     checker.stop()
     return injector.trace, checker.violations
+
+
+def replay_and_check(
+    env: Any,
+    schedule: FaultSchedule,
+    duration: float,
+    settle: float = 10.0,
+    check_interval: float = 0.5,
+    registry: Optional[InvariantRegistry] = None,
+    repair: bool = True,
+) -> Tuple[FaultTrace, List[Violation], History, List[ConformanceViolation]]:
+    """:func:`replay_schedule` with a history recorder attached, then checked.
+
+    The building block of conformance reproduction snippets: same trace
+    and invariant results (the recorder schedules nothing and draws no
+    randomness), plus the recorded history and its conformance verdict.
+    """
+    recorder = HistoryRecorder(env.loop.clock)
+    with attach(env.loop, recorder=recorder):
+        trace, violations = replay_schedule(
+            env,
+            schedule,
+            duration=duration,
+            settle=settle,
+            check_interval=check_interval,
+            registry=registry,
+            repair=repair,
+        )
+    return trace, violations, recorder.history, check_history(recorder.history)
 
 
 class EpisodeVerdict(Enum):
@@ -338,6 +369,7 @@ class ChaosCampaign:
             # fault schedules aim at the rollout window, and telemetry +
             # conformance turn on (gates need metrics; the rollout
             # checkers need a history). Explicit overrides still win.
+            # Imported here: the rollout scenario imports repro.faults.
             from repro.rollout.scenario import (
                 chaos_upgrade_scenario,
                 upgrade_schedule_factory,
@@ -408,43 +440,27 @@ class ChaosCampaign:
             telemetry_handle = Telemetry(
                 env.loop.clock, env.cluster.rng, scenario="chaos"
             )
-            _rt.activate(telemetry_handle)
-            telemetry_handle.open_root("episode:%d" % index)
-        recorder = None
-        if self.conformance:
-            # Imported here, not at module level: the conformance recorder
-            # is tapped from gcs/ and migration/, which this module's
-            # import chain reaches — a top-level import would be a cycle.
-            from repro.conformance import runtime as _conformance_rt
-            from repro.conformance.recorder import HistoryRecorder
-
-            recorder = _conformance_rt.activate(
-                HistoryRecorder(env.loop.clock)
-            )
-        try:
-            trace, violations = replay_schedule(
-                env,
-                schedule,
-                duration=self.episode_duration,
-                settle=self.settle,
-                check_interval=self.check_interval,
-                registry=registry,
-                repair=self.repair_failed,
-            )
-        finally:
-            if recorder is not None:
-                from repro.conformance import runtime as _conformance_rt
-
-                _conformance_rt.deactivate()
+        recorder = HistoryRecorder(env.loop.clock) if self.conformance else None
+        with attach(env.loop, telemetry=telemetry_handle, recorder=recorder):
             if telemetry_handle is not None:
-                telemetry_handle.close_root()
-                _rt.deactivate()
+                telemetry_handle.open_root("episode:%d" % index)
+            try:
+                trace, violations = replay_schedule(
+                    env,
+                    schedule,
+                    duration=self.episode_duration,
+                    settle=self.settle,
+                    check_interval=self.check_interval,
+                    registry=registry,
+                    repair=self.repair_failed,
+                )
+            finally:
+                if telemetry_handle is not None:
+                    telemetry_handle.close_root()
         conformance_violations: List[Any] = []
         history = None
         history_digest = ""
         if recorder is not None:
-            from repro.conformance.report import check_history
-
             history = recorder.history
             history_digest = history.digest()
             conformance_violations = check_history(history)
@@ -518,8 +534,7 @@ class ChaosCampaign:
             return "\n".join(
                 header
                 + [
-                    "from repro.conformance import replay_and_check",
-                    "from repro.faults import FaultSchedule",
+                    "from repro.faults import FaultSchedule, replay_and_check",
                     scenario_import,
                     "",
                     "schedule = %s" % episode.schedule.to_snippet(),

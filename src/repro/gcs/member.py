@@ -23,17 +23,14 @@ driven and fully deterministic on the simulated network:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.conformance import mutants as _mut
-from repro.conformance import runtime as _crt
 from repro.gcs.channel import ReliableChannel
 from repro.gcs.directory import GroupDirectory
 from repro.gcs.view import View, ViewChange
 from repro.sim.eventloop import EventLoop, ScheduledEvent
 from repro.sim.network import Message, Network
-from repro.telemetry import runtime as _rt
-from repro.telemetry.runtime import maybe_span
 
 ViewListener = Callable[[ViewChange], None]
 MessageListener = Callable[[str, Any], None]
@@ -186,14 +183,16 @@ class GroupMember:
         """Send ``payload`` to the whole group (including self-delivery)."""
         if not self.running or self.view is None:
             raise RuntimeError("%s is not a group member" % self.endpoint_name)
-        with maybe_span(
+        probe = self._loop.probe
+        traced = nullcontext() if probe is None else probe.span(
             "gcs.multicast",
-            node=self.node_id,
-            attributes={"group": self.group, "total_order": total_order},
-        ):
+            self.node_id,
+            {"group": self.group, "total_order": total_order},
+        )
+        with traced:
             if total_order:
-                if _crt.ACTIVE is not None:
-                    _crt.ACTIVE.multicast_send(
+                if probe is not None:
+                    probe.multicast_send(
                         self.endpoint_name,
                         self._channel.incarnation,
                         self.group,
@@ -204,8 +203,8 @@ class GroupMember:
                 if self.is_coordinator or (
                     # Mutant: a non-coordinator sequences locally, racing
                     # the real sequencer for the same seq numbers.
-                    _mut.ACTIVE
-                    and _mut.enabled("self_sequencing", self.endpoint_name)
+                    probe is not None
+                    and probe.mutated("self_sequencing", self.endpoint_name)
                 ):
                     self._sequence(self.endpoint_name, payload)
                 else:
@@ -216,8 +215,8 @@ class GroupMember:
             else:
                 self._fifo_seq += 1
                 frame = {"t": "FIFO", "seq": self._fifo_seq, "body": payload}
-                if _crt.ACTIVE is not None:
-                    _crt.ACTIVE.multicast_send(
+                if probe is not None:
+                    probe.multicast_send(
                         self.endpoint_name,
                         self._channel.incarnation,
                         self.group,
@@ -230,8 +229,8 @@ class GroupMember:
                         self._channel.send(member, frame)
                 if not (
                     # Mutant: the sender forgets to deliver to itself.
-                    _mut.ACTIVE
-                    and _mut.enabled("skip_self_delivery", self.endpoint_name)
+                    probe is not None
+                    and probe.mutated("skip_self_delivery", self.endpoint_name)
                 ):
                     self._deliver(
                         self.endpoint_name, payload, kind="fifo", seq=self._fifo_seq
@@ -410,15 +409,17 @@ class GroupMember:
     # ------------------------------------------------------------------
     def _broadcast_view(self, new_view: View) -> None:
         order_seq = max(self._order_next, self._order_expected)
-        with maybe_span(
+        probe = self._loop.probe
+        traced = nullcontext() if probe is None else probe.span(
             "gcs.view_broadcast",
-            node=self.node_id,
-            attributes={
+            self.node_id,
+            {
                 "group": self.group,
                 "view_id": new_view.view_id,
                 "members": new_view.size,
             },
-        ):
+        )
+        with traced:
             for member in new_view.members:
                 if member == self.endpoint_name:
                     continue
@@ -429,12 +430,13 @@ class GroupMember:
             self._install(new_view, order_seq)
 
     def _install(self, new_view: View, order_seq: int) -> None:
+        probe = self._loop.probe
         old_view = self.view
         if old_view is not None and new_view.view_id <= old_view.view_id:
             # Mutant: re-install stale/duplicate views instead of ignoring.
             if not (
-                _mut.ACTIVE
-                and _mut.enabled("accept_stale_views", self.endpoint_name)
+                probe is not None
+                and probe.mutated("accept_stale_views", self.endpoint_name)
             ):
                 return
         if not new_view.contains(self.endpoint_name):
@@ -442,8 +444,8 @@ class GroupMember:
         self.view = new_view
         now = self._loop.clock.now
         change = ViewChange.between(old_view, new_view)
-        if _crt.ACTIVE is not None:
-            _crt.ACTIVE.view_install(
+        if probe is not None:
+            probe.view_install(
                 self.endpoint_name,
                 self._channel.incarnation,
                 self.group,
@@ -478,32 +480,23 @@ class GroupMember:
                 self._channel.send(
                     joiner, {"t": "SYNC", "fifo_seq": self._fifo_seq}
                 )
-        def fire() -> None:
+        traced = nullcontext() if probe is None else probe.span(
+            "gcs.view_change",
+            self.node_id,
+            {
+                "group": self.group,
+                "view_id": new_view.view_id,
+                "members": new_view.size,
+                "joined": len(change.joined),
+                "left": len(change.left),
+            },
+        )
+        with traced:
             for listener in list(self.view_listeners):
                 try:
                     listener(change)
                 except Exception:
                     self.listener_errors += 1
-
-        if _rt.ACTIVE is not None:
-            telemetry = _rt.ACTIVE
-            telemetry.metrics.counter(
-                "gcs.view_changes_total", group=self.group
-            ).inc()
-            with telemetry.tracer.span(
-                "gcs.view_change",
-                node=self.node_id,
-                attributes={
-                    "group": self.group,
-                    "view_id": new_view.view_id,
-                    "members": new_view.size,
-                    "joined": len(change.joined),
-                    "left": len(change.left),
-                },
-            ):
-                fire()
-        else:
-            fire()
 
     def _send_join(self, peers: List[str]) -> None:
         for peer in peers:
@@ -531,10 +524,11 @@ class GroupMember:
         elif kind == "LEAVE":
             self._on_leave(body["member"])
         elif kind == "VIEW":
+            probe = self._loop.probe
             if (
                 # Mutant: ignore later views, delivering under a stale one.
-                _mut.ACTIVE
-                and _mut.enabled("skip_view_install", self.endpoint_name)
+                probe is not None
+                and probe.mutated("skip_view_install", self.endpoint_name)
                 and self.view is not None
             ):
                 return
@@ -577,7 +571,10 @@ class GroupMember:
     # FIFO delivery
     # ------------------------------------------------------------------
     def _on_fifo(self, sender: str, seq: int, payload: Any) -> None:
-        if _mut.ACTIVE and _mut.enabled("fifo_eager_delivery", self.endpoint_name):
+        probe = self._loop.probe
+        if probe is not None and probe.mutated(
+            "fifo_eager_delivery", self.endpoint_name
+        ):
             # Mutant: deliver on arrival, skipping the reorder buffer.
             self._deliver(sender, payload, kind="fifo", seq=seq)
             self._fifo_expected[sender] = max(
@@ -618,7 +615,8 @@ class GroupMember:
         self._drain_order_buffer()
 
     def _drain_order_buffer(self) -> None:
-        if _mut.ACTIVE and _mut.enabled("drain_with_holes", self.endpoint_name):
+        probe = self._loop.probe
+        if probe is not None and probe.mutated("drain_with_holes", self.endpoint_name):
             # Mutant: drain everything buffered, skipping over gaps.
             for seq in sorted(self._order_buffer):
                 origin, payload = self._order_buffer.pop(seq)
@@ -641,9 +639,10 @@ class GroupMember:
         kind: str = "fifo",
         seq: Optional[int] = None,
     ) -> None:
-        if _crt.ACTIVE is not None:
+        probe = self._loop.probe
+        if probe is not None:
             view = self.view
-            _crt.ACTIVE.deliver(
+            probe.deliver(
                 self.endpoint_name,
                 self._channel.incarnation,
                 self.group,

@@ -17,11 +17,9 @@ from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.node import Node, NodeState
-from repro.conformance import runtime as _crt
 from repro.ipvs.addressing import IpEndpoint
 from repro.ipvs.schedulers import RoundRobinScheduler, Scheduler
 from repro.sim.eventloop import EventLoop
-from repro.telemetry import runtime as _rt
 from repro.telemetry.tracer import Span
 
 
@@ -31,7 +29,7 @@ class Request:
     One is built per request submitted, so it is a plain slotted class
     (``dataclass(slots=True)`` needs Python 3.10) written to behave as
     ``@dataclass`` would make it: fields in constructor order, a
-    ``repr`` and field-wise equality that both leave ``span`` out, and
+    ``repr`` and field-wise equality that both leave the spans out, and
     no hash.
     """
 
@@ -44,6 +42,7 @@ class Request:
         "served_by",
         "dropped",
         "span",
+        "serve_span",
     )
 
     def __init__(
@@ -66,8 +65,11 @@ class Request:
         self.completed_at = completed_at
         self.served_by = served_by
         self.dropped = dropped
-        #: Open telemetry span for the request, if tracing is active.
+        #: Open ``ipvs.request`` span, when telemetry was attached at
+        #: submit; a traced request also gets an ``ipvs.serve`` span
+        #: from the real server that admits it.
         self.span = span
+        self.serve_span: Optional[Span] = None
 
     @property
     def ok(self) -> bool:
@@ -102,39 +104,6 @@ class Request:
         )
 
 
-def _finish_request_telemetry(
-    request: Request, serve_span: Optional[Span], now: float
-) -> None:
-    """End the request's spans and record its latency histogram sample."""
-    outcome = request.dropped or "ok"
-    if serve_span is not None:
-        serve_span.attributes["outcome"] = outcome
-        serve_span.finish(now)
-    if request.span is not None:
-        request.span.attributes["outcome"] = outcome
-        request.span.finish(now)
-    if _rt.ACTIVE is not None and request.latency is not None:
-        _rt.ACTIVE.metrics.histogram("ipvs.request_latency_seconds").observe(
-            request.latency
-        )
-
-
-def _record_drop(request: Request, node: str) -> None:
-    """Conformance tap: one event per dropped request, at drop time.
-
-    The rollout no-dropped-request checker audits these against upgrade
-    windows (docs/ROLLOUT.md); with recording off this is the usual
-    one-load-and-compare guard.
-    """
-    if _crt.ACTIVE is not None and request.dropped is not None:
-        _crt.ACTIVE.request_drop(
-            node=node,
-            reason=request.dropped,
-            endpoint=str(request.endpoint),
-            request_id=request.request_id,
-        )
-
-
 class RealServer:
     """One replica of a service on one node."""
 
@@ -160,8 +129,9 @@ class RealServer:
         self.active_connections = 0
         self.served = 0
         self._busy_until = 0.0
-        #: The clock of the loop this server runs on, bound by the first
+        #: The loop this server runs on and its clock, bound by the first
         #: :meth:`admit` (a real server lives on one loop).
+        self._loop: Optional[EventLoop] = None
         self._clock = None
         #: Callback ``(request) -> None`` at completion — the hook that
         #: charges the serving customer's resource ledger.
@@ -198,47 +168,25 @@ class RealServer:
                 watcher(self, 1)
         clock = self._clock
         if clock is None:
+            self._loop = loop
             clock = self._clock = loop.clock
         start = clock.now
         if self._busy_until > start:
             start = self._busy_until
         finish_at = start + self.service_time
         self._busy_until = finish_at
-        if _rt.ACTIVE is None:
-            # Telemetry off: no span to carry, so completion needs no
-            # per-request closure — a pooled transient event with the
-            # request as its argument (the macro-scale fast path).
-            loop.call_transient_at(finish_at, self._finish_plain, request)
-            return
-        serve_span: Optional[Span] = _rt.ACTIVE.tracer.start_span(
-            "ipvs.serve", node=self.node_id, attributes={"port": self.port}
-        )
+        if request.span is not None:
+            # Traced at submit: the serve span rides on the request.
+            probe = loop.probe
+            if probe is not None:
+                request.serve_span = probe.start_span(
+                    "ipvs.serve", self.node_id, {"port": self.port}
+                )
+        loop.call_transient_at(finish_at, self._finish, request)
 
-        def finish() -> None:
-            self.active_connections -= 1
-            if self._watchers:
-                for watcher in self._watchers:
-                    watcher(self, -1)
-            if not self.alive:
-                request.dropped = "server-died"
-                _record_drop(request, self.node_id)
-                _finish_request_telemetry(request, serve_span, loop.clock.now)
-                return
-            self.served += 1
-            request.completed_at = loop.clock.now
-            request.served_by = self.node_id
-            _finish_request_telemetry(request, serve_span, loop.clock.now)
-            if self.on_served is not None:
-                try:
-                    self.on_served(request)
-                except Exception:
-                    self.on_served_errors += 1
-
-        loop.call_at(finish_at, finish, label="req:%d" % request.request_id)
-
-    def _finish_plain(self, request: Request) -> None:
-        """Completion without an ``ipvs.serve`` span (telemetry was off
-        at admit time); semantics otherwise identical to ``finish``."""
+    def _finish(self, request: Request) -> None:
+        """Completion of an admitted request: a pooled transient event
+        with the request as its argument."""
         self.active_connections -= 1
         if self._watchers:
             for watcher in self._watchers:
@@ -246,17 +194,17 @@ class RealServer:
         now = self._clock.now
         if not self.alive:
             request.dropped = "server-died"
-            _record_drop(request, self.node_id)
-            if request.span is not None or _rt.ACTIVE is not None:
-                _finish_request_telemetry(request, None, now)
+            probe = self._loop.probe
+            if probe is not None:
+                probe.request_drop(self.node_id, request, now)
             return
         self.served += 1
         request.completed_at = now
         request.served_by = self.node_id
-        if request.span is not None or _rt.ACTIVE is not None:
-            # Telemetry flipped on mid-flight, or the submit-side span is
-            # still open: close it out the slow way.
-            _finish_request_telemetry(request, None, now)
+        if request.span is not None:
+            probe = self._loop.probe
+            if probe is not None:
+                probe.request_served(request, now)
         if self.on_served is not None:
             try:
                 self.on_served(request)
@@ -639,13 +587,9 @@ class DirectorCluster:
         self.submitted += 1
         if self.retain_requests:
             self.requests.append(request)
-        telemetry = _rt.ACTIVE
-        if telemetry is not None:
-            telemetry.metrics.counter("ipvs.requests_total").inc()
-            request.span = telemetry.tracer.start_span(
-                "ipvs.request",
-                attributes={"vip": str(endpoint), "client": client or ""},
-            )
+        probe = self._loop.probe
+        if probe is not None:
+            probe.request_submit(request)
         director = self.directors[0]
         if self._primary_index != 0 or not director.alive:
             # Anything but "the first director is the live primary" goes
@@ -653,30 +597,14 @@ class DirectorCluster:
             director = self.active_director()
         if director is None:
             request.dropped = "no-director"
-            self._finish_dropped(request)
-            return request
-        if telemetry is not None and request.span is not None:
-            with telemetry.tracer.activate(request.span.context):
-                director.route(request)
-        else:
+        elif request.span is None:
             director.route(request)
-        if request.dropped is not None:
-            self._finish_dropped(request)
+        else:
+            with probe.activate(request.span):
+                director.route(request)
+        if request.dropped is not None and probe is not None:
+            probe.request_drop("", request, self._loop.clock.now)
         return request
-
-    def _finish_dropped(self, request: Request) -> None:
-        """Close out telemetry for a request dropped before service."""
-        _record_drop(request, "")
-        telemetry = _rt.ACTIVE
-        if telemetry is None:
-            return
-        if request.dropped is not None:
-            telemetry.metrics.counter(
-                "ipvs.dropped_total", reason=request.dropped
-            ).inc()
-        if request.span is not None:
-            request.span.attributes["outcome"] = request.dropped or "ok"
-            request.span.finish(self._loop.clock.now)
 
     # -- statistics -----------------------------------------------------------
     def stats(self) -> Dict[str, float]:

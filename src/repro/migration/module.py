@@ -22,19 +22,18 @@ the ABL-ORDER benchmark):
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.cluster.future import Completion
 from repro.cluster.node import Node, NodeState
-from repro.conformance import runtime as _crt
 from repro.gcs.jgcs import GroupConfiguration
 from repro.gcs.view import ViewChange
 from repro.migration.inventory import ClusterInventory, NodeInventory
 from repro.migration.placement import LeastLoadedPlacement, PlacementPolicy
 from repro.migration.registry import CustomerDescriptor, CustomerDirectory
 from repro.sim.eventloop import ScheduledEvent
-from repro.telemetry import runtime as _rt
 
 #: GCS group every Migration Module joins.
 PLATFORM_GROUP = "platform.migration"
@@ -99,7 +98,7 @@ class MigrationModule:
         self.placement = placement if placement is not None else LeastLoadedPlacement()
         self.coordination = coordination
         self.inventory_interval = inventory_interval
-        self.customers = CustomerDirectory(node.store, owner=node.node_id)
+        self.customers = CustomerDirectory(node.store, node.loop, owner=node.node_id)
         config = GroupConfiguration(
             PLATFORM_GROUP,
             hb_interval=hb_interval,
@@ -229,15 +228,17 @@ class MigrationModule:
             self._on_command(payload)
 
     def _on_command(self, payload: Dict) -> None:
-        """Cluster-level modules (Autonomic) address commands to one node."""
+        """Cluster-level modules (Autonomic) address commands to one node.
+
+        A handler that raises is not swallowed here: the error reaches
+        the group member delivering the command, which counts it in
+        ``Protocol.listener_errors``.
+        """
         if payload.get("target_node") != self.node.node_id:
             return
         handler = self.command_handlers.get(payload.get("cmd", ""))
         if handler is not None:
-            try:
-                handler(payload.get("args", {}))
-            except Exception:
-                pass
+            handler(payload.get("args", {}))
 
     def send_command(self, target_node: str, cmd: str, args: Dict) -> None:
         """Address a command to ``target_node``'s registered handler."""
@@ -526,46 +527,31 @@ class MigrationModule:
             if prepared is not None:
                 warm = True
                 bundle_count = prepared.bundle_count
-        deploy_op = None
-        if _crt.ACTIVE is not None:
-            _crt.ACTIVE.migration_event(
-                self.node.node_id,
-                "failover" if reason == "failure" else "deploy",
+        node_id = self.node.node_id
+        probe = self.loop.probe
+        deploy_op = mig_span = None
+        if probe is not None:
+            failover = reason == "failure"
+            deploy_op = probe.migration_event(
+                node_id,
+                "failover" if failover else "deploy",
                 instance,
                 from_node,
-                self.node.node_id,
+                node_id,
                 reason,
                 warm,
             )
-            deploy_op = _crt.ACTIVE.op_invoke(
-                self.node.node_id,
-                "deploy",
-                "placement:%s" % instance,
-                value=self.node.node_id,
-            )
-        mig_span = None
-        telemetry = _rt.ACTIVE
-        if telemetry is not None:
-            mig_span = telemetry.tracer.start_span(
-                "migration.failover" if reason == "failure" else "migration.deploy",
-                node=self.node.node_id,
-                attributes={
+            mig_span = probe.start_span(
+                "migration.failover" if failover else "migration.deploy",
+                node_id,
+                {
                     "instance": instance,
                     "from": from_node,
                     "reason": reason,
                     "warm": warm,
                 },
             )
-            with telemetry.tracer.activate(mig_span.context):
-                completion = self.node.deploy_instance(
-                    instance,
-                    policy=descriptor.policy(),
-                    quota=descriptor.quota(),
-                    bundle_count_hint=bundle_count,
-                    state_bytes_hint=descriptor.state_bytes_hint,
-                    warm=warm,
-                )
-        else:
+        with nullcontext() if probe is None else probe.activate(mig_span):
             completion = self.node.deploy_instance(
                 instance,
                 policy=descriptor.policy(),
@@ -576,34 +562,27 @@ class MigrationModule:
             )
 
         def finished(c: Completion) -> None:
+            probe = self.loop.probe
             if mig_span is not None:
                 mig_span.attributes["ok"] = c.ok
                 mig_span.finish(self.loop.clock.now)
-            if deploy_op is not None and _crt.ACTIVE is not None:
-                _crt.ACTIVE.op_return(
-                    deploy_op, result=self.node.node_id, ok=c.ok
-                )
+            if probe is not None:
+                probe.migration_done(deploy_op, node_id, c.ok)
             if not c.ok:
                 self._redeploying.pop(instance, None)
                 return
             record.up_at = self.loop.clock.now
-            if _crt.ACTIVE is not None:
-                _crt.ACTIVE.migration_event(
-                    self.node.node_id,
+            if probe is not None:
+                probe.migration_event(
+                    node_id,
                     "activation",
                     instance,
                     from_node,
-                    self.node.node_id,
+                    node_id,
                     reason,
                     warm,
                     downtime=record.downtime,
                 )
-            if _rt.ACTIVE is not None:
-                downtime = record.downtime
-                if reason == "failure" and downtime is not None:
-                    _rt.ACTIVE.metrics.histogram(
-                        "migration.failover_seconds"
-                    ).observe(downtime)
             self._redeploying.pop(instance, None)
             self._fire(record)
             self._broadcast_inventory()
@@ -612,7 +591,7 @@ class MigrationModule:
                     {
                         "mig": "DEPLOYED",
                         "instance": instance,
-                        "node": self.node.node_id,
+                        "node": node_id,
                         "at": record.up_at,
                     }
                 )
@@ -780,11 +759,9 @@ class MigrationModule:
             self._listeners.append(listener)
 
     def _fire(self, record: MigrationRecord) -> None:
+        """Tell the record listeners; one that raises is a bug and raises."""
         for listener in list(self._listeners):
-            try:
-                listener(record)
-            except Exception:
-                pass
+            listener(record)
 
     def __repr__(self) -> str:
         return "MigrationModule(%s, %s, records=%d)" % (

@@ -11,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.conformance import mutants as _mut
-from repro.conformance import runtime as _crt
-from repro.conformance.history import payload_digest
 from repro.isolation.quotas import ResourceQuota
+from repro.sim.eventloop import EventLoop
 from repro.storage.san import SharedStore
 from repro.vosgi.delegation import ExportPolicy
 
@@ -88,49 +86,38 @@ class CustomerDirectory:
     recovery story depends on, so its operations are the ones the
     conformance linearizability checker judges: each ``put``/``get``/
     ``remove`` is recorded as an invoke/return pair on the key
-    ``descriptor:<name>`` when a history recorder is active (see
-    docs/CONFORMANCE.md). ``owner`` names the calling process in that
-    history — pass the node id where one is known.
+    ``descriptor:<name>`` when ``loop``'s probe carries a history
+    recorder (see docs/CONFORMANCE.md). ``owner`` names the calling
+    process in that history — pass the node id where one is known.
     """
 
-    def __init__(self, store: SharedStore, owner: str = "registry") -> None:
+    def __init__(
+        self, store: SharedStore, loop: EventLoop, owner: str = "registry"
+    ) -> None:
         self._area = store.data_area(_AREA_INSTANCE, _AREA_BUNDLE)
+        self._loop = loop
         self._owner = owner
         # Test-only mutant state: first-seen values for stale reads.
         self._stale_cache: Dict[str, Dict] = {}
 
     def put(self, descriptor: CustomerDescriptor) -> None:
         data = descriptor.to_dict()
-        if _crt.ACTIVE is None:
-            self._area[descriptor.name] = data
-            return
-        op = _crt.ACTIVE.op_invoke(
-            self._owner,
-            "write",
-            "descriptor:%s" % descriptor.name,
-            value=payload_digest(data),
-        )
         self._area[descriptor.name] = data
-        _crt.ACTIVE.op_return(op, result=payload_digest(data), ok=True)
+        probe = self._loop.probe
+        if probe is not None:
+            probe.directory_op(self._owner, "write", descriptor.name, data, data)
 
     def get(self, name: str) -> Optional[CustomerDescriptor]:
-        recorder = _crt.ACTIVE
-        op = None
-        if recorder is not None:
-            op = recorder.op_invoke(self._owner, "read", "descriptor:%s" % name)
         data = self._area.get(name)
-        if _mut.ACTIVE and _mut.enabled("stale_directory_reads", self._owner):
-            # Mutant: return the first value this directory ever saw.
-            if name in self._stale_cache:
-                data = self._stale_cache[name]
-            elif data is not None:
-                self._stale_cache[name] = data
-        if recorder is not None and op is not None:
-            recorder.op_return(
-                op,
-                result=None if data is None else payload_digest(data),
-                ok=True,
-            )
+        probe = self._loop.probe
+        if probe is not None:
+            if probe.mutated("stale_directory_reads", self._owner):
+                # Mutant: return the first value this directory ever saw.
+                if name in self._stale_cache:
+                    data = self._stale_cache[name]
+                elif data is not None:
+                    self._stale_cache[name] = data
+            probe.directory_op(self._owner, "read", name, None, data)
         if data is None:
             return None
         return CustomerDescriptor.from_dict(data)
@@ -142,12 +129,10 @@ class CustomerDirectory:
         return descriptor
 
     def remove(self, name: str) -> None:
-        if _crt.ACTIVE is None:
-            self._area.pop(name, None)
-            return
-        op = _crt.ACTIVE.op_invoke(self._owner, "remove", "descriptor:%s" % name)
         self._area.pop(name, None)
-        _crt.ACTIVE.op_return(op, ok=True)
+        probe = self._loop.probe
+        if probe is not None:
+            probe.directory_op(self._owner, "remove", name, None, None)
 
     def names(self) -> List[str]:
         return sorted(self._area)

@@ -54,7 +54,7 @@ class StandbyManager:
         self.node = node
         self.loop = node.loop
         self.sync_interval = sync_interval
-        self.customers = CustomerDirectory(node.store)
+        self.customers = CustomerDirectory(node.store, node.loop)
         self._prepared: Dict[str, PreparedStandby] = {}
         self.running = False
         self._timer: Optional[ScheduledEvent] = None

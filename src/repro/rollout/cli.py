@@ -72,13 +72,11 @@ def rollout_main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.conformance import runtime as _crt
     from repro.conformance.recorder import HistoryRecorder
     from repro.conformance.report import CHECKER_NAMES, check_history
     from repro.faults.campaign import replay_schedule
     from repro.rollout.scenario import rollout_scenario
-    from repro.telemetry import runtime as _rt
-    from repro.telemetry.runtime import Telemetry
+    from repro.telemetry.runtime import Telemetry, attach
 
     from repro.sim.scheduler import use_scheduler
 
@@ -92,17 +90,15 @@ def rollout_main(argv=None) -> int:
         % (__version__, args.scenario, args.seed, len(schedule))
     )
     telemetry = Telemetry(env.loop.clock, env.cluster.rng, scenario="rollout")
-    _rt.activate(telemetry)
-    telemetry.open_root("rollout:%s" % args.scenario)
-    recorder = _crt.activate(HistoryRecorder(env.loop.clock))
-    try:
-        trace, violations = replay_schedule(
-            env, schedule, duration=args.duration, settle=args.settle
-        )
-    finally:
-        _crt.deactivate()
-        telemetry.close_root()
-        _rt.deactivate()
+    recorder = HistoryRecorder(env.loop.clock)
+    with attach(env.loop, telemetry=telemetry, recorder=recorder):
+        telemetry.open_root("rollout:%s" % args.scenario)
+        try:
+            trace, violations = replay_schedule(
+                env, schedule, duration=args.duration, settle=args.settle
+            )
+        finally:
+            telemetry.close_root()
     history = recorder.history
     conformance = check_history(history)
     engine = env.rollout_engine

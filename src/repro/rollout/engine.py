@@ -22,8 +22,8 @@ entirely on the sim event loop:
    republished to the SAN so the next failure-driven redeploy converges
    to the pinned version.
 
-Every milestone is recorded through the conformance runtime
-(``rollout`` history events) when a recorder is active, which is what
+Every milestone is recorded through the loop's probe (``rollout``
+history events) when a recorder is attached, which is what
 the ``rollout-no-dropped-request`` and ``rollout-version-monotonic``
 checkers audit offline. The engine schedules through the event loop
 only and draws no randomness, so same-seed runs are byte-identical.
@@ -39,8 +39,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.node import NodeState
-from repro.conformance import mutants as _mut
-from repro.conformance import runtime as _crt
 from repro.migration.snapshot import (
     PinnedSnapshot,
     pin_instance,
@@ -48,7 +46,6 @@ from repro.migration.snapshot import (
 )
 from repro.rollout.planner import WavePlan, plan_waves
 from repro.rollout.release import BundleRelease
-from repro.telemetry import runtime as _rt
 from repro.telemetry.gates import GateSpec, GateWindow, default_rollout_gates
 
 __all__ = ["RolloutConfig", "RolloutReport", "RolloutEngine"]
@@ -161,8 +158,9 @@ class RolloutEngine:
         return self.env.loop
 
     def _tap(self, node: str, phase: str, **data: Any) -> None:
-        if _crt.ACTIVE is not None:
-            _crt.ACTIVE.rollout_event(node=node, phase=phase, **data)
+        probe = self._loop.probe
+        if probe is not None:
+            probe.rollout_event(node=node, phase=phase, **data)
 
     def _after(self, delay: float, action: Callable[[], None], label: str) -> None:
         def guarded() -> None:
@@ -274,12 +272,13 @@ class RolloutEngine:
         )
 
     def _soak(self) -> None:
-        telemetry = _rt.ACTIVE
+        probe = self._loop.probe
+        telemetry = None if probe is None else probe.telemetry
         wave = self._wave_index
         self._tap("", "soak-begin", wave=wave, soak=self.config.soak_seconds)
         if telemetry is None:
             # No metrics to judge: gates pass vacuously (CLI and campaigns
-            # always activate telemetry; bare tests may not).
+            # always attach telemetry; bare tests may not).
             self._tap("", "gate-pass", wave=wave, skipped=True)
             self._wave_index += 1
             self._begin_wave()
@@ -411,7 +410,8 @@ class RolloutEngine:
         def begin(node: str) -> None:
             if to_release:
                 self.touched.append(name)
-            if _mut.ACTIVE and _mut.enabled("skip_drain", name):
+            probe = self._loop.probe
+            if probe is not None and probe.mutated("skip_drain", name):
                 # MUTANT: yank the replica with traffic still in flight.
                 take_down(node)
                 return

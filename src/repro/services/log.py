@@ -7,7 +7,6 @@ from typing import List, Optional
 
 from repro.osgi.bundle import BundleContext
 from repro.osgi.definition import BundleActivator, BundleDefinition, simple_bundle
-from repro.telemetry import runtime as _rt
 
 #: Object class, matching the OSGi compendium name shape.
 LOG_SERVICE_CLASS = "org.osgi.service.log.LogService"
@@ -26,10 +25,6 @@ class LogEntry:
     level: int
     message: str
     source: str
-    #: Telemetry correlation: the trace/span active when the entry was
-    #: logged, or None when tracing was off (the common case).
-    trace_id: Optional[str] = None
-    span_id: Optional[str] = None
 
     def __str__(self) -> str:
         return "[%s] %s: %s" % (
@@ -49,15 +44,7 @@ class LogService:
     def log(self, level: int, message: str, source: str = "?") -> None:
         if level not in _LEVEL_NAMES:
             raise ValueError("invalid log level: %r" % level)
-        trace_id = span_id = None
-        if _rt.ACTIVE is not None:
-            context = _rt.ACTIVE.tracer.current_context()
-            if context is not None:
-                trace_id = context.trace_id
-                span_id = context.span_id
-        self._entries.append(
-            LogEntry(level, str(message), source, trace_id, span_id)
-        )
+        self._entries.append(LogEntry(level, str(message), source))
         if len(self._entries) > self.capacity:
             del self._entries[: len(self._entries) - self.capacity]
 

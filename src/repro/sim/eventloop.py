@@ -134,6 +134,10 @@ class EventLoop:
         self._fired = 0
         self._live = 0  # non-cancelled events still queued; pending is O(1)
         self._cancelled_in_queue = 0
+        #: What instrumented code on this loop reports to: a
+        #: :class:`repro.telemetry.runtime.Probe`, or ``None`` (unobserved)
+        #: unless a driver attached one with :func:`repro.telemetry.attach`.
+        self.probe: Any = None
 
     # ------------------------------------------------------------------
     # Lane hooks (no-ops here; LanedEventLoop overrides them)

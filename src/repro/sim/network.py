@@ -15,7 +15,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.sim.eventloop import EventLoop
 from repro.sim.rng import RngStreams
-from repro.telemetry import runtime as _rt
 
 
 class Message:
@@ -312,9 +311,8 @@ class Network:
         stats = self.stats
         loop = self.loop
         now = loop.clock.now
-        trace = None
-        if _rt.ACTIVE is not None:
-            trace = _rt.ACTIVE.tracer.current_context()
+        probe = loop.probe
+        trace = None if probe is None else probe.context()
         latency = self.latency
         jitter = self.jitter
         loss_rate = self.loss_rate
@@ -411,18 +409,12 @@ class Network:
             return
         self.stats.delivered += 1
         trace = message.trace
-        if trace is None or _rt.ACTIVE is None:
+        probe = self.loop.probe if trace is not None else None
+        if probe is None:
             endpoint.deliver(message)
             return
-        # The sender's context is the ambient parent while the handler
-        # runs. Pushed and popped directly: this runs once per delivered
-        # message, and a ``with`` block costs several times the two calls.
-        tracer = _rt.ACTIVE.tracer
-        tracer.push_scope(trace)
-        try:
-            endpoint.deliver(message)
-        finally:
-            tracer.pop_scope()
+        # The sender's context is the ambient parent while the handler runs.
+        probe.carry(trace, endpoint.deliver, message)
 
     def __repr__(self) -> str:
         return "Network(endpoints=%d, latency=%.4fs, loss=%.3f)" % (

@@ -9,8 +9,9 @@ become measurable claims (see docs/TELEMETRY.md):
   failovers;
 * :mod:`repro.telemetry.metrics` — counters, gauges and fixed-bucket
   histograms, wall-clock free;
-* :mod:`repro.telemetry.runtime` — the global on/off switch instrumented
-  hot paths check (``ACTIVE is not None``), costing nothing when off;
+* :mod:`repro.telemetry.runtime` — the :class:`Telemetry` handle and the
+  per-event-loop :class:`Probe` instrumented code reports to
+  (``loop.probe``, ``None`` unless a driver attached one);
 * :mod:`repro.telemetry.export` — JSON span dumps and Chrome
   ``trace_event`` files (Perfetto/chrome://tracing), byte-identical
   across same-seed runs;
@@ -38,7 +39,7 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.runtime import Telemetry, activate, deactivate, enabled
+from repro.telemetry.runtime import Probe, Telemetry, attach
 from repro.telemetry.tracer import Span, SpanContext, Tracer
 
 __all__ = [
@@ -47,16 +48,15 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "Probe",
     "Span",
     "SpanContext",
     "Telemetry",
     "Tracer",
-    "activate",
+    "attach",
     "chrome_trace_document",
-    "deactivate",
     "dump_chrome_json",
     "dump_spans_json",
-    "enabled",
     "install_platform_gauges",
     "spans_document",
 ]

@@ -27,7 +27,7 @@ from repro.telemetry.export import (
     trace_roots,
 )
 from repro.telemetry.gauges import install_platform_gauges
-from repro.telemetry.runtime import Telemetry, enabled
+from repro.telemetry.runtime import Telemetry, attach
 
 
 def run_failover_scenario(
@@ -45,7 +45,7 @@ def run_failover_scenario(
     install_platform_gauges(
         telemetry.metrics, loop=env.loop, network=env.cluster.network
     )
-    with enabled(telemetry):
+    with attach(env.loop, telemetry=telemetry):
         telemetry.open_root("scenario:failover")
         try:
             for name, share in (("acme", 0.25), ("globex", 0.25)):

@@ -14,6 +14,7 @@ the FIG1 benchmark) rather than assumed.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.cluster.future import Completion
@@ -22,8 +23,6 @@ from repro.osgi.definition import BundleDefinition
 from repro.osgi.framework import Framework
 from repro.sim.eventloop import EventLoop
 from repro.sim.network import Message, Network
-from repro.telemetry import runtime as _rt
-from repro.telemetry.runtime import maybe_span
 from repro.telemetry.tracer import Span
 
 
@@ -53,9 +52,11 @@ class RemoteInstanceHost:
         if not isinstance(payload, dict) or "cmd" not in payload:
             return
         self.commands_served += 1
-        with maybe_span(
-            "rim.execute", node=self.name, attributes={"command": payload["cmd"]}
-        ):
+        probe = self.loop.probe
+        traced = nullcontext() if probe is None else probe.span(
+            "rim.execute", self.name, {"command": payload["cmd"]}
+        )
+        with traced:
             reply: Dict[str, Any] = {"reply_to": payload["token"]}
             try:
                 reply["result"] = self._execute(payload["cmd"], payload.get("args", {}))
@@ -143,18 +144,15 @@ class RemoteInstanceManager:
         completion: Completion = Completion("%s@%s" % (command, instance))
         sent_at = self.loop.clock.now
         self._pending[token] = (completion, sent_at)
-        if _rt.ACTIVE is not None:
-            tracer = _rt.ACTIVE.tracer
-            span = tracer.start_span(
-                "rim.call",
-                attributes={"command": command, "instance": instance},
+        probe = self.loop.probe
+        span = None
+        if probe is not None:
+            span = probe.start_span(
+                "rim.call", attributes={"command": command, "instance": instance}
             )
+        if span is not None:
             self._spans[token] = span
-            with tracer.activate(span.context):
-                self._endpoint.send(
-                    endpoint, {"cmd": command, "args": args, "token": token}
-                )
-        else:
+        with nullcontext() if probe is None else probe.activate(span):
             self._endpoint.send(
                 endpoint, {"cmd": command, "args": args, "token": token}
             )

@@ -14,7 +14,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.osgi.bundle import BundleContext
 from repro.osgi.definition import BundleActivator, BundleDefinition, simple_bundle
 from repro.osgi.errors import BundleException
-from repro.telemetry.runtime import maybe_span
 
 #: Object class of the host-provided HTTP service.
 HTTP_SERVICE_CLASS = "http.HttpService"
@@ -43,18 +42,13 @@ class HostHttpService:
 
     def dispatch(self, path: str, request: Any) -> Tuple[int, Any]:
         self.dispatched += 1
-        with maybe_span("http.dispatch", attributes={"path": path}) as span:
-            handler = self._routes.get(path)
-            if handler is None:
-                status: Tuple[int, Any] = 404, "no servlet at %r" % path
-            else:
-                try:
-                    status = 200, handler(request)
-                except Exception as exc:
-                    status = 500, str(exc)
-            if span is not None:
-                span.attributes["status"] = status[0]
-            return status
+        handler = self._routes.get(path)
+        if handler is None:
+            return 404, "no servlet at %r" % path
+        try:
+            return 200, handler(request)
+        except Exception as exc:
+            return 500, str(exc)
 
     def paths(self) -> List[str]:
         return sorted(self._routes)

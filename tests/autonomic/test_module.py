@@ -34,7 +34,7 @@ def build_platform(node_count=3, seed=11, monitoring_interval=1.0):
 def deploy_hog(cluster, node_id, name="hog", cpu_share=0.2, burn_per_second=0.6):
     """Deploy an instance whose worker bundle burns CPU beyond its quota."""
     descriptor = CustomerDescriptor(name=name, cpu_share=cpu_share)
-    CustomerDirectory(cluster.store).put(descriptor)
+    CustomerDirectory(cluster.store, cluster.loop).put(descriptor)
     deploy = cluster.node(node_id).deploy_instance(
         name, policy=descriptor.policy(), quota=descriptor.quota()
     )
@@ -131,7 +131,7 @@ class TestClusterHierarchy:
     def test_consolidation_hibernate_empty_node(self):
         cluster, migrations, autonomics = build_platform()
         # one idle customer on n1, nothing anywhere else
-        CustomerDirectory(cluster.store).put(
+        CustomerDirectory(cluster.store, cluster.loop).put(
             CustomerDescriptor(name="idle", cpu_share=0.1)
         )
         deploy = cluster.node("n1").deploy_instance("idle")
@@ -149,7 +149,7 @@ class TestClusterHierarchy:
 
     def test_hibernate_refused_while_hosting(self):
         cluster, migrations, autonomics = build_platform()
-        CustomerDirectory(cluster.store).put(CustomerDescriptor(name="c"))
+        CustomerDirectory(cluster.store, cluster.loop).put(CustomerDescriptor(name="c"))
         deploy = cluster.node("n2").deploy_instance("c")
         cluster.run_until_settled([deploy])
         assert autonomics["n2"]._cmd_hibernate({}) is False

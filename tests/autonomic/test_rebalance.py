@@ -30,7 +30,7 @@ def build_platform(seed=61):
 
 
 def deploy_burning(cluster, name, node_id, cpu_per_second, quota=0.6):
-    CustomerDirectory(cluster.store).put(
+    CustomerDirectory(cluster.store, cluster.loop).put(
         CustomerDescriptor(name=name, cpu_share=quota)
     )
     deploy = cluster.node(node_id).deploy_instance(name)

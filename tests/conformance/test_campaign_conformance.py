@@ -10,15 +10,14 @@ import json
 
 import pytest
 
-from repro.conformance import (
-    CHECKER_NAMES,
-    campaign_verdict,
-    replay_and_check,
-    verdict_json,
-)
+from repro.conformance import CHECKER_NAMES, campaign_verdict, verdict_json
 from repro.conformance.cli import SCENARIOS, conform_main
 from repro.faults import ChaosCampaign, EpisodeVerdict
-from repro.faults.campaign import default_scenario, derive_episode_seed
+from repro.faults.campaign import (
+    default_scenario,
+    derive_episode_seed,
+    replay_and_check,
+)
 from repro.faults.invariants import Violation
 from repro.faults.schedule import FaultSchedule
 

@@ -3,23 +3,16 @@
 A checker that can never fire is not a test. Each protocol mutation in
 ``repro.conformance.mutants`` is a test-only hook inside the *real*
 protocol code path (``gcs/member.py``, ``migration/registry.py``); this
-module enables one mutant at a time, drives the live protocol, and
-asserts the targeted checker — and only a sensible set of checkers —
-fires. The same scenarios with mutants off must be clean, so the matrix
-also guards against false positives.
+module enables one mutant at a time on one event loop, drives the live
+protocol, and asserts the targeted checker — and only a sensible set of
+checkers — fires. The same scenarios with mutants off must be clean, so
+the matrix also guards against false positives.
 """
 
 import pytest
 
-from repro.conformance import check_history, protocol_mutation
-from repro.conformance.mutants import (
-    ACTIVE,
-    MUTANT_NAMES,
-    disable_all,
-    enable,
-    enabled,
-)
-from repro.conformance.runtime import recording
+from repro.conformance import HistoryRecorder, check_history, protocol_mutation
+from repro.conformance.mutants import MUTANT_NAMES
 from repro.core import DependableEnvironment
 from repro.gcs.directory import GroupDirectory
 from repro.gcs.member import GroupMember
@@ -27,6 +20,7 @@ from repro.migration.registry import CustomerDescriptor, CustomerDirectory
 from repro.sim.eventloop import EventLoop
 from repro.sim.network import Network
 from repro.sim.rng import RngStreams
+from repro.telemetry import attach
 
 
 def build_group(n, seed=0, loss=0.0):
@@ -56,14 +50,19 @@ def total_burst(loop, members):
     loop.run_for(10.0)
 
 
+def recorded(loop):
+    """Attach a fresh history recorder to ``loop`` for a block."""
+    return attach(loop, recorder=HistoryRecorder(loop.clock))
+
+
 def checkers_hit(mutant, endpoints, act, seed=7, loss=0.15):
     """Run ``act`` on a lossy 3-member group with ``mutant`` enabled."""
     loop, members = build_group(3, seed=seed, loss=loss)
-    with recording(loop.clock) as recorder:
-        with protocol_mutation(mutant, endpoints=endpoints):
+    with recorded(loop) as probe:
+        with protocol_mutation(loop, mutant, endpoints=endpoints):
             act(loop, members)
         loop.run_for(5.0)
-    return {v.checker for v in check_history(recorder.history)}
+    return {v.checker for v in check_history(probe.recorder.history)}
 
 
 class TestMutantRegistry:
@@ -80,35 +79,39 @@ class TestMutantRegistry:
         )
 
     def test_enable_unknown_name_rejected(self):
+        loop = EventLoop()
         with pytest.raises(ValueError):
-            enable("no_such_mutant")
+            with protocol_mutation(loop, "no_such_mutant"):
+                pass
+        assert loop.probe is None
 
     def test_endpoint_scoping(self):
-        try:
-            enable("skip_self_delivery", endpoints=["gcs/g/n1"])
-            assert enabled("skip_self_delivery", "gcs/g/n1")
-            assert not enabled("skip_self_delivery", "gcs/g/n2")
-            assert not enabled("fifo_eager_delivery", "gcs/g/n1")
-        finally:
-            disable_all()
+        loop = EventLoop()
+        with protocol_mutation(loop, "skip_self_delivery", endpoints=["gcs/g/n1"]):
+            assert loop.probe.mutated("skip_self_delivery", "gcs/g/n1")
+            assert not loop.probe.mutated("skip_self_delivery", "gcs/g/n2")
+            assert not loop.probe.mutated("fifo_eager_delivery", "gcs/g/n1")
 
     def test_unscoped_mutant_matches_everyone(self):
-        try:
-            enable("stale_directory_reads")
-            assert enabled("stale_directory_reads", "anything")
-            assert enabled("stale_directory_reads")
-        finally:
-            disable_all()
+        loop = EventLoop()
+        with protocol_mutation(loop, "stale_directory_reads"):
+            assert loop.probe.mutated("stale_directory_reads", "anything")
+            assert loop.probe.mutated("stale_directory_reads")
 
     def test_context_manager_restores_previous_state(self):
-        assert not ACTIVE
-        with protocol_mutation("skip_self_delivery"):
-            assert enabled("skip_self_delivery")
-            with protocol_mutation("drain_with_holes", endpoints=["e"]):
-                assert enabled("skip_self_delivery")
-                assert enabled("drain_with_holes", "e")
-            assert not enabled("drain_with_holes", "e")
-        assert not ACTIVE
+        loop, other = EventLoop(), EventLoop()
+        with recorded(loop) as probe:
+            with protocol_mutation(loop, "skip_self_delivery"):
+                assert loop.probe.mutated("skip_self_delivery")
+                with protocol_mutation(loop, "drain_with_holes", endpoints=["e"]):
+                    assert loop.probe.mutated("skip_self_delivery")
+                    assert loop.probe.mutated("drain_with_holes", "e")
+                    # The recorder stays attached; other loops run unmutated.
+                    assert loop.probe.recorder is probe.recorder
+                    assert other.probe is None
+                assert not loop.probe.mutated("drain_with_holes", "e")
+            assert loop.probe is probe and not probe.mutations
+        assert loop.probe is None
 
 
 class TestMulticastMutants:
@@ -116,11 +119,30 @@ class TestMulticastMutants:
 
     def test_unmutated_scenarios_are_clean(self):
         loop, members = build_group(3, seed=7, loss=0.15)
-        with recording(loop.clock) as recorder:
+        with recorded(loop) as probe:
             fifo_burst(loop, members)
             total_burst(loop, members)
             loop.run_for(5.0)
-        assert check_history(recorder.history) == []
+        assert check_history(probe.recorder.history) == []
+
+    def test_mutant_is_confined_to_its_loop(self):
+        # Two same-seed groups in one process share endpoint names; the
+        # mutation is on loop A only, and only A's history shows it.
+        (loop_a, members_a), (loop_b, members_b) = (
+            build_group(3, seed=7, loss=0.15) for _ in range(2)
+        )
+        with recorded(loop_a) as probe_a, recorded(loop_b) as probe_b:
+            with protocol_mutation(loop_a, "skip_self_delivery", ["gcs/g/n1"]):
+                for i in range(15):
+                    members_a[0].multicast(i)
+                    members_b[0].multicast(i)
+                    loop_a.run_for(0.5)
+                    loop_b.run_for(0.5)
+            loop_a.run_for(5.0)
+            loop_b.run_for(5.0)
+        hit = {v.checker for v in check_history(probe_a.recorder.history)}
+        assert "self-delivery" in hit
+        assert check_history(probe_b.recorder.history) == []
 
     def test_skip_self_delivery_caught_by_self_delivery(self):
         hit = checkers_hit("skip_self_delivery", ["gcs/g/n1"], fifo_burst)
@@ -151,7 +173,7 @@ class TestViewMutants:
         network = Network(loop, RngStreams(2))
         directory = GroupDirectory()
         members = []
-        with recording(loop.clock) as recorder:
+        with recorded(loop) as probe:
             for i in range(1, 4):
                 member = GroupMember("n%d" % i, "g", loop, network, directory)
                 members.append(member)
@@ -159,11 +181,11 @@ class TestViewMutants:
                 loop.run_for(0.5)
             loop.run_for(1.0)
             with protocol_mutation(
-                "accept_stale_views", endpoints=[members[2].endpoint_name]
+                loop, "accept_stale_views", endpoints=[members[2].endpoint_name]
             ):
                 members[2]._send_join([members[0].endpoint_name])
                 loop.run_for(2.0)
-        hit = {v.checker for v in check_history(recorder.history)}
+        hit = {v.checker for v in check_history(probe.recorder.history)}
         assert "view-monotonic" in hit
 
     def test_skip_view_install_caught_by_same_view_delivery(self):
@@ -171,9 +193,9 @@ class TestViewMutants:
         # the stale view, and stays active — exactly what the axiom's
         # in-flight exemptions must NOT excuse.
         loop, members = build_group(3, seed=2)
-        with recording(loop.clock) as recorder:
+        with recorded(loop) as probe:
             with protocol_mutation(
-                "skip_view_install", endpoints=[members[2].endpoint_name]
+                loop, "skip_view_install", endpoints=[members[2].endpoint_name]
             ):
                 members[1].leave()
                 loop.run_for(2.0)
@@ -182,32 +204,34 @@ class TestViewMutants:
                     loop.run_for(1.0)
                 members[2].multicast({"from": "stale"})
                 loop.run_for(2.0)
-        hit = {v.checker for v in check_history(recorder.history)}
+        hit = {v.checker for v in check_history(probe.recorder.history)}
         assert "same-view-delivery" in hit
 
 
 class TestRegistryMutant:
     def test_stale_directory_reads_caught_by_linearizability(self):
         env = DependableEnvironment.build(node_count=2, seed=3)
-        with recording(env.loop.clock) as recorder:
-            with protocol_mutation("stale_directory_reads"):
-                directory = CustomerDirectory(env.cluster.store, owner="test")
+        with recorded(env.loop) as probe:
+            with protocol_mutation(env.loop, "stale_directory_reads"):
+                directory = CustomerDirectory(
+                    env.cluster.store, env.loop, owner="test"
+                )
                 directory.put(CustomerDescriptor(name="acme", priority=1))
                 assert directory.get("acme").priority == 1
                 directory.put(CustomerDescriptor(name="acme", priority=2))
                 directory.get("acme")  # mutant serves the first-seen copy
-        hit = {v.checker for v in check_history(recorder.history)}
+        hit = {v.checker for v in check_history(probe.recorder.history)}
         assert "linearizability" in hit
 
     def test_registry_clean_without_mutant(self):
         env = DependableEnvironment.build(node_count=2, seed=3)
-        with recording(env.loop.clock) as recorder:
-            directory = CustomerDirectory(env.cluster.store, owner="test")
+        with recorded(env.loop) as probe:
+            directory = CustomerDirectory(env.cluster.store, env.loop, owner="test")
             directory.put(CustomerDescriptor(name="acme", priority=1))
             assert directory.get("acme").priority == 1
             directory.put(CustomerDescriptor(name="acme", priority=2))
             assert directory.get("acme").priority == 2
-        assert check_history(recorder.history) == []
+        assert check_history(probe.recorder.history) == []
 
 
 class TestRolloutMutant:
@@ -219,14 +243,14 @@ class TestRolloutMutant:
         # A dense pump guarantees in-flight requests at the moment the
         # mutated engine takes a node down without draining it first.
         env = rollout_scenario(seed, pump_interval=0.005)
-        with recording(env.loop.clock) as recorder:
+        with recorded(env.loop) as probe:
             if mutate:
-                with protocol_mutation("skip_drain"):
+                with protocol_mutation(env.loop, "skip_drain"):
                     env.run_for(15.0)
             else:
                 env.run_for(15.0)
         assert env.rollout_engine.report is not None
-        return env, recorder
+        return env, probe.recorder
 
     def test_skip_drain_caught_by_no_dropped_request(self):
         env, recorder = self._run_rollout(mutate=True)

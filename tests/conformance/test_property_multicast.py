@@ -10,13 +10,13 @@ which is exactly the reproduction a protocol bug needs.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.conformance import check_history, run_axioms
-from repro.conformance.runtime import recording
+from repro.conformance import HistoryRecorder, check_history, run_axioms
 from repro.gcs.directory import GroupDirectory
 from repro.gcs.member import GroupMember
 from repro.sim.eventloop import EventLoop
 from repro.sim.network import Network
 from repro.sim.rng import RngStreams
+from repro.telemetry import attach
 
 #: The axioms whose guarantees survive arbitrary crash/partition/loss
 #: schedules (the others have protocol-honest exemptions that the chaos
@@ -50,7 +50,8 @@ def build_group(n, seed):
 def run_script(script, seed):
     loop, network, members = build_group(4, seed)
     payload = 0
-    with recording(loop.clock) as recorder:
+    recorder = HistoryRecorder(loop.clock)
+    with attach(loop, recorder=recorder):
         for action, arg in script:
             alive = [m for m in members if m.running]
             if action in ("fifo", "total"):

@@ -20,7 +20,7 @@ def build_platform(node_count=3, seed=71):
 
 
 def admit(cluster, name, node_id, bundle_hint=3):
-    CustomerDirectory(cluster.store).put(
+    CustomerDirectory(cluster.store, cluster.loop).put(
         CustomerDescriptor(name=name, cpu_share=0.2, bundle_count_hint=bundle_hint)
     )
     deploy = cluster.node(node_id).deploy_instance(name)

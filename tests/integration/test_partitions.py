@@ -49,7 +49,7 @@ def test_partition_both_sides_redeploy_then_merge_dedups():
     """The classic split-brain: both sides think the other died, both
     redeploy the customer; after healing exactly one copy survives."""
     cluster, modules = build_platform()
-    CustomerDirectory(cluster.store).put(
+    CustomerDirectory(cluster.store, cluster.loop).put(
         CustomerDescriptor(name="acme", cpu_share=0.2)
     )
     deploy = cluster.node("n1").deploy_instance("acme")
@@ -81,7 +81,7 @@ def test_customer_keeps_running_inside_minority_partition():
     """Within its partition the customer's services never stopped — the
     SAN-based platform tolerates the split (no fencing is modelled)."""
     cluster, modules = build_platform()
-    CustomerDirectory(cluster.store).put(CustomerDescriptor(name="acme"))
+    CustomerDirectory(cluster.store, cluster.loop).put(CustomerDescriptor(name="acme"))
     deploy = cluster.node("n2").deploy_instance("acme")
     cluster.run_until_settled([deploy])
     cluster.run_for(2.0)

@@ -3,7 +3,6 @@ crash, and a warm-standby failover must serialise as ONE connected trace."""
 
 import pytest
 
-from repro.telemetry import runtime
 from repro.telemetry.cli import run_failover_scenario
 from repro.telemetry.export import (
     connected_trace_ids,
@@ -19,7 +18,8 @@ def traced_run():
 
 
 def test_scenario_leaves_telemetry_deactivated(traced_run):
-    assert runtime.ACTIVE is None
+    env, _, _ = traced_run
+    assert env.loop.probe is None
 
 
 def test_single_connected_trace(traced_run):

@@ -5,6 +5,9 @@ import pytest
 from repro.ipvs.addressing import IpEndpoint
 from repro.ipvs.schedulers import LeastConnectionScheduler
 from repro.ipvs.server import DirectorCluster, RealServer, Request, VirtualServer
+from repro.sim.eventloop import EventLoop
+from repro.sim.rng import RngStreams
+from repro.telemetry import Telemetry, attach
 
 VIP = IpEndpoint("10.0.0.100", 80)
 
@@ -180,7 +183,8 @@ class TestOnServedHook:
         cluster.add_real_server(VIP, "n1", service_time=0.01, on_served=hook)
         return cluster
 
-    def test_raising_hook_is_counted_and_the_request_completes(self, loop):
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_raising_hook_is_counted_and_the_request_completes(self, loop, traced):
         seen = []
 
         def hook(request):
@@ -189,8 +193,10 @@ class TestOnServedHook:
                 raise RuntimeError("ledger unavailable")
 
         cluster = self._cluster(loop, hook)
-        requests = [cluster.submit(VIP) for _ in range(3)]
-        loop.run_for(1.0)  # the raising hook does not escape into the loop
+        telemetry = Telemetry(loop.clock, RngStreams(1)) if traced else None
+        with attach(loop, telemetry=telemetry):
+            requests = [cluster.submit(VIP) for _ in range(3)]
+            loop.run_for(1.0)  # the raising hook does not escape into the loop
         assert all(request.ok for request in requests)
         assert seen == [1, 2, 3]
         stats = cluster.stats()
@@ -199,20 +205,9 @@ class TestOnServedHook:
         served_on = [server for _, server in cluster.all_real_servers()]
         assert [server.on_served_errors for server in served_on] == [2, 0]
         assert served_on[0].active_connections == 0
-
-    def test_counted_on_the_traced_completion_path_too(self, loop):
-        from repro.sim.rng import RngStreams
-        from repro.telemetry import Telemetry, enabled
-
-        def hook(request):
-            raise RuntimeError("ledger unavailable")
-
-        cluster = self._cluster(loop, hook)
-        with enabled(Telemetry(loop.clock, RngStreams(1))):
-            request = cluster.submit(VIP)
-            loop.run_for(1.0)
-        assert request.ok
-        assert cluster.stats()["on_served_errors"] == 1
+        spans = [] if telemetry is None else telemetry.tracer.spans
+        assert len(spans) == (6 if traced else 0)
+        assert all(span.end is not None for span in spans)
 
     def test_quiet_hook_reports_zero(self, loop):
         cluster = self._cluster(loop, lambda request: None)
@@ -222,6 +217,40 @@ class TestOnServedHook:
         retained = DirectorCluster(loop)
         retained.add_service(VIP)
         assert retained.stats()["on_served_errors"] == 0
+
+
+class _ProbeReads(EventLoop):
+    """An event loop counting reads of its ``probe`` (none attached)."""
+
+    def __init__(self):
+        self.probe_reads = 0
+        super().__init__()
+
+    @property
+    def probe(self):
+        self.probe_reads += 1
+        return None
+
+    @probe.setter
+    def probe(self, value):
+        assert value is None
+
+
+def test_served_macro_request_reads_the_probe_once():
+    """The macro day's request path (no retained requests, least
+    connection, a served request) asks the loop for its probe in
+    ``submit`` and nowhere else."""
+    loop = _ProbeReads()
+    cluster = DirectorCluster(loop, replicas=2, retain_requests=False)
+    cluster.add_service(VIP, scheduler_factory=LeastConnectionScheduler)
+    cluster.add_real_server(VIP, "n1", service_time=0.01, on_served=lambda r: None)
+    cluster.add_real_server(VIP, "n2", service_time=0.01, on_served=lambda r: None)
+    loop.probe_reads = 0
+    request = cluster.submit(VIP, client="c1")
+    assert loop.probe_reads == 1
+    loop.run_for(1.0)
+    assert request.ok
+    assert loop.probe_reads == 1
 
 
 class TestDirectorCluster:

@@ -21,7 +21,7 @@ def build_platform(node_count=3, seed=7, coordination="deterministic", **kwargs)
 
 
 def admit(cluster, modules, name, node_id, cpu_share=0.2, bundle_count_hint=0):
-    CustomerDirectory(cluster.store).put(
+    CustomerDirectory(cluster.store, cluster.loop).put(
         CustomerDescriptor(
             name=name, cpu_share=cpu_share, bundle_count_hint=bundle_count_hint
         )
@@ -235,3 +235,35 @@ class TestCommands:
         modules["n1"].send_command("n2", "ping", {})
         cluster.run_for(1.0)
         assert received == []
+
+    def test_raising_handler_surfaces_as_a_listener_error(self):
+        """A command handler's bug is not swallowed by the module: the
+        group member that delivered the command counts it."""
+        cluster, modules = build_platform()
+
+        def broken(args):
+            raise RuntimeError("handler bug")
+
+        modules["n2"].command_handlers["ping"] = broken
+        modules["n1"].send_command("n2", "ping", {})
+        cluster.run_for(1.0)
+        assert cluster.node("n2").protocol.listener_errors == 1
+
+
+class TestRecordListeners:
+    def test_raising_listener_surfaces_as_a_listener_error(self):
+        """A migration-record listener's bug reaches the group member
+        delivering the DEPLOYED announcement, which counts it."""
+        cluster, modules = build_platform()
+        admit(cluster, modules, "acme", "n1")
+        seen = []
+
+        def broken(record):
+            seen.append(record.instance)
+            raise RuntimeError("listener bug")
+
+        modules["n1"].add_listener(broken)
+        migration = modules["n1"].migrate("acme", "n2")
+        cluster.run_until_settled([migration], timeout=40)
+        assert migration.ok and seen == ["acme"]
+        assert cluster.node("n1").protocol.listener_errors == 1

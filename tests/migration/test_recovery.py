@@ -31,7 +31,7 @@ def test_sweep_recovers_instance_dropped_outside_the_protocol():
     exists and its descriptor says active, but nobody hosts it and no
     failure event will ever fire for it."""
     cluster, modules = build_platform()
-    directory = CustomerDirectory(cluster.store)
+    directory = CustomerDirectory(cluster.store, cluster.loop)
     directory.put(CustomerDescriptor(name="lost", cpu_share=0.2))
     # Materialize SAN state without any deployment event reaching the
     # migration layer: deploy then silently destroy behind its back.
@@ -52,7 +52,7 @@ def test_sweep_recovers_instance_dropped_outside_the_protocol():
 
 def test_sweep_respects_deliberate_stops():
     cluster, modules = build_platform()
-    directory = CustomerDirectory(cluster.store)
+    directory = CustomerDirectory(cluster.store, cluster.loop)
     descriptor = CustomerDescriptor(name="parked", cpu_share=0.2, active=False)
     directory.put(descriptor)
     deploy = cluster.node("n2").deploy_instance("parked")
@@ -65,7 +65,9 @@ def test_sweep_respects_deliberate_stops():
 
 def test_sweep_ignores_customers_without_san_state():
     cluster, modules = build_platform()
-    CustomerDirectory(cluster.store).put(CustomerDescriptor(name="never-ran"))
+    CustomerDirectory(cluster.store, cluster.loop).put(
+        CustomerDescriptor(name="never-ran")
+    )
     cluster.run_for(10.0)
     assert host_of(cluster, "never-ran") is None
 
@@ -74,7 +76,7 @@ def test_sweep_retries_unplaced_when_capacity_returns():
     """Capacity shortage parks an instance; the sweep redeploys it once a
     node frees up — the recovery half of graceful degradation."""
     cluster, modules = build_platform(node_count=2)
-    directory = CustomerDirectory(cluster.store)
+    directory = CustomerDirectory(cluster.store, cluster.loop)
     directory.put(CustomerDescriptor(name="big-a", cpu_share=0.9))
     directory.put(CustomerDescriptor(name="big-b", cpu_share=0.9))
     for name, node in (("big-a", "n1"), ("big-b", "n2")):
@@ -97,7 +99,7 @@ def test_sweep_retries_unplaced_when_capacity_returns():
 
 def test_non_coordinator_never_sweeps():
     cluster, modules = build_platform()
-    CustomerDirectory(cluster.store).put(CustomerDescriptor(name="x"))
+    CustomerDirectory(cluster.store, cluster.loop).put(CustomerDescriptor(name="x"))
     cluster.store.save_state(
         "vosgi:x", cluster.store.load_state("host:n1").__class__()
     )

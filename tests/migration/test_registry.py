@@ -3,6 +3,7 @@
 import pytest
 
 from repro.migration.registry import CustomerDescriptor, CustomerDirectory
+from repro.sim.eventloop import EventLoop
 from repro.storage.san import SharedStore
 
 
@@ -13,7 +14,7 @@ def store():
 
 @pytest.fixture
 def directory(store):
-    return CustomerDirectory(store)
+    return CustomerDirectory(store, EventLoop())
 
 
 def test_put_get_roundtrip(directory):
@@ -40,8 +41,8 @@ def test_require_raises_for_missing(directory):
 
 
 def test_visible_from_other_node_mount(store):
-    CustomerDirectory(store).put(CustomerDescriptor(name="acme"))
-    assert CustomerDirectory(store).get("acme") is not None
+    CustomerDirectory(store, EventLoop()).put(CustomerDescriptor(name="acme"))
+    assert CustomerDirectory(store, EventLoop()).get("acme") is not None
 
 
 def test_remove(directory):

@@ -27,7 +27,7 @@ def build_platform(node_count=3, seed=42):
 
 
 def admit(cluster, name, node_id, bundle_count=5):
-    CustomerDirectory(cluster.store).put(
+    CustomerDirectory(cluster.store, cluster.loop).put(
         CustomerDescriptor(name=name, cpu_share=0.2, bundle_count_hint=bundle_count)
     )
     deploy = cluster.node(node_id).deploy_instance(name)
@@ -153,7 +153,7 @@ class TestPromotedFailover:
         admit(cluster, "acme", "n1")
         preparation = standbys["n2"].prepare("acme")
         cluster.run_until_settled([preparation])
-        directory = CustomerDirectory(cluster.store)
+        directory = CustomerDirectory(cluster.store, cluster.loop)
         descriptor = directory.get("acme")
         directory.put(
             CustomerDescriptor(**{**descriptor.to_dict(), "active": False})

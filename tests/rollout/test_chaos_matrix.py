@@ -12,9 +12,7 @@ marked for the nightly run).
 
 import pytest
 
-from repro.conformance import check_history
-from repro.conformance import runtime as _crt
-from repro.conformance.recorder import HistoryRecorder
+from repro.conformance import HistoryRecorder, check_history
 from repro.faults.campaign import ChaosCampaign, replay_schedule
 from repro.rollout.cli import SCENARIOS
 from repro.rollout.engine import COMPLETED, ROLLED_BACK
@@ -23,8 +21,7 @@ from repro.rollout.scenario import (
     TARGET_VERSION,
     rollout_scenario,
 )
-from repro.telemetry import runtime as _rt
-from repro.telemetry.runtime import Telemetry
+from repro.telemetry import Telemetry, attach
 
 PINNED_FAULT_SCENARIOS = ("crash-canary", "crash-wave", "partition")
 
@@ -34,17 +31,15 @@ def run_scenario(name, seed=0):
     schedule = SCENARIOS[name]()
     env = rollout_scenario(seed, bad_release=name == "bad-release")
     telemetry = Telemetry(env.loop.clock, env.cluster.rng, scenario="rollout")
-    _rt.activate(telemetry)
-    telemetry.open_root("rollout:%s" % name)
-    recorder = _crt.activate(HistoryRecorder(env.loop.clock))
-    try:
-        _trace, violations = replay_schedule(
-            env, schedule, duration=18.0, settle=12.0
-        )
-    finally:
-        _crt.deactivate()
-        telemetry.close_root()
-        _rt.deactivate()
+    recorder = HistoryRecorder(env.loop.clock)
+    with attach(env.loop, telemetry=telemetry, recorder=recorder):
+        telemetry.open_root("rollout:%s" % name)
+        try:
+            _trace, violations = replay_schedule(
+                env, schedule, duration=18.0, settle=12.0
+            )
+        finally:
+            telemetry.close_root()
     report = env.rollout_engine.report
     return env, report, recorder, violations
 

@@ -5,30 +5,27 @@ silent — a correct rollout neither drops requests nor leaves the fleet
 mixed-version, whichever way it terminates.
 """
 
-from repro.conformance import check_history
-from repro.conformance.runtime import recording
+from repro.conformance import HistoryRecorder, check_history
 from repro.rollout.engine import COMPLETED, ROLLED_BACK
 from repro.rollout.scenario import (
     PINNED_VERSION,
     TARGET_VERSION,
     rollout_scenario,
 )
-from repro.telemetry import runtime as _rt
-from repro.telemetry.runtime import Telemetry
+from repro.telemetry import Telemetry, attach
 
 
 def run_rollout(seed=0, bad_release=False, duration=20.0):
     """Run one instrumented rollout: telemetry gates + recorded history."""
     env = rollout_scenario(seed, bad_release=bad_release)
     telemetry = Telemetry(env.loop.clock, env.cluster.rng, scenario="rollout")
-    _rt.activate(telemetry)
-    telemetry.open_root("rollout-test")
-    try:
-        with recording(env.loop.clock) as recorder:
+    recorder = HistoryRecorder(env.loop.clock)
+    with attach(env.loop, telemetry=telemetry, recorder=recorder):
+        telemetry.open_root("rollout-test")
+        try:
             env.run_for(duration)
-    finally:
-        telemetry.close_root()
-        _rt.deactivate()
+        finally:
+            telemetry.close_root()
     report = env.rollout_engine.report
     assert report is not None, "rollout never terminated"
     return env, report, recorder

@@ -1,58 +1,87 @@
-"""Runtime guard: the zero-overhead switch and scoped activation."""
+"""The per-loop probe, how it is attached, and the telemetry handle."""
 
 import pytest
 
+from repro.conformance import HistoryRecorder
 from repro.sim.clock import Clock
+from repro.sim.eventloop import EventLoop
+from repro.sim.lanes import LanedEventLoop
 from repro.sim.rng import RngStreams
-from repro.telemetry import runtime
-from repro.telemetry.runtime import Telemetry, enabled, maybe_span
+from repro.telemetry.runtime import Probe, Telemetry, attach
 
 
-def make_telemetry(seed=0, scenario="test"):
-    return Telemetry(Clock(), RngStreams(seed), scenario=scenario)
+def make_telemetry(seed=0, scenario="test", clock=None):
+    return Telemetry(clock or Clock(), RngStreams(seed), scenario=scenario)
 
 
 def test_active_defaults_to_none():
-    assert runtime.ACTIVE is None
+    assert EventLoop().probe is None
+    assert LanedEventLoop().probe is None
 
 
-def test_maybe_span_is_a_no_op_when_inactive():
-    with maybe_span("anything", node="n1", attributes={"k": 1}) as span:
+def test_span_is_a_no_op_without_telemetry():
+    probe = Probe(recorder=HistoryRecorder(Clock()))
+    with probe.span("anything", "n1", {"k": 1}) as span:
         assert span is None
+    assert probe.start_span("anything") is None
+    assert probe.context() is None
 
 
-def test_maybe_span_records_when_active():
-    telemetry = make_telemetry()
-    with enabled(telemetry):
-        with maybe_span("op", node="n1", attributes={"k": 1}) as span:
+def test_span_records_on_the_attached_telemetry():
+    loop = EventLoop()
+    telemetry = make_telemetry(clock=loop.clock)
+    with attach(loop, telemetry=telemetry) as probe:
+        assert loop.probe is probe and probe.telemetry is telemetry
+        with probe.span("op", "n1", {"k": 1}) as span:
             assert span is not None
+            assert probe.context() == span.context
     assert [s.name for s in telemetry.tracer.spans] == ["op"]
     assert telemetry.tracer.spans[0].attributes == {"k": 1}
 
 
-def test_enabled_restores_previous_handle():
+def test_attach_restores_previous_probe():
+    loop = EventLoop()
     outer, inner = make_telemetry(1), make_telemetry(2)
-    with enabled(outer):
-        with enabled(inner):
-            assert runtime.ACTIVE is inner
-        assert runtime.ACTIVE is outer
-    assert runtime.ACTIVE is None
+    with attach(loop, telemetry=outer) as first:
+        with attach(loop, telemetry=inner) as second:
+            assert loop.probe is second and second.telemetry is inner
+        assert loop.probe is first
+    assert loop.probe is None
 
 
-def test_enabled_restores_on_exception():
-    telemetry = make_telemetry()
+def test_attach_restores_on_exception():
+    loop = EventLoop()
     with pytest.raises(RuntimeError):
-        with enabled(telemetry):
+        with attach(loop, telemetry=make_telemetry()):
             raise RuntimeError("boom")
-    assert runtime.ACTIVE is None
+    assert loop.probe is None
 
 
-def test_activate_deactivate_explicitly():
-    telemetry = make_telemetry()
-    assert runtime.activate(telemetry) is telemetry
-    assert runtime.ACTIVE is telemetry
-    runtime.deactivate()
-    assert runtime.ACTIVE is None
+def test_attaching_nothing_runs_unobserved():
+    loop = EventLoop()
+    with attach(loop, telemetry=make_telemetry()):
+        with attach(loop) as probe:
+            assert probe is None and loop.probe is None
+        assert loop.probe is not None
+
+
+def test_probe_belongs_to_its_loop():
+    observed, other = EventLoop(), EventLoop()
+    with attach(observed, telemetry=make_telemetry()):
+        assert other.probe is None
+
+
+def test_recorder_is_stamped_only_next_to_telemetry():
+    loop = EventLoop()
+    telemetry = make_telemetry(clock=loop.clock)
+    plain, stamped = HistoryRecorder(loop.clock), HistoryRecorder(loop.clock)
+    with attach(loop, recorder=plain) as probe:
+        probe.rollout_event("n1", "start")
+    with attach(loop, telemetry=telemetry, recorder=stamped) as probe:
+        with probe.span("op") as span:
+            probe.rollout_event("n1", "start")
+    assert plain.history.events[0].span_id is None
+    assert stamped.history.events[0].span_id == span.context.span_id
 
 
 def test_open_root_twice_raises():

@@ -8,7 +8,7 @@ from repro.sim.clock import Clock
 from repro.sim.eventloop import EventLoop
 from repro.sim.network import Network
 from repro.sim.rng import RngStreams
-from repro.telemetry.runtime import Telemetry, enabled
+from repro.telemetry.runtime import Telemetry, attach
 from repro.telemetry.tracer import Tracer
 
 
@@ -143,7 +143,7 @@ def test_network_carries_context_to_the_receiving_handler():
 
     network.attach("a", lambda m: None)
     network.attach("b", handler)
-    with enabled(telemetry):
+    with attach(loop, telemetry=telemetry):
         with telemetry.tracer.span("request", node="a") as request:
             network.send("a", "b", {"op": "ping"})
         loop.run_for(1.0)
@@ -158,7 +158,7 @@ def test_untraced_send_leaves_receiver_parentless():
     received = []
     network.attach("a", lambda m: None)
     network.attach("b", lambda m: received.append(telemetry.tracer.start_span("handle")))
-    with enabled(telemetry):
+    with attach(loop, telemetry=telemetry):
         network.send("a", "b", {"op": "ping"})
         loop.run_for(1.0)
     assert received[0].parent_id is None
@@ -176,7 +176,7 @@ def test_fan_out_carries_one_context_to_every_receiver_and_unwinds():
     network.attach("a", lambda m: None)
     for name in ("b", "c", "d"):
         network.attach(name, handler)
-    with enabled(telemetry):
+    with attach(loop, telemetry=telemetry):
         with telemetry.tracer.span("request", node="a") as request:
             network.send_all("a", ["b", "c", "d"], {"op": "ping"})
         loop.run_for(1.0)
@@ -195,7 +195,7 @@ def test_delivery_pops_the_context_when_the_handler_raises():
 
     network.attach("a", lambda m: None)
     network.attach("b", handler)
-    with enabled(telemetry):
+    with attach(loop, telemetry=telemetry):
         with telemetry.tracer.span("request", node="a"):
             network.send("a", "b", {"op": "ping"})
         with pytest.raises(RuntimeError):
@@ -213,7 +213,7 @@ def test_view_change_spans_join_the_ambient_root_trace():
     loop, rng, network = build_sim()
     directory = GroupDirectory()
     telemetry = Telemetry(loop.clock, rng)
-    with enabled(telemetry):
+    with attach(loop, telemetry=telemetry):
         root = telemetry.open_root("scenario:test")
         try:
             m1 = GroupMember("n1", "g", loop, network, directory)
