@@ -1,70 +1,142 @@
-"""``python -m repro`` — demo tour, chaos campaigns, linting.
+"""``python -m repro`` — the one command-line front end.
 
-With no subcommand (or ``demo``): builds a 3-node cluster, admits two
-customers (one with a warm standby), injects a crash, and prints the
-dependability story. With ``chaos``: runs a seeded chaos campaign of
-random fault schedules with invariant checking (see docs/FAULTS.md) and
-prints a reproduction snippet for any violation. With ``lint``: runs
-the sim-safety determinism linter (per-file rules DET000-DET008) over
-the package (or given paths) and exits non-zero on findings (see
-docs/ANALYSIS.md). With ``trace``: runs a telemetry-enabled scenario and
-exports a Chrome ``trace_event`` file (see docs/TELEMETRY.md). With
-``conform``: runs a conformance-checked chaos campaign (virtual-synchrony
-axioms + registry linearizability) and emits a deterministic JSON verdict
-(see docs/CONFORMANCE.md). With ``rollout``: runs one staged
-canary rollout under a pinned fault scenario and emits a deterministic
-JSON verdict (see docs/ROLLOUT.md).
+Subcommands (``demo`` when none is given):
+
+* ``demo`` — builds a 3-node cluster, admits two customers (one with a
+  warm standby), injects a crash, and prints the dependability story.
+* ``chaos`` — a seeded chaos campaign of random fault schedules with
+  invariant checking (see docs/FAULTS.md); prints a reproduction snippet
+  for any violation.
+* ``conform`` — a conformance-checked chaos campaign (virtual-synchrony
+  axioms + registry linearizability) with a deterministic JSON verdict
+  (see docs/CONFORMANCE.md).
+* ``rollout`` — one staged canary rollout under a pinned fault scenario,
+  with a deterministic JSON verdict (see docs/ROLLOUT.md).
+* ``trace`` — a telemetry-enabled scenario exported as a Chrome
+  ``trace_event`` file (see docs/TELEMETRY.md).
+* ``lint`` — the per-file determinism linter (DET000-DET008) over the
+  package or the given paths (see docs/ANALYSIS.md).
+
+Two runs with the same arguments print and write the same bytes; CI
+``cmp``'s them. Exit codes, for every subcommand:
+
+* 0 — ok
+* 1 — invariant or conformance violations, lint findings, or a failed
+  verdict
+* 2 — usage error (argparse, ``--episodes 0``, an unknown scenario,
+  fault kind or rule code)
+* 3 — an ``--out`` / ``--spans-out`` path cannot be written; checked
+  before anything runs, so no simulation is wasted
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 from repro import __version__
+from repro.analysis.determinism import DET_RULES, collect_python_files, lint_paths
+from repro.analysis.diagnostics import severity_counts
+from repro.conformance.recorder import HistoryRecorder
+from repro.conformance.report import SCENARIOS as CONFORM_SCENARIOS
+from repro.conformance.report import campaign_verdict, check_history, verdict_json
 from repro.core import DependableEnvironment
+from repro.faults import FAULT_KINDS, ChaosCampaign
+from repro.faults.campaign import replay_schedule
+from repro.rollout.scenario import SCENARIO_OPTIONS
+from repro.rollout.scenario import SCENARIOS as ROLLOUT_SCENARIOS
+from repro.rollout.scenario import rollout_scenario, rollout_verdict
+from repro.sim.scheduler import SCHEDULERS, use_scheduler
 from repro.sla import ServiceLevelAgreement
+from repro.telemetry.export import dump_chrome_json, dump_spans_json
+from repro.telemetry.runtime import Telemetry, attach
+from repro.telemetry.scenarios import (
+    run_chaos_scenario,
+    run_failover_scenario,
+    summarise_spans,
+)
+
+EXIT_OK = 0
+EXIT_FAILED = 1
+EXIT_USAGE = 2
+EXIT_UNWRITABLE = 3
 
 
-def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "chaos":
-        return chaos_main(argv[1:])
-    if argv and argv[0] == "lint":
-        from repro.analysis.cli import lint_main
-
-        return lint_main(argv[1:])
-    if argv and argv[0] == "trace":
-        from repro.telemetry.cli import trace_main
-
-        return trace_main(argv[1:])
-    if argv and argv[0] == "conform":
-        from repro.conformance.cli import conform_main
-
-        return conform_main(argv[1:])
-    if argv and argv[0] == "rollout":
-        from repro.rollout.cli import rollout_main
-
-        return rollout_main(argv[1:])
-    if argv and argv[0] == "demo":
-        argv = argv[1:]
-    return demo_main(argv)
+class Unwritable(Exception):
+    """An output path that cannot be written (exit 3)."""
 
 
-def demo_main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Dependable Distributed OSGi Environment — demo run",
+# ----------------------------------------------------------------------
+# The shared pieces
+# ----------------------------------------------------------------------
+def banner(text: str) -> None:
+    print("repro %s — %s" % (__version__, text))
+
+
+def check_writable(path: Optional[str]) -> None:
+    """Raise :class:`Unwritable` unless ``path`` (if given) can be
+    written: its directory exists and is writable, and it is not itself
+    a directory or a read-only file."""
+    if path is None:
+        return
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise Unwritable("%s: directory %s does not exist" % (path, directory))
+    if os.path.isdir(path):
+        raise Unwritable("%s: is a directory" % path)
+    target = path if os.path.exists(path) else directory
+    if not os.access(target, os.W_OK):
+        raise Unwritable("%s: permission denied" % path)
+
+
+def write_output(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+def _episode_flags(
+    parser: argparse.ArgumentParser, episodes: int, duration: float
+) -> None:
+    parser.add_argument("--episodes", type=_at_least_one, default=episodes)
+    parser.add_argument(
+        "--duration", type=float, default=duration, help="sim-seconds per episode"
     )
+    parser.add_argument(
+        "--settle", type=float, default=10.0, help="quiesce window per episode"
+    )
+    parser.add_argument(
+        "--mean-gap", type=float, default=4.0, help="mean sim-seconds between faults"
+    )
+
+
+def _out_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--out", default=None, help="write the JSON verdict to this path"
+    )
+
+
+# ----------------------------------------------------------------------
+# demo
+# ----------------------------------------------------------------------
+def _demo_setup(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nodes", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
         "--no-standby", action="store_true", help="skip the warm standby"
     )
-    args = parser.parse_args(argv)
 
-    print("repro %s — Dependable Distributed OSGi Environment" % __version__)
+
+def _demo(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    banner("Dependable Distributed OSGi Environment")
     env = DependableEnvironment.build(node_count=args.nodes, seed=args.seed)
     print("cluster up:", env.cluster)
 
@@ -101,47 +173,24 @@ def demo_main(argv=None) -> int:
     print("\ncompliance:")
     for report in env.compliance():
         print(" ", report)
-    return 0
+    return EXIT_OK
 
 
-def chaos_main(argv=None) -> int:
-    from repro.faults import ChaosCampaign
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro chaos",
-        description="Seeded chaos campaign with invariant checking",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--episodes", type=int, default=3)
-    parser.add_argument(
-        "--duration", type=float, default=30.0, help="sim-seconds per episode"
-    )
-    parser.add_argument(
-        "--settle", type=float, default=10.0, help="quiesce window per episode"
-    )
-    parser.add_argument(
-        "--mean-gap", type=float, default=4.0, help="mean sim-seconds between faults"
-    )
+# ----------------------------------------------------------------------
+# chaos
+# ----------------------------------------------------------------------
+def _chaos_setup(parser: argparse.ArgumentParser) -> None:
+    _episode_flags(parser, episodes=3, duration=30.0)
     parser.add_argument(
         "--kinds",
         default=None,
         help="comma-separated fault kinds (default: all)",
     )
-    parser.add_argument(
-        "--scheduler",
-        choices=("global", "laned"),
-        default="global",
-        help="event-loop scheduler (same seed, same run, byte for byte — "
-        "see docs/SIM.md)",
-    )
-    args = parser.parse_args(argv)
 
-    if args.episodes < 1:
-        parser.error("--episodes must be at least 1")
+
+def _chaos(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     kinds = None
     if args.kinds:
-        from repro.faults import FAULT_KINDS
-
         kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
         unknown = sorted(set(kinds) - set(FAULT_KINDS))
         if unknown:
@@ -157,15 +206,11 @@ def chaos_main(argv=None) -> int:
         mean_gap=args.mean_gap,
         kinds=kinds,
     )
-    print(
-        "repro %s — chaos campaign seed=%d episodes=%d duration=%.1fs "
-        "scheduler=%s"
-        % (__version__, args.seed, args.episodes, args.duration, args.scheduler)
+    banner(
+        "chaos campaign seed=%d episodes=%d duration=%.1fs scheduler=%s"
+        % (args.seed, args.episodes, args.duration, args.scheduler)
     )
-    from repro.sim.scheduler import use_scheduler
-
-    with use_scheduler(args.scheduler):
-        result = campaign.run()
+    result = campaign.run()
     for episode in result.episodes:
         print(" ", episode)
         if episode.deployment:
@@ -190,7 +235,7 @@ def chaos_main(argv=None) -> int:
                 "note: the static bundle verifier flagged the deployment; "
                 "see findings above"
             )
-        return 0
+        return EXIT_OK
     print("\n%d invariant violations; reproduction:" % len(result.violations))
     if result.deployment_ok:
         print(
@@ -203,7 +248,391 @@ def chaos_main(argv=None) -> int:
             "deployment before blaming the platform"
         )
     print(result.snippets[0])
-    return 1
+    return EXIT_FAILED
+
+
+# ----------------------------------------------------------------------
+# conform
+# ----------------------------------------------------------------------
+def _conform_setup(parser: argparse.ArgumentParser) -> None:
+    _episode_flags(parser, episodes=5, duration=20.0)
+    parser.add_argument(
+        "--scenario",
+        choices=sorted(CONFORM_SCENARIOS),
+        default="default",
+        help="fault mix drawn by the random schedules",
+    )
+    _out_flag(parser)
+
+
+def _conform(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    check_writable(args.out)
+    campaign = ChaosCampaign(
+        seed=args.seed,
+        episodes=args.episodes,
+        episode_duration=args.duration,
+        settle=args.settle,
+        mean_gap=args.mean_gap,
+        kinds=CONFORM_SCENARIOS[args.scenario],
+        conformance=True,
+    )
+    banner(
+        "conformance campaign seed=%d scenario=%s episodes=%d scheduler=%s"
+        % (args.seed, args.scenario, args.episodes, args.scheduler)
+    )
+    result = campaign.run()
+    document = campaign_verdict(result, scenario=args.scenario)
+    for episode, entry in zip(result.episodes, document["episodes"]):
+        print(
+            "  episode #%d seed=%d: %s (%d events, %d ops, digest %s)"
+            % (
+                entry["index"],
+                entry["seed"],
+                entry["verdict"],
+                entry["events"],
+                entry["ops"],
+                entry["history_digest"][:12],
+            )
+        )
+        for violation in episode.conformance:
+            print("    !!", violation)
+        for violation in episode.violations:
+            print("    !!", violation)
+    if args.out:
+        write_output(args.out, verdict_json(document))
+        print("verdict written to %s" % args.out)
+    print("verdict digest:", document["digest"])
+    if document["ok"]:
+        print(
+            "conformance: all %d checkers held across %d episodes"
+            % (len(document["checkers"]), len(document["episodes"]))
+        )
+        return EXIT_OK
+    print("conformance: VIOLATIONS — reproduction snippets:")
+    for snippet in result.snippets:
+        print(snippet)
+    return EXIT_FAILED
+
+
+# ----------------------------------------------------------------------
+# rollout
+# ----------------------------------------------------------------------
+def _rollout_setup(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--scenario",
+        choices=sorted(ROLLOUT_SCENARIOS),
+        default="clean",
+        help="pinned fault pattern run against the rollout",
+    )
+    parser.add_argument(
+        "--duration", type=float, default=18.0, help="sim-seconds of rollout"
+    )
+    parser.add_argument(
+        "--settle", type=float, default=12.0, help="quiesce window afterwards"
+    )
+    _out_flag(parser)
+
+
+def _rollout(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    check_writable(args.out)
+    schedule = ROLLOUT_SCENARIOS[args.scenario]()
+    env = rollout_scenario(args.seed, **SCENARIO_OPTIONS.get(args.scenario, {}))
+    banner(
+        "rollout scenario=%s seed=%d (%d faults scheduled)"
+        % (args.scenario, args.seed, len(schedule))
+    )
+    telemetry = Telemetry(env.loop.clock, env.cluster.rng, scenario="rollout")
+    recorder = HistoryRecorder(env.loop.clock)
+    with attach(env.loop, telemetry=telemetry, recorder=recorder):
+        telemetry.open_root("rollout:%s" % args.scenario)
+        try:
+            trace, violations = replay_schedule(
+                env, schedule, duration=args.duration, settle=args.settle
+            )
+        finally:
+            telemetry.close_root()
+    conformance = check_history(recorder.history)
+    document = rollout_verdict(
+        env,
+        trace,
+        violations,
+        recorder.history,
+        conformance,
+        scenario=args.scenario,
+        seed=args.seed,
+    )
+    if args.out:
+        write_output(args.out, verdict_json(document))
+        print("verdict written to %s" % args.out)
+    summary = document["rollout"]
+    print(
+        "rollout: %s (%s) — versions %s"
+        % (
+            summary.get("outcome"),
+            summary.get("reason", ""),
+            summary.get("final_versions", {}),
+        )
+    )
+    requests = document["requests"]
+    print(
+        "requests: %d total, %d dropped (%d inside upgrade windows)"
+        % (
+            requests["total"],
+            requests["dropped"],
+            requests["dropped_in_upgrade_windows"],
+        )
+    )
+    for violation in conformance:
+        print("  !!", violation)
+    for violation in violations:
+        print("  !!", violation)
+    print("verdict digest:", document["digest"])
+    return EXIT_OK if document["ok"] else EXIT_FAILED
+
+
+# ----------------------------------------------------------------------
+# trace
+# ----------------------------------------------------------------------
+def _trace_setup(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--scenario",
+        choices=("failover", "chaos"),
+        default="failover",
+        help="which scenario to trace (default: failover)",
+    )
+    parser.add_argument(
+        "--out",
+        default=None,
+        help="Chrome trace output path (default TRACE_<scenario>_<seed>.json)",
+    )
+    parser.add_argument(
+        "--spans-out",
+        default=None,
+        help="also write the raw span dump to this path",
+    )
+
+
+def _trace(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    out_path = args.out or "TRACE_%s_%d.json" % (args.scenario, args.seed)
+    check_writable(out_path)
+    check_writable(args.spans_out)
+    failover_seconds: List[float] = []
+    if args.scenario == "failover":
+        env, telemetry = run_failover_scenario(args.seed)
+        spans = telemetry.export_spans()
+        for node_id in sorted(env.migration):
+            for record in env.migration[node_id].records:
+                if record.reason == "failure" and record.downtime is not None:
+                    failover_seconds.append(record.downtime)
+    else:
+        episode, failover_seconds = run_chaos_scenario(args.seed)
+        spans = episode.spans
+
+    meta = {"scenario": args.scenario, "seed": args.seed}
+    write_output(out_path, dump_chrome_json(spans, meta))
+    if args.spans_out:
+        write_output(args.spans_out, dump_spans_json(spans, meta))
+
+    summary = summarise_spans(spans)
+    print("scenario=%s seed=%d -> %s" % (args.scenario, args.seed, out_path))
+    print(
+        "spans=%d traces=%d connected=%d roots=%d"
+        % (
+            summary["spans"],
+            summary["traces"],
+            summary["connected_traces"],
+            summary["roots"],
+        )
+    )
+    for name, count in summary["by_name"].items():
+        print("  %-24s %d" % (name, count))
+    if failover_seconds:
+        ordered = sorted(failover_seconds)
+        print(
+            "failover downtime: n=%d min=%.3fs max=%.3fs"
+            % (len(ordered), ordered[0], ordered[-1])
+        )
+    return EXIT_OK
+
+
+# ----------------------------------------------------------------------
+# lint
+# ----------------------------------------------------------------------
+def _lint_setup(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "paths",
+        nargs="*",
+        help="files or directories to lint (default: the repro package)",
+    )
+    parser.add_argument(
+        "--format",
+        choices=("text", "json"),
+        default="text",
+        help="output format (default: text)",
+    )
+    parser.add_argument(
+        "--strict",
+        action="store_true",
+        help="fail on any non-suppressed diagnostic, warnings included",
+    )
+    parser.add_argument(
+        "--select",
+        default=None,
+        metavar="CODES",
+        help="comma-separated rule codes to run (default: all)",
+    )
+    parser.add_argument(
+        "--list-rules",
+        action="store_true",
+        help="print the rule catalogue and exit",
+    )
+
+
+def _lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.list_rules:
+        for code in sorted(DET_RULES):
+            print("%s  %s" % (code, DET_RULES[code]))
+        return EXIT_OK
+
+    select = None
+    if args.select:
+        select = {code.strip().upper() for code in args.select.split(",") if code.strip()}
+        unknown = sorted(select - set(DET_RULES))
+        if unknown:
+            parser.error(
+                "unknown rule codes %s for --select (see --list-rules)"
+                % ",".join(unknown)
+            )
+
+    if args.paths:
+        paths = args.paths
+        root = os.getcwd()
+        for path in paths:
+            if not collect_python_files([path]):
+                parser.error("no .py file at %s" % path)
+    else:
+        package_dir = os.path.dirname(os.path.abspath(__file__))
+        paths = [package_dir]
+        root = os.path.dirname(package_dir)
+
+    result = lint_paths(paths, root=root, select=select)
+    counts = severity_counts(result.diagnostics)
+
+    if args.format == "json":
+        print(
+            json.dumps(
+                {
+                    "version": 3,
+                    "tool": "repro.analysis",
+                    "strict": args.strict,
+                    "files": len(result.files),
+                    "counts": counts,
+                    "diagnostics": [d.to_dict() for d in result.diagnostics],
+                },
+                indent=2,
+                sort_keys=True,
+            )
+        )
+    else:
+        for diagnostic in result.diagnostics:
+            print(diagnostic.format())
+        summary = "%d file(s) scanned: %d error(s), %d warning(s)" % (
+            len(result.files),
+            counts["error"],
+            counts["warning"],
+        )
+        if not result.diagnostics:
+            summary += " — clean"
+        print(summary, file=sys.stderr)
+
+    if counts["error"]:
+        return EXIT_FAILED
+    if args.strict and counts["warning"]:
+        return EXIT_FAILED
+    return EXIT_OK
+
+
+# ----------------------------------------------------------------------
+# Dispatch
+# ----------------------------------------------------------------------
+class Command(NamedTuple):
+    description: str
+    #: ``--seed`` default; ``None`` means the command takes no seed.
+    seed: Optional[int]
+    #: Whether the command takes ``--scheduler`` (see docs/SIM.md).
+    scheduler: bool
+    setup: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace, argparse.ArgumentParser], int]
+
+
+COMMANDS = {
+    "demo": Command(
+        "Dependable Distributed OSGi Environment — demo run",
+        7, False, _demo_setup, _demo,
+    ),
+    "chaos": Command(
+        "Seeded chaos campaign with invariant checking",
+        0, True, _chaos_setup, _chaos,
+    ),
+    "conform": Command(
+        "Chaos campaign with virtual-synchrony + linearizability checking; "
+        "emits a deterministic JSON verdict",
+        0, True, _conform_setup, _conform,
+    ),
+    "rollout": Command(
+        "Staged canary rollout with SLA gates and automatic rollback, under "
+        "a pinned fault scenario; emits a deterministic JSON verdict",
+        0, True, _rollout_setup, _rollout,
+    ),
+    "trace": Command(
+        "Run a traced scenario and export Chrome trace_event JSON.",
+        42, True, _trace_setup, _trace,
+    ),
+    "lint": Command(
+        "Sim-safety determinism linter: per-file rules DET000-DET008 "
+        "(see docs/ANALYSIS.md)",
+        None, False, _lint_setup, _lint,
+    ),
+}
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    name = argv.pop(0) if argv and argv[0] in COMMANDS else "demo"
+    command = COMMANDS[name]
+    parser = argparse.ArgumentParser(
+        prog="python -m repro %s" % name, description=command.description
+    )
+    if command.seed is not None:
+        parser.add_argument("--seed", type=int, default=command.seed)
+    if command.scheduler:
+        parser.add_argument(
+            "--scheduler",
+            choices=SCHEDULERS,
+            default="global",
+            help="event-loop scheduler (same seed, same output, byte for "
+            "byte — see docs/SIM.md)",
+        )
+    command.setup(parser)
+    args = parser.parse_args(argv)
+    try:
+        if not command.scheduler:
+            return command.run(args, parser)
+        with use_scheduler(args.scheduler):
+            return command.run(args, parser)
+    except Unwritable as error:
+        print("python -m repro %s: cannot write %s" % (name, error), file=sys.stderr)
+        return EXIT_UNWRITABLE
+
+
+def conform_main(argv: Sequence[str] = ()) -> int:
+    """``python -m repro conform`` with ``argv``."""
+    return main(["conform", *argv])
+
+
+def rollout_main(argv: Sequence[str] = ()) -> int:
+    """``python -m repro rollout`` with ``argv``."""
+    return main(["rollout", *argv])
 
 
 if __name__ == "__main__":

@@ -176,9 +176,9 @@ class AutonomicModule:
         instance = action.target
         self._mark_inactive(instance)
         if instance in self.node.instance_names():
-            self.node.undeploy_instance(instance)
-            return True
-        host = self.migration.inventory.locate(instance)
+            host = self.node.node_id
+        else:
+            host = self.migration.inventory.locate(instance)
         if host is None:
             return False
         self.migration.send_command(host, "stop-instance", {"instance": instance})
@@ -222,9 +222,9 @@ class AutonomicModule:
             self.migration.migrate(instance, target)
 
     def _cmd_stop(self, args: Dict) -> None:
+        # The requester already marked the customer inactive (_do_stop).
         instance = args.get("instance")
         if instance in self.node.instance_names():
-            self._mark_inactive(instance)
             self.node.undeploy_instance(instance)
 
     def _cmd_hibernate(self, args: Dict) -> bool:

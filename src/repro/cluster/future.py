@@ -60,12 +60,11 @@ class Completion(Generic[T]):
         return self.value  # type: ignore[return-value]
 
     def _fire(self) -> None:
+        # A raising callback propagates to whoever settled the completion
+        # (the event loop, for scheduled work); later callbacks do not run.
         callbacks, self._callbacks = self._callbacks, []
         for callback in callbacks:
-            try:
-                callback(self)
-            except Exception:
-                pass
+            callback(self)
 
     def __repr__(self) -> str:
         state = "pending"

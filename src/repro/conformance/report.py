@@ -6,7 +6,9 @@ Two layers on top of the recorder:
   linearizability checker over one recorded history.
 * :func:`campaign_verdict` / :func:`verdict_json` — the deterministic
   JSON document ``python -m repro conform`` emits and CI diffs byte-for-
-  byte across same-seed runs.
+  byte across same-seed runs; :data:`SCENARIOS` names its fault mixes.
+* :func:`self_digested` — the sha256 self-digest both the conform and
+  the rollout verdicts carry.
 
 Replaying an episode with recording on is
 :func:`repro.faults.campaign.replay_and_check`.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.conformance.axioms import AXIOMS, ConformanceViolation, run_axioms
 from repro.conformance.history import History
@@ -46,6 +48,27 @@ def check_history(history: History) -> List[ConformanceViolation]:
 # ----------------------------------------------------------------------
 # Verdict documents
 # ----------------------------------------------------------------------
+#: ``python -m repro conform`` scenario name -> fault kinds drawn in the
+#: random schedules (None = the full catalogue).
+SCENARIOS: Dict[str, Optional[Tuple[str, ...]]] = {
+    "default": None,
+    "crash": ("crash", "repair"),
+    "partition": ("partition", "heal"),
+    "loss": ("loss_burst",),
+}
+
+
+def self_digested(document: Dict[str, Any]) -> Dict[str, Any]:
+    """Add ``digest``: the sha256 of the document's canonical JSON
+    without it, so a reader can recompute it. Returns ``document``."""
+    document["digest"] = hashlib.sha256(
+        json.dumps(document, sort_keys=True, separators=(",", ":")).encode(
+            "utf-8"
+        )
+    ).hexdigest()
+    return document
+
+
 def campaign_verdict(result: Any, scenario: str = "default") -> Dict[str, Any]:
     """Deterministic verdict dict for a conformance-enabled campaign.
 
@@ -83,12 +106,7 @@ def campaign_verdict(result: Any, scenario: str = "default") -> Dict[str, Any]:
         "campaign_trace_digest": result.trace_digest(),
         "ok": all(e["verdict"] == "ok" for e in episodes),
     }
-    document["digest"] = hashlib.sha256(
-        json.dumps(document, sort_keys=True, separators=(",", ":")).encode(
-            "utf-8"
-        )
-    ).hexdigest()
-    return document
+    return self_digested(document)
 
 
 def verdict_json(document: Dict[str, Any]) -> str:

@@ -301,14 +301,6 @@ class BundleContext:
         self._check_valid()
         return self._bundle.framework.install(definition, location, verify=verify)
 
-    def get_bundle(self, bundle_id: int) -> Optional[Bundle]:
-        self._check_valid()
-        return self._bundle.framework.get_bundle(bundle_id)
-
-    def get_bundles(self) -> List[Bundle]:
-        self._check_valid()
-        return self._bundle.framework.bundles()
-
     # -- services ---------------------------------------------------------
     def register_service(
         self,
@@ -342,14 +334,6 @@ class BundleContext:
         return self._bundle.framework.registry.unget_service(self._bundle, reference)
 
     # -- listeners ----------------------------------------------------------
-    def add_bundle_listener(self, listener: Callable) -> None:
-        self._check_valid()
-        self._bundle.framework.dispatcher.add_bundle_listener(listener)
-
-    def remove_bundle_listener(self, listener: Callable) -> None:
-        self._check_valid()
-        self._bundle.framework.dispatcher.remove_bundle_listener(listener)
-
     def add_service_listener(
         self,
         listener: Callable,
@@ -372,14 +356,6 @@ class BundleContext:
         self._check_valid()
         self._bundle.framework.dispatcher.remove_service_listener(listener)
 
-    def add_framework_listener(self, listener: Callable) -> None:
-        self._check_valid()
-        self._bundle.framework.dispatcher.add_framework_listener(listener)
-
-    def remove_framework_listener(self, listener: Callable) -> None:
-        self._check_valid()
-        self._bundle.framework.dispatcher.remove_framework_listener(listener)
-
     # -- persistence & accounting -------------------------------------------
     def get_data_store(self) -> "Any":
         """Per-bundle persistent key-value area (survives restarts/migration).
@@ -399,13 +375,6 @@ class BundleContext:
         """Report resource consumption, metered by the Monitoring Module."""
         self._check_valid()
         self._bundle.ledger.account(cpu, memory_delta, disk_delta)
-        self._bundle.framework._notify_consumption(
-            self._bundle, cpu, memory_delta, disk_delta
-        )
-
-    def load_class(self, qualified_name: str) -> Any:
-        self._check_valid()
-        return self._bundle.load_class(qualified_name)
 
     # -- validity ------------------------------------------------------------
     def _invalidate(self) -> None:

@@ -170,12 +170,6 @@ class EventDispatcher:
         if listener not in self._framework_listeners:
             self._framework_listeners.append(listener)
 
-    def remove_framework_listener(
-        self, listener: Callable[[FrameworkEvent], None]
-    ) -> None:
-        if listener in self._framework_listeners:
-            self._framework_listeners.remove(listener)
-
     def clear(self) -> None:
         self._bundle_listeners = []
         self._service_entries = {}

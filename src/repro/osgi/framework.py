@@ -38,7 +38,6 @@ from repro.osgi.wiring import Resolver
 #: Start level the framework moves to on start when no state is persisted.
 DEFAULT_ACTIVE_LEVEL = 10
 
-ConsumptionListener = Callable[[Bundle, float, int, int], None]
 VisibilityHook = Callable[[Bundle, ServiceReference], bool]
 
 
@@ -84,7 +83,6 @@ class Framework:
         self.active = False
         self._bundles: Dict[int, Bundle] = {}
         self._next_bundle_id = 1
-        self._consumption_listeners: List[ConsumptionListener] = []
         self._visibility_hooks: List[VisibilityHook] = []
         self.counters: Dict[str, int] = {
             "installs": 0,
@@ -370,38 +368,9 @@ class Framework:
             )
         )
 
-    def add_consumption_listener(self, listener: ConsumptionListener) -> None:
-        """Subscribe to per-bundle resource consumption reports."""
-        if listener not in self._consumption_listeners:
-            self._consumption_listeners.append(listener)
-
-    def remove_consumption_listener(self, listener: ConsumptionListener) -> None:
-        if listener in self._consumption_listeners:
-            self._consumption_listeners.remove(listener)
-
-    def _notify_consumption(
-        self, bundle: Bundle, cpu: float, memory_delta: int, disk_delta: int
-    ) -> None:
-        for listener in list(self._consumption_listeners):
-            try:
-                listener(bundle, cpu, memory_delta, disk_delta)
-            except Exception as exc:
-                self._report_error(listener, exc)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def installed_definitions(self) -> List[BundleDefinition]:
-        """Definitions of every installed bundle plus the system bundle.
-
-        The bundle-set view the static verifier and the chaos deployment
-        verdicts consume; the system bundle comes last so diagnostics
-        read in install order.
-        """
-        return [b.definition for b in self.bundles()] + [
-            self._system_bundle.definition
-        ]
-
     def memory_footprint(self) -> int:
         """Notional resident bytes: bundle archives + live service overhead.
 

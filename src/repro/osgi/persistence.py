@@ -133,12 +133,6 @@ class InMemoryFrameworkStorage(FrameworkStorage):
             return None
         return FrameworkState.from_dict(data)
 
-    def delete_state(self, instance_id: str) -> None:
-        self._states.pop(instance_id, None)
-        prefix = instance_id + "/"
-        for key in [k for k in self._data if k.startswith(prefix)]:
-            del self._data[key]
-
     def bundle_data(
         self, instance_id: str, symbolic_name: str
     ) -> MutableMapping[str, Any]:

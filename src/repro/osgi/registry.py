@@ -32,16 +32,13 @@ class ServiceFactory:
     Register a subclass instead of a plain object to hand each consuming
     bundle its own instance (the OSGi ``ServiceFactory`` pattern — used in
     this reproduction to give each virtual instance a private facade over a
-    shared base service).
+    shared base service). A subclass defines ``get_service(bundle,
+    registration)`` and ``unget_service(bundle, registration, service)``,
+    which the registry calls when that bundle's use count drops to zero.
     """
 
     def get_service(self, bundle: Any, registration: "ServiceRegistration") -> Any:
         raise NotImplementedError
-
-    def unget_service(
-        self, bundle: Any, registration: "ServiceRegistration", service: Any
-    ) -> None:
-        """Called when a bundle's use count drops to zero."""
 
 
 class ServiceReference:

@@ -14,6 +14,10 @@ history recorder, so gates and rollout history events land correctly.
 its canary visibly drags the soak window's p95 latency past the gate
 threshold, so the rollout deterministically rolls back.
 
+:data:`SCENARIOS` are the pinned fault patterns ``python -m repro
+rollout`` runs against that engine, and :func:`rollout_verdict` is the
+self-digested JSON document it emits.
+
 :func:`chaos_upgrade_scenario` is the ``seed -> env`` factory
 :class:`~repro.faults.campaign.ChaosCampaign` uses in upgrade mode, and
 :func:`upgrade_schedule_factory` draws fault schedules timed to land
@@ -23,8 +27,11 @@ threshold, so the rollout deterministically rolls back.
 from __future__ import annotations
 
 import random
-from typing import Any, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.conformance.axioms import ConformanceViolation
+from repro.conformance.history import History
+from repro.conformance.report import CHECKER_NAMES, self_digested
 from repro.faults.schedule import FaultSchedule
 from repro.ipvs.addressing import IpEndpoint
 from repro.rollout.engine import RolloutConfig, RolloutEngine
@@ -36,7 +43,10 @@ __all__ = [
     "FLEET_ENDPOINT",
     "PINNED_VERSION",
     "TARGET_VERSION",
+    "SCENARIOS",
+    "SCENARIO_OPTIONS",
     "rollout_scenario",
+    "rollout_verdict",
     "chaos_upgrade_scenario",
     "upgrade_schedule_factory",
 ]
@@ -109,6 +119,86 @@ def rollout_scenario(
     env.rollout_engine = engine
     env.rollout_fleet = fleet
     return env
+
+
+#: Scenario name -> pinned fault schedule builder. Times are aimed at
+#: the engine timeline (start t=2, canary soak ~2.4-5.4, wave ~5.4-6.1;
+#: with the bad release the rollback drains the canary from ~5.3).
+SCENARIOS: Dict[str, Callable[[], FaultSchedule]] = {
+    "clean": lambda: FaultSchedule(),
+    "bad-release": lambda: FaultSchedule(),
+    "crash-canary": lambda: FaultSchedule()
+    .crash(4.5, "n1")
+    .repair(14.0, "n1"),
+    "crash-wave": lambda: FaultSchedule()
+    .crash(5.6, "n2")
+    .repair(14.0, "n2"),
+    "partition": lambda: FaultSchedule()
+    .partition(3.0, ["n1"], ["n2", "n3", "n4"])
+    .heal(9.0),
+    # The deadline fires in the final soak: an incomplete rollout.
+    "deadline": lambda: FaultSchedule(),
+    # The canary's node dies while the rollback drains it, so the live
+    # rollback fails and the engine converges through the SAN instead.
+    "crash-during-rollback": lambda: FaultSchedule()
+    .crash(7.0, "n1")
+    .repair(14.0, "n1"),
+}
+
+#: Scenario name -> :func:`rollout_scenario` keyword overrides.
+SCENARIO_OPTIONS: Dict[str, Dict[str, Any]] = {
+    "bad-release": {"bad_release": True},
+    "deadline": {"config": RolloutConfig(deadline_seconds=4.0)},
+    "crash-during-rollback": {"bad_release": True},
+}
+
+
+def rollout_verdict(
+    env: Any,
+    trace: Any,
+    violations: Sequence[Any],
+    history: History,
+    conformance: Sequence[ConformanceViolation],
+    scenario: str,
+    seed: int,
+) -> Dict[str, Any]:
+    """The deterministic, self-digested verdict of one replayed rollout.
+
+    ``trace`` / ``violations`` come from
+    :func:`~repro.faults.campaign.replay_schedule`, ``conformance`` is
+    :func:`~repro.conformance.report.check_history` over ``history``.
+    """
+    report = env.rollout_engine.report
+    summary = report.summary() if report is not None else {"outcome": "incomplete"}
+    requests = env.director.requests
+    document = {
+        "tool": "repro.rollout",
+        "version": 1,
+        "scenario": scenario,
+        "seed": seed,
+        "checkers": list(CHECKER_NAMES),
+        "rollout": summary,
+        "requests": {
+            "total": len(requests),
+            "completed": sum(1 for r in requests if r.ok),
+            "dropped": sum(1 for r in requests if r.dropped is not None),
+            "dropped_in_upgrade_windows": sum(
+                1 for v in conformance if v.checker == "rollout-no-dropped-request"
+            ),
+        },
+        "invariant_violations": [str(v) for v in violations],
+        "conformance_violations": [v.to_dict() for v in conformance],
+        "history_events": len(history),
+        "history_digest": history.digest(),
+        "trace_digest": trace.digest(),
+    }
+    document["ok"] = (
+        summary.get("outcome") in ("completed", "rolled-back")
+        and not summary.get("mixed_version", True)
+        and not violations
+        and not conformance
+    )
+    return self_digested(document)
 
 
 def chaos_upgrade_scenario(seed: int) -> Any:

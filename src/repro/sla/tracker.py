@@ -101,10 +101,6 @@ class SlaTracker:
     def customer_names(self) -> List[str]:
         return sorted(self._customers)
 
-    def sla_of(self, customer: str) -> Optional[ServiceLevelAgreement]:
-        timeline = self._customers.get(customer)
-        return timeline.sla if timeline else None
-
     # ------------------------------------------------------------------
     # Feeds
     # ------------------------------------------------------------------

@@ -17,7 +17,8 @@ become measurable claims (see docs/TELEMETRY.md):
   across same-seed runs;
 * :mod:`repro.telemetry.gauges` — pull gauges over the existing hot-path
   counters, so instrumenting costs zero per-operation work;
-* :mod:`repro.telemetry.cli` — ``python -m repro trace``.
+* :mod:`repro.telemetry.scenarios` — the failover and chaos scenarios
+  ``python -m repro trace`` (:mod:`repro.__main__`) runs and exports.
 
 This package is a **suppression-free zone** for the determinism linter
 (DET006): unlike the rest of the tree it may not even carry an

@@ -16,13 +16,15 @@ exported packages and services of the host (Figure 4):
   Manager as a host bundle controlling instance life-cycles.
 * :mod:`~repro.vosgi.deployment` — the Figure 1/2/3 deployment cost
   models (JVM-per-customer vs shared JVM vs stacked VOSGi).
+* :mod:`~repro.vosgi.remote` — Figure 1 made real: per-process instances
+  managed over the network. Not re-exported here: it builds on
+  :mod:`repro.cluster`, which itself imports this package.
 """
 
 from repro.vosgi.delegation import DelegationLoader, ExportPolicy, ServiceMirror
 from repro.vosgi.deployment import DeploymentCosts, DeploymentModel, estimate_costs
 from repro.vosgi.instance import VirtualInstance
 from repro.vosgi.manager import INSTANCE_MANAGER_CLASS, InstanceManager, InstanceManagerActivator
-from repro.vosgi.remote import RemoteInstanceHost, RemoteInstanceManager
 
 __all__ = [
     "DelegationLoader",
@@ -32,8 +34,6 @@ __all__ = [
     "INSTANCE_MANAGER_CLASS",
     "InstanceManager",
     "InstanceManagerActivator",
-    "RemoteInstanceHost",
-    "RemoteInstanceManager",
     "ServiceMirror",
     "VirtualInstance",
     "estimate_costs",

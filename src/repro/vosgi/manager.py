@@ -152,10 +152,6 @@ class InstanceManager:
         if listener not in self._listeners:
             self._listeners.append(listener)
 
-    def remove_listener(self, listener: InstanceListener) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
     def _notify(self, event: str, name: str) -> None:
         for listener in list(self._listeners):
             try:

@@ -53,10 +53,15 @@ def test_callback_before_settlement_fires_on_settle():
     assert seen == ["v"]
 
 
-def test_callback_errors_swallowed():
+def test_callback_errors_surface():
     c = Completion()
+    later = []
     c.on_done(lambda x: 1 / 0)
-    c.complete("v")  # must not raise
+    c.on_done(later.append)
+    with pytest.raises(ZeroDivisionError):
+        c.complete("v")
+    assert c.ok and c.value == "v"
+    assert later == []
 
 
 def test_on_done_chains():

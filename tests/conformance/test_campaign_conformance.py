@@ -11,7 +11,8 @@ import json
 import pytest
 
 from repro.conformance import CHECKER_NAMES, campaign_verdict, verdict_json
-from repro.conformance.cli import SCENARIOS, conform_main
+from repro.__main__ import conform_main
+from repro.conformance.report import SCENARIOS
 from repro.faults import ChaosCampaign, EpisodeVerdict
 from repro.faults.campaign import (
     default_scenario,

@@ -1,7 +1,14 @@
-"""Every shipped example must run to completion (guards against bit-rot)."""
+"""Every shipped example must run to completion (guards against bit-rot).
+
+Each example runs as ``python examples/<name>.py`` in a fresh
+interpreter, as a reader would start it: an import cycle that only bites
+when a given module is imported first cannot hide behind modules an
+earlier test already loaded.
+"""
 
 import io
-import runpy
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -10,6 +17,20 @@ import pytest
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 EXAMPLES = sorted(p.name for p in EXAMPLES_DIR.glob("*.py"))
+SRC = EXAMPLES_DIR.parent / "src"
+
+
+def run_example(script):
+    """stdout of ``python examples/<script>``; fails on a nonzero exit."""
+    done = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / script)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_examples_directory_found():
@@ -18,27 +39,18 @@ def test_examples_directory_found():
 
 @pytest.mark.parametrize("script", EXAMPLES)
 def test_example_runs_and_prints(script):
-    captured = io.StringIO()
-    with redirect_stdout(captured):
-        runpy.run_path(str(EXAMPLES_DIR / script), run_name="__main__")
-    output = captured.getvalue()
+    output = run_example(script)
     assert len(output) > 100, "%s produced almost no output" % script
 
 
 def test_quickstart_shows_failover():
-    captured = io.StringIO()
-    with redirect_stdout(captured):
-        runpy.run_path(str(EXAMPLES_DIR / "quickstart.py"), run_name="__main__")
-    output = captured.getvalue()
+    output = run_example("quickstart.py")
     assert "redeployed on" in output
     assert "ComplianceReport" in output
 
 
 def test_ha_shop_promotes_standby_and_keeps_orders():
-    captured = io.StringIO()
-    with redirect_stdout(captured):
-        runpy.run_path(str(EXAMPLES_DIR / "ha_shop.py"), run_name="__main__")
-    output = captured.getvalue()
+    output = run_example("ha_shop.py")
     assert "orders after failover: ['o-1', 'o-2']" in output
     assert "promoted to" in output
 

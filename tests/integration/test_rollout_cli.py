@@ -8,7 +8,8 @@ import json
 
 import pytest
 
-from repro.rollout.cli import SCENARIOS, rollout_main
+from repro.__main__ import rollout_main
+from repro.rollout.scenario import SCENARIOS
 
 
 def run(tmp_path, label, args):
@@ -22,7 +23,9 @@ def test_scenarios_catalogue():
         "bad-release",
         "clean",
         "crash-canary",
+        "crash-during-rollback",
         "crash-wave",
+        "deadline",
         "partition",
     ]
 
@@ -68,6 +71,48 @@ def test_bad_release_rolls_back_and_still_passes(tmp_path, capsys):
     assert document["rollout"]["outcome"] == "rolled-back"
     assert "latency-p95" in document["rollout"]["reason"]
     assert document["ok"] is True
+    capsys.readouterr()
+
+
+def test_deadline_ends_the_rollout_incomplete(tmp_path, capsys):
+    # The engine's deadline fires in the last soak: every member already
+    # runs the target, but the rollout never verified, so the verdict fails.
+    code, raw = run(tmp_path, "deadline", ["--seed", "0", "--scenario", "deadline"])
+    document = json.loads(raw)
+    assert code == 1
+    assert document["ok"] is False
+    assert document["rollout"]["outcome"] == "incomplete"
+    assert document["rollout"]["reason"] == "deadline exceeded"
+    assert document["rollout"]["mixed_version"] is False
+    assert document["conformance_violations"] == []
+    assert document["digest"] == (
+        "7a1e6c5fc4090ed34d2feb3fd56fc61985a47688f24ab1dd018badc7c8d17ed5"
+    )
+    capsys.readouterr()
+
+
+def test_crash_during_rollback_is_caught_by_the_checkers(tmp_path, capsys):
+    # The canary's node dies while the rollback drains it; the engine
+    # abandons the live rollback and republishes the pinned archive, but
+    # the member already failed over at the bad release. The engine says
+    # rolled-back; the version-monotonic checker says otherwise.
+    code, raw = run(
+        tmp_path, "crash", ["--seed", "0", "--scenario", "crash-during-rollback"]
+    )
+    document = json.loads(raw)
+    assert code == 1
+    assert document["ok"] is False
+    assert document["rollout"]["outcome"] == "rolled-back"
+    assert document["rollout"]["final_versions"] == {
+        "svc-1": "2.0.0",
+        "svc-2": "1.0.0",
+        "svc-3": "1.0.0",
+    }
+    checkers = [v["checker"] for v in document["conformance_violations"]]
+    assert checkers.count("rollout-version-monotonic") == 2
+    assert document["digest"] == (
+        "f4cd7db03bbe7e04e9b028695c4dbef5c55f6ebba2d10d93370781e9292fc926"
+    )
     capsys.readouterr()
 
 

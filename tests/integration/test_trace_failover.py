@@ -3,7 +3,7 @@ crash, and a warm-standby failover must serialise as ONE connected trace."""
 
 import pytest
 
-from repro.telemetry.cli import run_failover_scenario
+from repro.telemetry.scenarios import run_failover_scenario
 from repro.telemetry.export import (
     connected_trace_ids,
     dump_chrome_json,

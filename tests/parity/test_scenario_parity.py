@@ -14,8 +14,8 @@ import pytest
 from repro.conformance.report import campaign_verdict, verdict_json
 from repro.faults.campaign import ChaosCampaign
 from repro.macrobench.scenario import MacroConfig, MacroScenario
-from repro.rollout.cli import SCENARIOS as ROLLOUT_SCENARIOS
-from repro.rollout.cli import rollout_main
+from repro.rollout.scenario import SCENARIOS as ROLLOUT_SCENARIOS
+from repro.__main__ import rollout_main
 from repro.telemetry.export import dump_chrome_json, dump_spans_json
 
 from tests.parity.conftest import assert_parity
@@ -62,7 +62,7 @@ def test_failover_trace_export_parity(run_both):
     """The acceptance trace: exported Chrome JSON and raw span dumps are
     identical files — span ids included, thanks to per-node RNG
     substreams."""
-    from repro.telemetry.cli import run_failover_scenario
+    from repro.telemetry.scenarios import run_failover_scenario
 
     def scenario():
         env, telemetry = run_failover_scenario(seed=42, requests=6)

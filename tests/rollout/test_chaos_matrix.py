@@ -14,7 +14,7 @@ import pytest
 
 from repro.conformance import HistoryRecorder, check_history
 from repro.faults.campaign import ChaosCampaign, replay_schedule
-from repro.rollout.cli import SCENARIOS
+from repro.rollout.scenario import SCENARIOS
 from repro.rollout.engine import COMPLETED, ROLLED_BACK
 from repro.rollout.scenario import (
     PINNED_VERSION,
