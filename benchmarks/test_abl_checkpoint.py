@@ -10,7 +10,7 @@ the work lost at the redeployed replica and the SAN write overhead paid —
 the trade the paper anticipated, as a sweep over the interval.
 """
 
-from benchmarks.conftest import print_table, run_once
+from benchmarks.conftest import print_table
 from repro.cluster import Cluster
 from repro.migration.livemigration import CheckpointableActivator, ContextCheckpointer
 from repro.migration.module import MigrationModule
@@ -90,11 +90,11 @@ def run_interval(interval, seed=151):
     }
 
 
-def test_abl_checkpoint_interval(benchmark):
+def test_abl_checkpoint_interval():
     def scenario():
         return {interval: run_interval(interval) for interval in INTERVALS}
 
-    results = run_once(benchmark, scenario)
+    results = scenario()
 
     rows = []
     for interval in INTERVALS:

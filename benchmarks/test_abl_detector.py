@@ -9,7 +9,7 @@ suspicion rate — the classic completeness/accuracy trade-off, quantified
 for this platform.
 """
 
-from benchmarks.conftest import print_table, run_once
+from benchmarks.conftest import print_table
 from repro.gcs.directory import GroupDirectory
 from repro.gcs.member import GroupMember
 from repro.sim.eventloop import EventLoop
@@ -70,7 +70,7 @@ def run_detector(fd_timeout, loss_rate, seed, adaptive=False):
     }
 
 
-def test_abl_failure_detector_sweep(benchmark):
+def test_abl_failure_detector_sweep():
     def scenario():
         out = {}
         for loss in (0.0, 0.10):
@@ -84,7 +84,7 @@ def test_abl_failure_detector_sweep(benchmark):
             )
         return out
 
-    results = run_once(benchmark, scenario)
+    results = scenario()
 
     for loss in (0.0, 0.10):
         rows = []

@@ -11,7 +11,7 @@ what the difference costs SLA enforcement:
   false positives/negatives that exact accounting does not.
 """
 
-from benchmarks.conftest import print_table, run_once
+from benchmarks.conftest import print_table
 from repro.cluster import Cluster
 from repro.isolation.quotas import ResourceQuota
 from repro.monitoring.monitor import MonitoringModule
@@ -60,7 +60,7 @@ def run_mode(mode, cpu_per_second, memory_bytes, quota_cpu, seed=141):
     return violations
 
 
-def test_abl_monitoring_modes(benchmark):
+def test_abl_monitoring_modes():
     def scenario():
         out = {}
         # Case A: memory hog (2 KiB against a 1 KiB quota), CPU idle.
@@ -76,7 +76,7 @@ def test_abl_monitoring_modes(benchmark):
         out[("sampling", "cpuhog")] = run_mode("sampling", 0.60, 0, 0.20)
         return out
 
-    results = run_once(benchmark, scenario)
+    results = scenario()
 
     rows = []
     for case in ("memhog", "boundary", "cpuhog"):

@@ -11,7 +11,7 @@ compare: duplicate deployments (divergence cost), redeployment latency
 (agreement cost) and message traffic.
 """
 
-from benchmarks.conftest import print_table, run_once
+from benchmarks.conftest import print_table
 from repro.cluster import Cluster
 from repro.migration.module import MigrationModule
 from repro.migration.registry import CustomerDescriptor, CustomerDirectory
@@ -77,13 +77,13 @@ def run_discipline(coordination, seed=121):
     }
 
 
-def test_abl_coordination_disciplines(benchmark):
+def test_abl_coordination_disciplines():
     def scenario():
         return {
             mode: run_discipline(mode) for mode in ("deterministic", "sequencer")
         }
 
-    results = run_once(benchmark, scenario)
+    results = scenario()
 
     rows = []
     for mode in ("deterministic", "sequencer"):

@@ -10,7 +10,7 @@ prepared standby (sweeping instance size), and what the standby costs
 while idle (memory held, background resync work).
 """
 
-from benchmarks.conftest import print_table, run_once
+from benchmarks.conftest import print_table
 from repro.cluster import Cluster
 from repro.migration.module import MigrationModule
 from repro.migration.registry import CustomerDescriptor, CustomerDirectory
@@ -71,7 +71,7 @@ def measure(bundle_count, with_standby, seed=131):
     }
 
 
-def test_abl_warm_standby(benchmark):
+def test_abl_warm_standby():
     def scenario():
         out = {}
         for bundles in BUNDLE_COUNTS:
@@ -79,7 +79,7 @@ def test_abl_warm_standby(benchmark):
             out[(bundles, True)] = measure(bundles, with_standby=True)
         return out
 
-    results = run_once(benchmark, scenario)
+    results = scenario()
 
     rows = []
     for bundles in BUNDLE_COUNTS:

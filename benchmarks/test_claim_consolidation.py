@@ -9,7 +9,7 @@ by the Autonomic Module's consolidation policy (migrations + hibernation
 of emptied nodes), and integrate cluster power over time.
 """
 
-from benchmarks.conftest import print_table, run_once
+from benchmarks.conftest import print_table
 from repro.cluster.node import NodeState
 from repro.core import DependableEnvironment
 from repro.sla import ServiceLevelAgreement
@@ -69,14 +69,14 @@ def run_variant(consolidate, seed=101):
     }
 
 
-def test_claim_consolidation_saves_power(benchmark):
+def test_claim_consolidation_saves_power():
     def scenario():
         return {
             "spread": run_variant(consolidate=False),
             "consolidated": run_variant(consolidate=True),
         }
 
-    results = run_once(benchmark, scenario)
+    results = scenario()
 
     rows = []
     for name in ("spread", "consolidated"):
@@ -111,7 +111,7 @@ def test_claim_consolidation_saves_power(benchmark):
     assert consolidated["energy_wh"] < spread["energy_wh"] * 0.85
 
 
-def test_claim_consolidation_reverses_under_load(benchmark):
+def test_claim_consolidation_reverses_under_load():
     """The §4 loop closed: idle -> consolidate & hibernate; "when they
     need more performance" -> capacity wakes and rejoins."""
     from repro.workloads.burner import CpuBurner, burner_bundle, drive_burner
@@ -154,7 +154,7 @@ def test_claim_consolidation_reverses_under_load(benchmark):
             "busy_power": busy_power,
         }
 
-    results = run_once(benchmark, scenario)
+    results = scenario()
     print_table(
         "CLAIM-CONS(b): elasticity round trip",
         ["phase", "nodes ON", "hibernated", "cluster W"],

@@ -12,7 +12,7 @@ per customer; (b) graceful degradation — customers per surviving node and
 per-customer availability as nodes fail one by one.
 """
 
-from benchmarks.conftest import print_table, run_once
+from benchmarks.conftest import print_table
 from repro.core import DependableEnvironment
 from repro.sla import ServiceLevelAgreement
 
@@ -98,11 +98,11 @@ def graceful_degradation():
     return timeline, reports
 
 
-def test_claim_failover_and_degradation(benchmark):
+def test_claim_failover_and_degradation():
     def scenario():
         return failover_timeline(), graceful_degradation()
 
-    timeline_rows, (degradation, reports) = run_once(benchmark, scenario)
+    timeline_rows, (degradation, reports) = scenario()
 
     print_table(
         "CLAIM-FAIL(a): failover timeline after one node crash (3 customers)",

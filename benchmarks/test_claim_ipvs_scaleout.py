@@ -9,7 +9,7 @@ Throughput and latency vs replica count under a fixed offered load far
 above one node's capacity, for the rr and lc schedulers.
 """
 
-from benchmarks.conftest import print_table, run_once
+from benchmarks.conftest import print_table
 from repro.cluster import Cluster
 from repro.ipvs.addressing import IpEndpoint
 from repro.ipvs.schedulers import LeastConnectionScheduler, RoundRobinScheduler
@@ -50,7 +50,7 @@ def run_scaleout(replica_count, scheduler_factory, seed=111):
     }
 
 
-def test_claim_ipvs_scaleout(benchmark):
+def test_claim_ipvs_scaleout():
     def scenario():
         return {
             (scheduler.__name__, replicas): run_scaleout(replicas, scheduler)
@@ -58,7 +58,7 @@ def test_claim_ipvs_scaleout(benchmark):
             for replicas in REPLICAS
         }
 
-    results = run_once(benchmark, scenario)
+    results = scenario()
 
     for scheduler_name in ("RoundRobinScheduler", "LeastConnectionScheduler"):
         rows = []
@@ -99,7 +99,7 @@ def test_claim_ipvs_scaleout(benchmark):
     assert 80 <= single["throughput_hz"] <= 110
 
 
-def test_claim_heterogeneous_replicas_wrr(benchmark):
+def test_claim_heterogeneous_replicas_wrr():
     """Scheduler choice matters once replicas differ: a 4x-faster replica
     under plain rr gets the same share as the slow ones; wrr weighted to
     capacity, or lc following queue lengths, use it fully."""
@@ -142,7 +142,7 @@ def test_claim_heterogeneous_replicas_wrr(benchmark):
             "lc": run(LeastConnectionScheduler, (1, 1)),
         }
 
-    results = run_once(benchmark, scenario)
+    results = scenario()
     print_table(
         "CLAIM-SCALE(b): 400 req/s offered to a fast (400/s) + slow (100/s) pair",
         ["scheduler", "throughput req/s", "mean latency ms", "dropped", "served by"],

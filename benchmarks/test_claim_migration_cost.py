@@ -10,7 +10,7 @@ instance on it.
 
 import pytest
 
-from benchmarks.conftest import print_table, run_once
+from benchmarks.conftest import print_table
 from repro.cluster import Cluster
 from repro.cluster.spec import CostModel
 from repro.migration.module import MigrationModule
@@ -57,7 +57,7 @@ def cold_startup(bundle_count, state_bytes):
     )
 
 
-def test_claim_migration_vs_cold_startup(benchmark):
+def test_claim_migration_vs_cold_startup():
     def scenario():
         rows = {}
         for bundles in BUNDLE_COUNTS:
@@ -68,7 +68,7 @@ def test_claim_migration_vs_cold_startup(benchmark):
             rows[("state", state)] = (downtime, cold_startup(5, state))
         return rows
 
-    results = run_once(benchmark, scenario)
+    results = scenario()
 
     bundle_rows = []
     for bundles in BUNDLE_COUNTS:

@@ -11,7 +11,7 @@ hog ends up, and how much CPU the neighbour could actually use before and
 after.
 """
 
-from benchmarks.conftest import print_table, run_once
+from benchmarks.conftest import print_table
 from repro.core import DependableEnvironment
 from repro.osgi.definition import BundleActivator, simple_bundle
 from repro.sla import ServiceLevelAgreement
@@ -86,14 +86,14 @@ def run_policy(action_kind, seed=91):
     }
 
 
-def test_claim_sla_enforcement_actions(benchmark):
+def test_claim_sla_enforcement_actions():
     def scenario():
         return {
             action: run_policy(action)
             for action in ("migrate", "stop-instance", "throttle")
         }
 
-    results = run_once(benchmark, scenario)
+    results = scenario()
 
     rows = []
     for action, r in results.items():

@@ -10,7 +10,7 @@ and management-operation latency as customer count grows, for the
 separate-JVM layout.
 """
 
-from benchmarks.conftest import print_table, run_once
+from benchmarks.conftest import print_table
 from repro.vosgi.deployment import (
     DeploymentModel,
     JVM_BASELINE_BYTES,
@@ -28,8 +28,8 @@ def scenario():
     }
 
 
-def test_fig1_separate_jvms(benchmark):
-    results = run_once(benchmark, scenario)
+def test_fig1_separate_jvms():
+    results = scenario()
 
     rows = []
     for n in CUSTOMER_COUNTS:
@@ -57,11 +57,9 @@ def test_fig1_separate_jvms(benchmark):
     assert one.memory_bytes >= JVM_BASELINE_BYTES
     assert one.management_op_seconds == REMOTE_MANAGEMENT_OP_SECONDS
 
-    benchmark.extra_info["memory_mib_32"] = thirty_two.memory_bytes / 2**20
-    benchmark.extra_info["startup_s_32"] = thirty_two.startup_seconds
 
 
-def test_fig1_measured_remote_management(benchmark):
+def test_fig1_measured_remote_management():
     """The management indirection, *measured*: every operation against a
     per-process instance pays a network round trip through the external
     Instance Manager (vs the µs in-process calls of FIG2/FIG3)."""
@@ -92,7 +90,7 @@ def test_fig1_measured_remote_management(benchmark):
         loop.run_for(5.0)
         return manager
 
-    manager = run_once(benchmark, scenario)
+    manager = scenario()
     print_table(
         "FIG1 (measured): remote management over the external Instance Manager",
         ["operations", "mean RTT ms", "min RTT ms", "max RTT ms"],

@@ -9,13 +9,9 @@ in-process management calls, plus a *measured* in-process management
 operation (start/stop of an embedded instance) on the real implementation.
 """
 
-from benchmarks.conftest import print_table, run_once
+from benchmarks.conftest import min_host_seconds, print_table
 from repro.osgi.framework import Framework
-from repro.vosgi.deployment import (
-    DeploymentModel,
-    LOCAL_MANAGEMENT_OP_SECONDS,
-    estimate_costs,
-)
+from repro.vosgi.deployment import DeploymentModel, estimate_costs
 from repro.vosgi.manager import InstanceManager
 
 CUSTOMER_COUNTS = [1, 2, 4, 8, 16, 32]
@@ -31,8 +27,8 @@ def model_scenario():
     return out
 
 
-def test_fig2_shared_jvm_vs_separate(benchmark):
-    results = run_once(benchmark, model_scenario)
+def test_fig2_shared_jvm_vs_separate():
+    results = model_scenario()
 
     rows = []
     for n in CUSTOMER_COUNTS:
@@ -72,7 +68,7 @@ def test_fig2_shared_jvm_vs_separate(benchmark):
     assert results[32]["separate"].startup_seconds > results[32]["shared"].startup_seconds
 
 
-def test_fig2_measured_management_op(benchmark):
+def test_fig2_measured_management_op():
     """Measure the real in-process management operation the Map-based
     Instance Manager gives us: stop+start of an embedded instance."""
     host = Framework("bench-host")
@@ -84,8 +80,7 @@ def test_fig2_measured_management_op(benchmark):
         manager.stop_instance("customer")
         manager.start_instance("customer")
 
-    benchmark(manage)
+    fastest = min_host_seconds(manage)
     host.stop()
     # In-process management is far below the 1.5 ms RMI/JMX round trip.
-    assert benchmark.stats.stats.min < 1.5e-3
-    benchmark.extra_info["modelled_local_op_s"] = LOCAL_MANAGEMENT_OP_SECONDS
+    assert fastest < 1.5e-3

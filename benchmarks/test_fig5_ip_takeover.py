@@ -9,7 +9,7 @@ ARP/takeover settle time, and compare it against the full migration
 downtime (stop + redeploy) to show which term dominates.
 """
 
-from benchmarks.conftest import print_table, run_once
+from benchmarks.conftest import print_table
 from repro.cluster import Cluster
 from repro.ipvs.addressing import AddressRegistry
 from repro.migration.module import MigrationModule
@@ -66,12 +66,12 @@ def full_service_migration_downtime():
     return migration.result().downtime
 
 
-def test_fig5_unique_ip_takeover(benchmark):
+def test_fig5_unique_ip_takeover():
     def scenario():
         sweep = {t: run_takeover(t) for t in TAKEOVER_SECONDS}
         return sweep, full_service_migration_downtime()
 
-    sweep, migration_downtime = run_once(benchmark, scenario)
+    sweep, migration_downtime = scenario()
 
     rows = []
     for takeover in TAKEOVER_SECONDS:

@@ -12,7 +12,7 @@ own failover window when the primary dies; (c) request loss compared with
 the Figure 5 unique-IP strategy under the same migration.
 """
 
-from benchmarks.conftest import print_table, run_once
+from benchmarks.conftest import print_table
 from repro.cluster import Cluster
 from repro.ipvs.addressing import IpEndpoint
 from repro.ipvs.server import DirectorCluster
@@ -78,7 +78,7 @@ def director_failover(failover_seconds):
     }
 
 
-def test_fig6_shared_ip_behind_ipvs(benchmark):
+def test_fig6_shared_ip_behind_ipvs():
     def scenario():
         return {
             "migration": migration_behind_director(),
@@ -86,7 +86,7 @@ def test_fig6_shared_ip_behind_ipvs(benchmark):
             "failover_2.0": director_failover(2.0),
         }
 
-    results = run_once(benchmark, scenario)
+    results = scenario()
 
     migration = results["migration"]
     print_table(

@@ -14,28 +14,26 @@ environment in three lines.
 from repro.core import DependableEnvironment
 from repro.osgi import Framework
 from repro.osgi.definition import BundleActivator, simple_bundle
+from repro.services import LOG_SERVICE_CLASS, log_bundle
 from repro.sla import ServiceLevelAgreement
 from repro.vosgi import ExportPolicy, InstanceManager
-
-
-class LogServiceActivator(BundleActivator):
-    """A tiny log service bundle: registers a shared list as the service."""
-
-    def start(self, context):
-        self.entries = []
-        context.register_service("log.LogService", self.entries)
-
-    def stop(self, context):
-        self.entries = None
 
 
 class GreeterActivator(BundleActivator):
     """A customer bundle that uses the (host-provided) log service."""
 
     def start(self, context):
-        reference = context.get_service_reference("log.LogService")
+        reference = context.get_service_reference(LOG_SERVICE_CLASS)
         log = context.get_service(reference)
-        log.append("greetings from %s" % context.bundle.symbolic_name)
+        source = context.get_property("vosgi.instance", "demo")
+        log.info("greetings from %s" % context.bundle.symbolic_name, source=source)
+
+
+def log_lines(framework):
+    """The entries of the log service registered in ``framework``."""
+    context = framework.system_context
+    log = context.get_service(context.get_service_reference(LOG_SERVICE_CLASS))
+    return [str(entry) for entry in log.entries()]
 
 
 def part_one_framework():
@@ -43,19 +41,14 @@ def part_one_framework():
     framework = Framework("demo")
     framework.start()
 
-    log_bundle = framework.install(
-        simple_bundle("log-service", activator_factory=LogServiceActivator)
-    )
-    log_bundle.start()
+    framework.install(log_bundle()).start()
 
     app = framework.install(
         simple_bundle("greeter", activator_factory=GreeterActivator)
     )
     app.start()
 
-    reference = framework.system_context.get_service_reference("log.LogService")
-    entries = framework.system_context.get_service(reference)
-    print("log contents:", entries)
+    print("log contents:", log_lines(framework))
     print("bundles:", [(b.symbolic_name, b.state.value) for b in framework.bundles()])
     framework.stop()
     return framework
@@ -65,13 +58,11 @@ def part_two_virtual_instances():
     print("\n=== 2. Virtual OSGi instances on a host (Figures 3-4) ===")
     host = Framework("host")
     host.start()
-    host.install(
-        simple_bundle("log-service", activator_factory=LogServiceActivator)
-    ).start()
+    host.install(log_bundle()).start()
 
     manager = InstanceManager(host)
     # The administrator explicitly exports the log service to customers.
-    policy = ExportPolicy(service_classes={"log.LogService"})
+    policy = ExportPolicy(service_classes={LOG_SERVICE_CLASS})
     acme = manager.create_instance("acme", policy=policy)
     globex = manager.create_instance("globex", policy=policy)
 
@@ -81,9 +72,7 @@ def part_two_virtual_instances():
         )
         bundle.start()
 
-    reference = host.system_context.get_service_reference("log.LogService")
-    entries = host.system_context.get_service(reference)
-    print("ONE shared log service, used by both customers:", entries)
+    print("ONE shared log service, used by both customers:", log_lines(host))
 
     # Isolation: a service registered inside acme is invisible to globex.
     acme_ctx_bundle = acme.bundles()[0]

@@ -13,9 +13,9 @@ The package implements, from scratch and in pure Python:
 * an ipvs-style IP virtual server (:mod:`repro.ipvs`),
 * the Serpentine-style Autonomic Module (:mod:`repro.autonomic`) and SLA
   layer (:mod:`repro.sla`),
-* the base services the paper's prototype exported — log, HTTP, JMX —
-  plus EventAdmin (:mod:`repro.services`), and reusable customer
-  workloads (:mod:`repro.workloads`),
+* the base services the paper's prototype exported — log, HTTP, JMX
+  (:mod:`repro.services`) — and reusable customer workloads
+  (:mod:`repro.workloads`),
 * causal distributed tracing and metrics over virtual time
   (:mod:`repro.telemetry`),
 * and the integrating platform facade (:mod:`repro.core`).

@@ -34,9 +34,6 @@ consumers cannot load the interface through this bundle's class space).
 ``VER006`` lifecycle-leak heuristics on the activator AST:
 ``get_service`` in start() with no ``unget_service`` anywhere, and
 ``add_*_listener`` with no matching ``remove_*_listener`` (warnings).
-
-``VER007`` unresolvable Require-Bundle (missing bundle or version
-mismatch).
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.analysis.activators import analyze_activator
 from repro.analysis.diagnostics import Diagnostic, Severity, sort_diagnostics
 from repro.osgi.definition import BundleDefinition
-from repro.osgi.wiring import static_import_candidates, static_require_candidates
+from repro.osgi.wiring import static_import_candidates
 
 #: Rule catalogue: code -> one-line summary (mirrored in docs/ANALYSIS.md).
 VER_RULES: Dict[str, str] = {
@@ -56,7 +53,6 @@ VER_RULES: Dict[str, str] = {
     "VER004": "activator class outside the bundle's class space",
     "VER005": "service registered under a foreign interface package",
     "VER006": "unbalanced lifecycle (get/unget, add/remove listener)",
-    "VER007": "unresolvable Require-Bundle",
 }
 
 
@@ -157,33 +153,6 @@ def _verify_manifest(
                     "Import-Package %s is unresolvable: exporters exist but none "
                     "satisfies the version range (offered: %s)" % (imported, offered),
                     hint="widen the import range or export a matching version",
-                )
-            )
-
-    for required in manifest.requires:
-        if required.version_range.is_empty():
-            out.append(
-                _diag(
-                    "VER002",
-                    Severity.ERROR,
-                    name,
-                    "Require-Bundle %s has the impossible version range %s"
-                    % (required.symbolic_name, required.version_range),
-                    hint="an interval like [1.0,1.0) excludes its own endpoint",
-                )
-            )
-            continue
-        if required.optional:
-            continue
-        if not static_require_candidates(universe, required, requirer=definition):
-            out.append(
-                _diag(
-                    "VER007",
-                    Severity.ERROR,
-                    name,
-                    "Require-Bundle %s (range %s) is unresolvable in this set"
-                    % (required.symbolic_name, required.version_range),
-                    hint="add the required bundle or relax the version range",
                 )
             )
 

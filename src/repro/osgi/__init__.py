@@ -10,8 +10,8 @@ This package reproduces the OSGi semantics the paper depends on:
   uninstalled at run time (:mod:`repro.osgi.bundle`,
   :mod:`repro.osgi.framework`), with events fired on every transition.
 * **Service orientation** — a service registry with LDAP filters, service
-  ranking and trackers (:mod:`repro.osgi.registry`,
-  :mod:`repro.osgi.tracker`, :mod:`repro.osgi.filter`).
+  ranking and per-bundle use counting (:mod:`repro.osgi.registry`,
+  :mod:`repro.osgi.filter`).
 * **Persistent framework state** — the spec-mandated property §3.2 of the
   paper builds on: which bundles are installed and whether they were active
   survives framework restarts (:mod:`repro.osgi.persistence`).
@@ -39,7 +39,6 @@ from repro.osgi.filter import Filter, parse_filter
 from repro.osgi.framework import Framework
 from repro.osgi.manifest import ExportedPackage, ImportedPackage, Manifest
 from repro.osgi.registry import ServiceReference, ServiceRegistration, ServiceRegistry
-from repro.osgi.tracker import ServiceTracker
 from repro.osgi.version import Version, VersionRange
 
 __all__ = [
@@ -68,7 +67,6 @@ __all__ = [
     "ServiceReference",
     "ServiceRegistration",
     "ServiceRegistry",
-    "ServiceTracker",
     "Version",
     "VersionRange",
     "parse_filter",

@@ -13,7 +13,7 @@ the bundle back to RESOLVED and surfaces as a
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING
 
 from repro.osgi.definition import BundleActivator, BundleDefinition
 from repro.osgi.errors import BundleException
@@ -317,13 +317,13 @@ class BundleContext:
         self, clazz: str, filter: "str | Filter | None" = None
     ) -> Optional[ServiceReference]:
         self._check_valid()
-        return self._bundle.framework._lookup_reference(self._bundle, clazz, filter)
+        return self._bundle.framework._lookup_reference(clazz, filter)
 
     def get_service_references(
         self, clazz: Optional[str] = None, filter: "str | Filter | None" = None
     ) -> List[ServiceReference]:
         self._check_valid()
-        return self._bundle.framework._lookup_references(self._bundle, clazz, filter)
+        return self._bundle.framework._lookup_references(clazz, filter)
 
     def get_service(self, reference: ServiceReference) -> Any:
         self._check_valid()
@@ -332,29 +332,6 @@ class BundleContext:
     def unget_service(self, reference: ServiceReference) -> bool:
         self._check_valid()
         return self._bundle.framework.registry.unget_service(self._bundle, reference)
-
-    # -- listeners ----------------------------------------------------------
-    def add_service_listener(
-        self,
-        listener: Callable,
-        filter: "str | Filter | None" = None,
-        classes: Optional[Sequence[str]] = None,
-    ) -> None:
-        """Register a service listener.
-
-        ``classes`` optionally names the objectClasses the listener cares
-        about so the dispatcher can index it (see
-        :meth:`EventDispatcher.add_service_listener`).
-        """
-        self._check_valid()
-        parsed = self._bundle.framework._parse_filter(filter)
-        self._bundle.framework.dispatcher.add_service_listener(
-            listener, parsed, classes=classes
-        )
-
-    def remove_service_listener(self, listener: Callable) -> None:
-        self._check_valid()
-        self._bundle.framework.dispatcher.remove_service_listener(listener)
 
     # -- persistence & accounting -------------------------------------------
     def get_data_store(self) -> "Any":

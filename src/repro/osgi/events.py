@@ -129,7 +129,8 @@ class EventDispatcher:
         """Register ``listener``, optionally filtered.
 
         ``classes`` is an optional iterable of objectClass names the
-        listener cares about (an indexing hint, e.g. from a tracker).
+        listener cares about (an indexing hint, e.g. a mirror's exported
+        classes).
         When omitted it is derived from the filter where possible;
         otherwise the listener receives every service event.
         """

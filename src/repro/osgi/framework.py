@@ -38,8 +38,6 @@ from repro.osgi.wiring import Resolver
 #: Start level the framework moves to on start when no state is persisted.
 DEFAULT_ACTIVE_LEVEL = 10
 
-VisibilityHook = Callable[[Bundle, ServiceReference], bool]
-
 
 class Framework:
     """An OSGi-style framework instance.
@@ -83,7 +81,6 @@ class Framework:
         self.active = False
         self._bundles: Dict[int, Bundle] = {}
         self._next_bundle_id = 1
-        self._visibility_hooks: List[VisibilityHook] = []
         self.counters: Dict[str, int] = {
             "installs": 0,
             "resolves": 0,
@@ -308,40 +305,18 @@ class Framework:
         self.resolver.resolve(bundle)
 
     # ------------------------------------------------------------------
-    # Service visibility (the VOSGi hook point)
+    # Service lookup (what a bundle context sees)
     # ------------------------------------------------------------------
-    def add_visibility_hook(self, hook: VisibilityHook) -> None:
-        """Install a predicate limiting which services a bundle can see."""
-        self._visibility_hooks.append(hook)
-
-    def remove_visibility_hook(self, hook: VisibilityHook) -> None:
-        if hook in self._visibility_hooks:
-            self._visibility_hooks.remove(hook)
-
-    def _visible(self, bundle: Bundle, reference: ServiceReference) -> bool:
-        return all(hook(bundle, reference) for hook in self._visibility_hooks)
-
     def _lookup_reference(
-        self, bundle: Bundle, clazz: str, filter: "str | Filter | None"
+        self, clazz: str, filter: "str | Filter | None"
     ) -> Optional[ServiceReference]:
-        for reference in self.registry.get_references(clazz, self._parse_filter(filter)):
-            if self._visible(bundle, reference):
-                return reference
-        return None
+        references = self.registry.get_references(clazz, self._parse_filter(filter))
+        return references[0] if references else None
 
     def _lookup_references(
-        self,
-        bundle: Bundle,
-        clazz: Optional[str],
-        filter: "str | Filter | None",
+        self, clazz: Optional[str], filter: "str | Filter | None"
     ) -> List[ServiceReference]:
-        return [
-            reference
-            for reference in self.registry.get_references(
-                clazz, self._parse_filter(filter)
-            )
-            if self._visible(bundle, reference)
-        ]
+        return self.registry.get_references(clazz, self._parse_filter(filter))
 
     def _parse_filter(self, filter: "str | Filter | None") -> Optional[Filter]:
         if filter is None or isinstance(filter, Filter):

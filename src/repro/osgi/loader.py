@@ -70,28 +70,12 @@ class BundleNamespace:
         if symbols is not None and symbol in symbols:
             return symbols[symbol]
 
-        # 3. DynamicImport-Package: wire lazily, once, at load time.
-        if self._matches_dynamic_import(package):
-            wire = self._bundle.framework.resolver.dynamic_wire(
-                self._bundle, package
-            )
-            if wire is not None:
-                return wire.exporter._namespace.load_local(package, symbol)
-
-        # 4. The custom topmost loader (virtual instances only).
+        # 3. The custom topmost loader (virtual instances only).
         if self.fallback is not None:
             self.delegated_loads += 1
             return self.fallback(package, symbol)
 
         raise ClassNotFoundError(qualified_name, self._bundle.symbolic_name)
-
-    def _matches_dynamic_import(self, package: str) -> bool:
-        for pattern in self._bundle.definition.manifest.dynamic_imports:
-            if pattern == "*" or pattern == package:
-                return True
-            if pattern.endswith(".*") and package.startswith(pattern[:-1]):
-                return True
-        return False
 
     def load_local(self, package: str, symbol: str) -> Any:
         """Resolve inside this bundle's own content only (wire target side)."""

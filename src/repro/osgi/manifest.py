@@ -54,15 +54,6 @@ class ExportedPackage:
         return text
 
 
-@dataclass(frozen=True)
-class RequiredBundle:
-    """One clause of ``Require-Bundle``."""
-
-    symbolic_name: str
-    version_range: VersionRange = ANY_VERSION
-    optional: bool = False
-
-
 class Manifest:
     """Parsed bundle metadata."""
 
@@ -72,8 +63,6 @@ class Manifest:
         version: Version = EMPTY_VERSION,
         imports: Sequence[ImportedPackage] = (),
         exports: Sequence[ExportedPackage] = (),
-        requires: Sequence[RequiredBundle] = (),
-        dynamic_imports: Sequence[str] = (),
         activator: str = "",
         headers: Optional[Mapping[str, str]] = None,
     ) -> None:
@@ -83,10 +72,6 @@ class Manifest:
         self.version = version
         self.imports = tuple(imports)
         self.exports = tuple(exports)
-        self.requires = tuple(requires)
-        #: DynamicImport-Package patterns: exact names, ``prefix.*`` or
-        #: the universal ``*`` — matched lazily at class-load time.
-        self.dynamic_imports = tuple(dynamic_imports)
         self.activator = activator
         self.headers: Dict[str, str] = dict(headers or {})
         names = [e.name for e in self.exports]
@@ -110,31 +95,36 @@ class Manifest:
         version: str = "0.0.0",
         imports: Iterable[str] = (),
         exports: Iterable[str] = (),
-        requires: Iterable[str] = (),
-        dynamic_imports: Iterable[str] = (),
         activator: str = "",
         headers: Optional[Mapping[str, str]] = None,
     ) -> "Manifest":
         """Build a manifest from compact clause strings.
 
-        ``imports``/``exports``/``requires`` elements use the same clause
-        syntax as the textual headers, e.g. ``'log;version="[1.0,2.0)"'``.
+        ``imports``/``exports`` elements use the same clause syntax as the
+        textual headers, e.g. ``'log;version="[1.0,2.0)"'``.
         """
         return cls(
             symbolic_name=symbolic_name,
             version=Version.parse(version),
             imports=[_parse_import(c) for c in imports],
             exports=[_parse_export(c) for c in exports],
-            requires=[_parse_require(c) for c in requires],
-            dynamic_imports=[c.strip() for c in dynamic_imports],
             activator=activator,
             headers=headers,
         )
 
     @classmethod
     def parse(cls, text: str) -> "Manifest":
-        """Parse MANIFEST.MF-style text into a :class:`Manifest`."""
+        """Parse MANIFEST.MF-style text into a :class:`Manifest`.
+
+        ``Require-Bundle`` and ``DynamicImport-Package`` are refused with a
+        :class:`BundleException` naming the header: the resolver wires
+        packages only, and a bundle silently resolved without the wiring
+        it asked for would fail later and further from the cause.
+        """
         headers = parse_headers(text)
+        for header in _UNSUPPORTED_HEADERS:
+            if header in headers:
+                raise BundleException("%s is not supported" % header)
         symbolic_name = headers.get("Bundle-SymbolicName", "").split(";")[0].strip()
         if not symbolic_name:
             raise BundleException("manifest missing Bundle-SymbolicName")
@@ -145,20 +135,11 @@ class Manifest:
         exports = [
             _parse_export(c) for c in split_clauses(headers.get("Export-Package", ""))
         ]
-        requires = [
-            _parse_require(c) for c in split_clauses(headers.get("Require-Bundle", ""))
-        ]
-        dynamic_imports = [
-            parse_clause(c)[0][0]
-            for c in split_clauses(headers.get("DynamicImport-Package", ""))
-        ]
         return cls(
             symbolic_name=symbolic_name,
             version=version,
             imports=imports,
             exports=exports,
-            requires=requires,
-            dynamic_imports=dynamic_imports,
             activator=headers.get("Bundle-Activator", "").strip(),
             headers=headers,
         )
@@ -202,8 +183,10 @@ _CORE_HEADERS = {
     "Bundle-Activator",
     "Import-Package",
     "Export-Package",
-    "Require-Bundle",
 }
+
+#: Headers of R4 wiring modes the resolver does not implement.
+_UNSUPPORTED_HEADERS = ("Require-Bundle", "DynamicImport-Package")
 
 
 # ----------------------------------------------------------------------
@@ -329,11 +312,3 @@ def _parse_export(clause: str) -> ExportedPackage:
     )
     return ExportedPackage(paths[0], version, extra)
 
-
-def _parse_require(clause: str) -> RequiredBundle:
-    paths, attributes, directives = parse_clause(clause)
-    if len(paths) != 1:
-        raise BundleException("one bundle per require clause: %r" % clause)
-    version_range = VersionRange.parse(attributes.get("bundle-version", "0.0.0"))
-    optional = directives.get("resolution", "") == "optional"
-    return RequiredBundle(paths[0], version_range, optional)

@@ -35,6 +35,9 @@ class ServiceFactory:
     shared base service). A subclass defines ``get_service(bundle,
     registration)`` and ``unget_service(bundle, registration, service)``,
     which the registry calls when that bundle's use count drops to zero.
+    A ``RuntimeError`` from ``get_service`` reaches the consumer as a
+    :class:`ServiceException` (``FACTORY_ERROR``); any other exception,
+    and any exception from ``unget_service``, propagates as itself.
     """
 
     def get_service(self, bundle: Any, registration: "ServiceRegistration") -> Any:
@@ -340,7 +343,10 @@ class ServiceRegistry:
             if bundle not in registration._factory_instances:
                 try:
                     instance = service.get_service(bundle, registration)
-                except Exception as exc:
+                except RuntimeError as exc:
+                    # The spec's FACTORY_ERROR wrap, for the failure a
+                    # factory signals; any other exception is a bug in the
+                    # factory and surfaces as itself.
                     raise ServiceException(
                         "service factory failed: %s" % exc,
                         ServiceException.FACTORY_ERROR,
@@ -367,12 +373,9 @@ class ServiceRegistry:
             if factory_instance is not None and isinstance(
                 registration._service, ServiceFactory
             ):
-                try:
-                    registration._service.unget_service(
-                        bundle, registration, factory_instance
-                    )
-                except Exception:
-                    pass  # spec: unget errors must not propagate to the consumer
+                registration._service.unget_service(
+                    bundle, registration, factory_instance
+                )
         else:
             registration._use_counts[bundle] = count - 1
         return True
@@ -400,12 +403,9 @@ class ServiceRegistry:
                 if instance is not None and isinstance(
                     registration._service, ServiceFactory
                 ):
-                    try:
-                        registration._service.unget_service(
-                            bundle, registration, instance
-                        )
-                    except Exception:
-                        pass
+                    registration._service.unget_service(
+                        bundle, registration, instance
+                    )
 
     @property
     def size(self) -> int:

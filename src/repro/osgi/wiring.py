@@ -9,7 +9,9 @@ together, as the spec allows).
 
 ``uses:`` constraint checking is not implemented; this reproduction never
 creates the split-package situations it guards against, and DESIGN.md
-records the omission.
+records the omission. Require-Bundle and DynamicImport-Package are not
+implemented either (:meth:`~repro.osgi.manifest.Manifest.parse` refuses
+both headers): packages are the only unit of wiring.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, TYPE_CHECKING
 
 from repro.osgi.errors import ResolutionError
-from repro.osgi.manifest import ExportedPackage, ImportedPackage, RequiredBundle
+from repro.osgi.manifest import ExportedPackage, ImportedPackage
 from repro.osgi.version import Version
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -96,18 +98,6 @@ class Resolver:
                         continue
                     return False
                 wires[imported.name] = wire
-            for required in bundle.definition.manifest.requires:
-                required_wires = self._wire_require(
-                    bundle, required, plan, in_progress
-                )
-                if required_wires is None:
-                    if required.optional:
-                        continue
-                    return False
-                for wire in required_wires:
-                    # Explicit Import-Package wins over Require-Bundle for
-                    # the same package, per the OSGi R4 resolution order.
-                    wires.setdefault(wire.package, wire)
         finally:
             in_progress.discard(bundle)
         plan[bundle] = wires
@@ -129,53 +119,6 @@ class Resolver:
             plan.clear()
             plan.update(snapshot)
         return None
-
-    def _wire_require(
-        self,
-        bundle: "Bundle",
-        required: "RequiredBundle",
-        plan: Dict["Bundle", Dict[str, PackageWire]],
-        in_progress: Set["Bundle"],
-    ) -> Optional[List[PackageWire]]:
-        """Wire every exported package of the chosen required bundle."""
-        for provider in self._require_candidates(bundle, required):
-            snapshot = dict(plan)
-            if self._try_resolve(provider, plan, in_progress):
-                return [
-                    PackageWire(export.name, bundle, provider, export.version)
-                    for export in provider.definition.manifest.exports
-                ]
-            plan.clear()
-            plan.update(snapshot)
-        return None
-
-    def _require_candidates(
-        self, bundle: "Bundle", required: "RequiredBundle"
-    ) -> List["Bundle"]:
-        from repro.osgi.bundle import BundleState
-
-        found: List["Bundle"] = []
-        for other in self._framework.bundles():
-            if other is bundle or other.state == BundleState.UNINSTALLED:
-                continue
-            if other.symbolic_name != required.symbolic_name:
-                continue
-            if not required.version_range.includes(other.version):
-                continue
-            found.append(other)
-        resolved_states = (
-            BundleState.RESOLVED,
-            BundleState.STARTING,
-            BundleState.ACTIVE,
-        )
-        found.sort(
-            key=lambda b: (
-                0 if b.state in resolved_states else 1,
-                _negate_version(b.version),
-                b.bundle_id,
-            )
-        )
-        return found
 
     def _candidates(
         self, bundle: "Bundle", imported: ImportedPackage
@@ -208,32 +151,6 @@ class Resolver:
         )
         return found
 
-    def dynamic_wire(
-        self, bundle: "Bundle", package: str
-    ) -> Optional[PackageWire]:
-        """Establish a DynamicImport wire at class-load time.
-
-        Per the spec the wire, once established, is permanent for the
-        bundle's wiring lifetime (it joins ``bundle._wires`` and shadows
-        later local content like any import). Returns None when no
-        exporter is available — the load falls through to the next stage.
-        """
-        if package in bundle._wires:
-            return bundle._wires[package]
-        from repro.osgi.manifest import ImportedPackage
-
-        for exporter, export in self._candidates(
-            bundle, ImportedPackage(package)
-        ):
-            plan: Dict["Bundle", Dict[str, PackageWire]] = {}
-            if self._try_resolve(exporter, plan, set()):
-                for resolved_bundle, wires in plan.items():
-                    resolved_bundle._install_wires(wires)
-                wire = PackageWire(package, bundle, exporter, export.version)
-                bundle._wires[package] = wire
-                return wire
-        return None
-
     def _explain_failure(self, bundle: "Bundle") -> str:
         missing: List[str] = []
         for imported in bundle.definition.manifest.imports:
@@ -241,11 +158,6 @@ class Resolver:
                 continue
             if not self._candidates(bundle, imported):
                 missing.append(str(imported))
-        for required in bundle.definition.manifest.requires:
-            if required.optional:
-                continue
-            if not self._require_candidates(bundle, required):
-                missing.append("Require-Bundle: %s" % required.symbolic_name)
         if missing:
             return "cannot resolve %s: unsatisfied imports %s" % (
                 bundle.symbolic_name,
@@ -289,25 +201,6 @@ def static_import_candidates(
             pair[0].symbolic_name,
         )
     )
-    return found
-
-
-def static_require_candidates(
-    definitions: "Sequence[object]",
-    required: RequiredBundle,
-    requirer: "Optional[object]" = None,
-) -> "List[object]":
-    """Definition-level mirror of :meth:`Resolver._require_candidates`."""
-    found: "List[object]" = []
-    for definition in definitions:
-        if requirer is not None and definition is requirer:
-            continue
-        if definition.symbolic_name != required.symbolic_name:
-            continue
-        if not required.version_range.includes(definition.version):
-            continue
-        found.append(definition)
-    found.sort(key=lambda d: (_negate_version(d.version), d.symbolic_name))
     return found
 
 

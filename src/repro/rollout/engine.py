@@ -17,10 +17,12 @@ entirely on the sim event loop:
    :class:`~repro.telemetry.gates.GateWindow` opens over the live
    telemetry metrics; ``soak_seconds`` later the gates are judged on the
    window's deltas. Any trip rolls back every touched member, in
-   reverse order, to its pinned snapshot. Members the engine cannot
-   reach live (crashed mid-wave) get their pinned definitions
+   reverse order, to its pinned snapshot. A member whose node dies
+   under its rollback swap is swapped once more wherever failover
+   redeployed it; if that fails too, its pinned definitions are
    republished to the SAN so the next failure-driven redeploy converges
-   to the pinned version.
+   to the pinned version. A deadline during the rollback ends the
+   rollout ``incomplete``: the fleet may still be mixed.
 
 Every milestone is recorded through the loop's probe (``rollout``
 history events) when a recorder is attached, which is what
@@ -244,10 +246,12 @@ class RolloutEngine:
         self._begin_wave()
 
     def _on_deadline(self) -> None:
-        if self._rolling_back:
-            self._finalize(ROLLED_BACK, "deadline during rollback")
-        else:
-            self._finalize(INCOMPLETE, "deadline exceeded")
+        # A rollback cut short leaves some members at the release: that
+        # fleet is not rolled back, whatever the engine intended.
+        self._finalize(
+            INCOMPLETE,
+            "deadline during rollback" if self._rolling_back else "deadline exceeded",
+        )
 
     # ------------------------------------------------------------------
     # Forward waves
@@ -340,20 +344,28 @@ class RolloutEngine:
         if not self._queue:
             self._finalize(ROLLED_BACK, self._rollback_reason)
             return
-        name = self._queue.pop(0)
-        snapshot = self._snapshots[name]
+        self._roll_back_member(self._queue.pop(0), retry=True)
+
+    def _roll_back_member(self, name: str, retry: bool) -> None:
         if self._current_version(name) == self.pinned_version:
             # Never actually swapped (or already restored); make sure the
             # SAN agrees and move on.
-            republish_pinned(snapshot, self.env.cluster.store)
+            republish_pinned(self._snapshots[name], self.env.cluster.store)
             self._tap("", "rollback-skip", instance=name)
             self._next_rollback()
             return
+
+        def failed(_reason: str) -> None:
+            if retry:
+                # The member's node died under the swap: failover brings
+                # it back elsewhere, at whatever version the SAN held, so
+                # swap it again wherever it is found.
+                self._roll_back_member(name, retry=False)
+            else:
+                self._abandon_rollback_member(name)
+
         self._swap_member(
-            name,
-            to_release=False,
-            on_ok=self._next_rollback,
-            on_fail=lambda _reason: self._abandon_rollback_member(name),
+            name, to_release=False, on_ok=self._next_rollback, on_fail=failed
         )
 
     def _abandon_rollback_member(self, name: str) -> None:
@@ -420,6 +432,12 @@ class RolloutEngine:
             drain_deadline = self._loop.clock.now + self.config.drain_timeout
 
             def poll() -> None:
+                if self.env.cluster.node(node).state != NodeState.ON:
+                    # A dead node has no connections left, but it was not
+                    # drained: no upgrade window opens on it.
+                    self.env.director.undrain_node(node)
+                    on_fail("%s lost while draining %r" % (node, name))
+                    return
                 if self.env.director.node_active_connections(node) == 0:
                     self._tap(node, "drain-complete", instance=name)
                     take_down(node)

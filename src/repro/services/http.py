@@ -6,6 +6,7 @@ so the three base services of §4 share one import site.
 
 from repro.osgi.definition import BundleDefinition
 from repro.workloads.webservice import (
+    HTTP_PACKAGE,
     HTTP_SERVICE_CLASS,
     HostHttpActivator,
     HostHttpService,
@@ -13,6 +14,7 @@ from repro.workloads.webservice import (
 )
 
 __all__ = [
+    "HTTP_PACKAGE",
     "HTTP_SERVICE_CLASS",
     "HostHttpActivator",
     "HostHttpService",

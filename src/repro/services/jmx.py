@@ -15,8 +15,10 @@ from repro.osgi.bundle import BundleContext, BundleState
 from repro.osgi.definition import BundleActivator, BundleDefinition, simple_bundle
 from repro.vosgi.manager import INSTANCE_MANAGER_CLASS
 
-#: Object class of the MBean server service.
-JMX_SERVICE_CLASS = "javax.management.MBeanServer"
+#: The service-interface package the JMX bundle exports (one symbol,
+#: ``MBeanServer``) and the object class the server registers under.
+JMX_PACKAGE = "javax.management"
+JMX_SERVICE_CLASS = JMX_PACKAGE + ".MBeanServer"
 
 
 class MBeanNotFound(KeyError):
@@ -107,4 +109,9 @@ class JmxActivator(BundleActivator):
 
 
 def jmx_bundle(name: str = "service.jmx") -> BundleDefinition:
-    return simple_bundle(name, activator_factory=JmxActivator)
+    return simple_bundle(
+        name,
+        exports=(JMX_PACKAGE,),
+        packages={JMX_PACKAGE: {"MBeanServer": PlatformMBeanServer}},
+        activator_factory=JmxActivator,
+    )

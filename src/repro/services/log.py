@@ -8,8 +8,10 @@ from typing import List, Optional
 from repro.osgi.bundle import BundleContext
 from repro.osgi.definition import BundleActivator, BundleDefinition, simple_bundle
 
-#: Object class, matching the OSGi compendium name shape.
-LOG_SERVICE_CLASS = "org.osgi.service.log.LogService"
+#: The service-interface package the log bundle exports (one symbol,
+#: ``LogService``) and the object class the service registers under.
+LOG_PACKAGE = "org.osgi.service.log"
+LOG_SERVICE_CLASS = LOG_PACKAGE + ".LogService"
 
 #: Severity levels, as in the OSGi Log Service specification.
 LOG_ERROR = 1
@@ -82,4 +84,9 @@ class LogServiceActivator(BundleActivator):
 
 
 def log_bundle(name: str = "service.log") -> BundleDefinition:
-    return simple_bundle(name, activator_factory=LogServiceActivator)
+    return simple_bundle(
+        name,
+        exports=(LOG_PACKAGE,),
+        packages={LOG_PACKAGE: {"LogService": LogService}},
+        activator_factory=LogServiceActivator,
+    )

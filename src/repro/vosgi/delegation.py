@@ -15,7 +15,7 @@ reference crosses the boundary without administrator instruction.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Any, Dict, FrozenSet, Iterable, Optional, Tuple, TYPE_CHECKING
 
 from repro.osgi.bundle import Bundle, BundleState
 from repro.osgi.events import ServiceEvent, ServiceEventType
@@ -32,29 +32,19 @@ IMPORTED_FROM = "vosgi.host.service.id"
 
 
 class ExportPolicy:
-    """What one virtual instance may use from the host framework."""
+    """What one virtual instance may use from the host framework.
+
+    Fixed at construction: a :class:`ServiceMirror` reads the exported
+    service classes once, as its listener's interest set, at ``open()``.
+    """
 
     def __init__(
         self,
-        packages: "Set[str] | List[str] | tuple" = (),
-        service_classes: "Set[str] | List[str] | tuple" = (),
+        packages: Iterable[str] = (),
+        service_classes: Iterable[str] = (),
     ) -> None:
-        self._packages: Set[str] = set(packages)
-        self._service_classes: Set[str] = set(service_classes)
-
-    def export_package(self, name: str) -> "ExportPolicy":
-        self._packages.add(name)
-        return self
-
-    def export_service(self, clazz: str) -> "ExportPolicy":
-        self._service_classes.add(clazz)
-        return self
-
-    def withdraw_package(self, name: str) -> None:
-        self._packages.discard(name)
-
-    def withdraw_service(self, clazz: str) -> None:
-        self._service_classes.discard(clazz)
+        self._packages: FrozenSet[str] = frozenset(packages)
+        self._service_classes: FrozenSet[str] = frozenset(service_classes)
 
     def allows_package(self, name: str) -> bool:
         return name in self._packages
@@ -63,12 +53,12 @@ class ExportPolicy:
         return any(c in self._service_classes for c in classes)
 
     @property
-    def packages(self) -> Set[str]:
-        return set(self._packages)
+    def packages(self) -> FrozenSet[str]:
+        return self._packages
 
     @property
-    def service_classes(self) -> Set[str]:
-        return set(self._service_classes)
+    def service_classes(self) -> FrozenSet[str]:
+        return self._service_classes
 
     def __repr__(self) -> str:
         return "ExportPolicy(packages=%s, services=%s)" % (
@@ -153,9 +143,6 @@ class ServiceMirror:
         if self._active:
             return
         self._active = True
-        self._listen_and_mirror()
-
-    def _listen_and_mirror(self) -> None:
         # The policy names its classes exactly, so they double as the
         # listener's interest set: host events on other classes never
         # visit this mirror.
@@ -172,16 +159,6 @@ class ServiceMirror:
         self._host.dispatcher.remove_service_listener(self._on_host_event)
         for host_service_id in list(self._mirrors):
             self._release(host_service_id)
-
-    def refresh(self) -> None:
-        """Re-apply the policy after it changed (withdraw/extend exports);
-        newly exported classes reach the host listener from here on."""
-        if not self._active:
-            return
-        for service_id, (reference, _) in list(self._mirrors.items()):
-            if not self.policy.allows_service(reference.object_classes):
-                self._release(service_id)
-        self._listen_and_mirror()
 
     @property
     def mirrored_count(self) -> int:
@@ -229,9 +206,6 @@ class ServiceMirror:
     def _update_mirror(self, reference: ServiceReference) -> None:
         if reference.service_id not in self._mirrors:
             self._maybe_mirror(reference)
-            return
-        if not self.policy.allows_service(reference.object_classes):
-            self._release(reference.service_id)
             return
         properties = {
             k: v

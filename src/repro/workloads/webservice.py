@@ -15,8 +15,10 @@ from repro.osgi.bundle import BundleContext
 from repro.osgi.definition import BundleActivator, BundleDefinition, simple_bundle
 from repro.osgi.errors import BundleException
 
-#: Object class of the host-provided HTTP service.
-HTTP_SERVICE_CLASS = "http.HttpService"
+#: The service-interface package the HTTP bundle exports (one symbol,
+#: ``HttpService``) and the object class the service registers under.
+HTTP_PACKAGE = "http"
+HTTP_SERVICE_CLASS = HTTP_PACKAGE + ".HttpService"
 
 _REQUEST_CPU = 0.001
 
@@ -66,7 +68,12 @@ class HostHttpActivator(BundleActivator):
 
 
 def host_http_bundle(name: str = "host.http") -> BundleDefinition:
-    return simple_bundle(name, activator_factory=HostHttpActivator)
+    return simple_bundle(
+        name,
+        exports=(HTTP_PACKAGE,),
+        packages={HTTP_PACKAGE: {"HttpService": HostHttpService}},
+        activator_factory=HostHttpActivator,
+    )
 
 
 class EchoWebService(BundleActivator):

@@ -245,33 +245,6 @@ def test_lambda_activator_factory_is_skipped():
 
 
 # ----------------------------------------------------------------------
-# VER007 — unresolvable Require-Bundle
-# ----------------------------------------------------------------------
-def _requirer(clause):
-    manifest = Manifest.build("req", version="1.0.0", requires=(clause,))
-    return BundleDefinition(manifest)
-
-
-def test_ver007_missing_required_bundle():
-    diags = verify_bundles([_requirer("no.such.bundle")])
-    assert codes(diags) == ["VER007"]
-    assert diags[0].severity is Severity.ERROR
-
-
-def test_ver007_version_mismatch_and_clean_case():
-    dep = simple_bundle("dep", version="1.0.0")
-    mismatched = _requirer('dep;bundle-version="[2.0,3.0)"')
-    assert codes(verify_bundles([mismatched, dep])) == ["VER007"]
-    matching = _requirer('dep;bundle-version="[1.0,2.0)"')
-    assert verify_bundles([matching, dep]) == []
-
-
-def test_ver002_on_require_bundle_range():
-    diags = verify_bundles([_requirer('dep;bundle-version="[1.0,1.0)"')])
-    assert codes(diags) == ["VER002"]
-
-
-# ----------------------------------------------------------------------
 # Catalogue + ordering
 # ----------------------------------------------------------------------
 def test_rule_catalogue_is_complete():
@@ -282,7 +255,6 @@ def test_rule_catalogue_is_complete():
         "VER004",
         "VER005",
         "VER006",
-        "VER007",
     }
 
 

@@ -1,4 +1,4 @@
-"""Framework lifecycle, persistence/restore, properties, visibility hooks."""
+"""Framework lifecycle, persistence/restore, properties, context lookups."""
 
 import pytest
 
@@ -151,26 +151,17 @@ class TestPersistence:
         assert fw.get_bundle_by_name("a") is not None
 
 
-class TestVisibilityHooks:
-    def test_hook_filters_lookups(self, framework):
-        framework.system_context.register_service("x.S", "secret", {"tenant": "a"})
-        framework.system_context.register_service("x.S", "public", {"tenant": "b"})
-
-        framework.add_visibility_hook(
-            lambda bundle, ref: ref.get_property("tenant") == "b"
-        )
-        ref = framework.system_context.get_service_reference("x.S")
-        assert framework.system_context.get_service(ref) == "public"
-        refs = framework.system_context.get_service_references("x.S")
-        assert len(refs) == 1
-
-    def test_hook_removal_restores_visibility(self, framework):
-        framework.system_context.register_service("x.S", object())
-        hook = lambda bundle, ref: False  # noqa: E731
-        framework.add_visibility_hook(hook)
-        assert framework.system_context.get_service_reference("x.S") is None
-        framework.remove_visibility_hook(hook)
-        assert framework.system_context.get_service_reference("x.S") is not None
+def test_context_lookup_is_the_registry_order(framework):
+    context = framework.system_context
+    context.register_service("x.S", "low", {"service.ranking": 1, "tier": "b"})
+    context.register_service("x.S", "high", {"service.ranking": 5, "tier": "a"})
+    assert context.get_service(context.get_service_reference("x.S")) == "high"
+    assert [
+        context.get_service(r) for r in context.get_service_references("x.S")
+    ] == ["high", "low"]
+    only_b = context.get_service_reference("x.S", "(tier=b)")
+    assert context.get_service(only_b) == "low"
+    assert context.get_service_reference("y.S") is None
 
 
 def test_memory_footprint_counts_bundles_and_services(framework):

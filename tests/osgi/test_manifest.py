@@ -131,3 +131,14 @@ X-Custom: hello
         assert reparsed.imports == original.imports
         assert reparsed.exports == original.exports
         assert reparsed.headers.get("X-Custom") == "hello"
+
+    @pytest.mark.parametrize(
+        "header",
+        ["Require-Bundle: com.example.dep", "DynamicImport-Package: *"],
+        ids=["Require-Bundle", "DynamicImport-Package"],
+    )
+    def test_unsupported_wiring_header_is_refused_by_name(self, header):
+        # The resolver wires packages only; resolving this bundle without
+        # the wiring it asks for would fail later, somewhere else.
+        with pytest.raises(BundleException, match=header.split(":")[0]):
+            Manifest.parse(self.MF + header + "\n")

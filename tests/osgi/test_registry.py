@@ -233,3 +233,35 @@ class TestServiceFactory:
         ref = registry.register(BUNDLE_A, "x", NoneFactory()).reference
         with pytest.raises(ServiceException):
             registry.get_service(BUNDLE_B, ref)
+
+    def test_factory_bug_propagates_as_itself(self, registry):
+        # Only a RuntimeError is wrapped into FACTORY_ERROR; a bug in the
+        # factory keeps its own type and traceback.
+        class Buggy(ServiceFactory):
+            def get_service(self, bundle, registration):
+                raise TypeError("bug in the factory")
+
+        ref = registry.register(BUNDLE_A, "x", Buggy()).reference
+        with pytest.raises(TypeError):
+            registry.get_service(BUNDLE_B, ref)
+
+    def test_raising_unget_propagates_and_the_use_is_gone(self, registry):
+        factory = RaisingUngetFactory()
+        ref = registry.register(BUNDLE_A, "x", factory).reference
+        registry.get_service(BUNDLE_B, ref)
+        with pytest.raises(RuntimeError):
+            registry.unget_service(BUNDLE_B, ref)
+        assert ref.using_bundles == []
+
+    def test_raising_unget_propagates_out_of_release_all(self, registry):
+        factory = RaisingUngetFactory()
+        ref = registry.register(BUNDLE_A, "x", factory).reference
+        registry.get_service(BUNDLE_B, ref)
+        with pytest.raises(RuntimeError):
+            registry.release_all(BUNDLE_B)
+        assert ref.using_bundles == []
+
+
+class RaisingUngetFactory(CountingFactory):
+    def unget_service(self, bundle, registration, service):
+        raise RuntimeError("unget failed")

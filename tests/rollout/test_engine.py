@@ -6,7 +6,7 @@ mixed-version, whichever way it terminates.
 """
 
 from repro.conformance import HistoryRecorder, check_history
-from repro.rollout.engine import COMPLETED, ROLLED_BACK, RolloutConfig
+from repro.rollout.engine import COMPLETED, INCOMPLETE, ROLLED_BACK, RolloutConfig
 from repro.rollout.scenario import (
     PINNED_VERSION,
     TARGET_VERSION,
@@ -82,9 +82,10 @@ def test_history_records_the_full_phase_sequence():
         assert phases.count(member_phase) == 3
 
 
-def test_deadline_during_rollback_ends_the_rollback():
+def test_deadline_during_rollback_ends_incomplete():
     # The bad release trips the canary gate; the deadline fires while the
-    # rollback is still draining the canary, so the engine stops there.
+    # rollback is still draining the canary, which still runs the release:
+    # a mixed fleet is not rolled back.
     env = rollout_scenario(
         0, bad_release=True, config=RolloutConfig(deadline_seconds=5.0)
     )
@@ -92,7 +93,7 @@ def test_deadline_during_rollback_ends_the_rollback():
     with attach(env.loop, telemetry=telemetry):
         env.run_for(20.0)
     report = env.rollout_engine.report
-    assert report.outcome == ROLLED_BACK
+    assert report.outcome == INCOMPLETE
     assert report.reason == "deadline during rollback"
     assert report.final_versions["svc-1"] == TARGET_VERSION
     assert report.mixed_version

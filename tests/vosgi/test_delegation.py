@@ -39,17 +39,15 @@ class TestExportPolicy:
         assert not policy.allows_package("log")
         assert not policy.allows_service(("log.LogService",))
 
-    def test_fluent_building(self):
-        policy = ExportPolicy().export_package("log").export_service("log.S")
-        assert policy.allows_package("log")
-        assert policy.allows_service(("log.S", "other"))
-
-    def test_withdraw(self):
-        policy = ExportPolicy(packages={"log"}, service_classes={"s"})
-        policy.withdraw_package("log")
-        policy.withdraw_service("s")
-        assert not policy.allows_package("log")
-        assert not policy.allows_service(("s",))
+    def test_policy_is_fixed_at_construction(self):
+        packages, classes = {"log"}, ["log.S"]
+        policy = ExportPolicy(packages=packages, service_classes=classes)
+        packages.add("secret")
+        classes.append("secret.S")
+        assert isinstance(policy.packages, frozenset)
+        assert isinstance(policy.service_classes, frozenset)
+        assert policy.packages == {"log"} and policy.service_classes == {"log.S"}
+        assert not policy.allows_package("secret")
 
     def test_allows_service_checks_any_class(self):
         policy = ExportPolicy(service_classes={"b"})
@@ -138,19 +136,6 @@ class TestServiceMirror:
         mirror.close()
         assert child.registry.get_reference("x") is None
 
-    def test_refresh_applies_policy_changes(self, host, child):
-        policy = ExportPolicy(service_classes={"x"})
-        mirror = ServiceMirror(host, child, policy)
-        mirror.open()
-        host.system_context.register_service("x", "svc")
-        host.system_context.register_service("y", "other")
-        assert mirror.mirrored_count == 1
-        policy.export_service("y")
-        policy.withdraw_service("x")
-        mirror.refresh()
-        assert child.registry.get_reference("y") is not None
-        assert child.registry.get_reference("x") is None
-
     def test_mirrors_never_remirrored(self, host, child):
         """A mirrored registration must not bounce back through another
         mirror (stacked virtual instances)."""
@@ -188,22 +173,6 @@ def test_host_events_on_other_classes_never_visit_the_mirror(host, child):
     assert visits == []
     host.system_context.register_service(("x", "unrelated"), "svc")
     assert len(visits) == 1
-    # refresh() re-reads the policy for the listener's interest set too.
-    policy.export_service("y")
-    mirror.refresh()
-    host.system_context.register_service("y", "svc")
-    assert len(visits) == 2
-
-
-def test_refresh_releases_the_withdrawn_host_use_count(host, child):
-    policy = ExportPolicy(service_classes={"x"})
-    mirror = ServiceMirror(host, child, policy)
-    mirror.open()
-    reference = host.system_context.register_service("x", "svc").reference
-    assert host.system_bundle in reference.using_bundles
-    policy.withdraw_service("x")
-    mirror.refresh()
-    assert host.system_bundle not in reference.using_bundles
 
 
 def test_failing_release_is_counted_and_the_rest_still_withdrawn(

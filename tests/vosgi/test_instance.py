@@ -209,33 +209,6 @@ def test_restored_bundles_get_delegation_loader():
     host.stop()
 
 
-def test_require_bundle_not_satisfied_by_delegation(host):
-    """Delegation is per-class (packages/services); Require-Bundle names a
-    *bundle* and must resolve inside the instance — host bundles are not
-    candidates, even when their packages are exported."""
-    from repro.osgi.definition import BundleDefinition
-    from repro.osgi.errors import ResolutionError
-    from repro.osgi.manifest import Manifest
-
-    instance = VirtualInstance(
-        "acme", host, policy=ExportPolicy(packages={"log"})
-    )
-    instance.start()
-    requiring = BundleDefinition(
-        Manifest.build("app", version="1.0.0", requires=("log",))
-    )
-    bundle = instance.install(requiring)
-    with pytest.raises(ResolutionError):
-        bundle.start()
-    # The class-level path still works for the same content:
-    dynamic = BundleDefinition(
-        Manifest.build("app2", version="1.0.0")
-    )
-    b2 = instance.install(dynamic)
-    b2.start()
-    assert b2.load_class("log.Thing") == "LogThing"
-
-
 def test_same_bundle_name_in_two_instances_keeps_distinct_archives():
     """Regression: two customers installing a same-named bundle must not
     overwrite each other's archive in the shared SAN repository — their
