@@ -19,6 +19,10 @@ driven and fully deterministic on the simulated network:
   coordinator can be lost, but delivery order is never violated (a
   documented weakening of full view synchrony — see DESIGN.md and the
   ABL-ORDER benchmark, which measures what this buys the Migration Module).
+  Every ORDERED frame carries the view it was sequenced in, and a member
+  drops frames from a view older than the one it has installed: after a
+  failover or a partition merge the old sequencer's late frames would
+  otherwise take seq numbers the new sequencer hands out again.
 """
 
 from __future__ import annotations
@@ -102,7 +106,8 @@ class GroupMember:
         # Total-order state
         self._order_next = 1  # next seq this member would assign as sequencer
         self._order_expected = 1  # next seq to deliver
-        self._order_buffer: Dict[int, Tuple[str, Any]] = {}
+        #: seq -> (origin, payload, id of the view it was sequenced in)
+        self._order_buffer: Dict[int, Tuple[str, Any, int]] = {}
 
         self.view_listeners: List[ViewListener] = []
         self.message_listeners: List[MessageListener] = []
@@ -465,6 +470,12 @@ class GroupMember:
             self._last_heard.pop(gone, None)
             self._fifo_expected.pop(gone, None)
             self._fifo_buffer.pop(gone, None)
+        # Frames sequenced under an older view belong to a sequencer the
+        # new view no longer follows (its numbers restart at order_seq).
+        for seq in [
+            s for s, entry in self._order_buffer.items() if entry[2] < new_view.view_id
+        ]:
+            del self._order_buffer[seq]
         # Sync total-order cursor past anything the new sequencer won't resend.
         if order_seq > self._order_expected:
             self._order_expected = order_seq
@@ -542,7 +553,7 @@ class GroupMember:
             if self.is_coordinator:
                 self._sequence(body["origin"], body["body"])
         elif kind == "ORDERED":
-            self._on_ordered(body["seq"], body["origin"], body["body"])
+            self._on_ordered(body["seq"], body["origin"], body["body"], body["view"])
 
     def _on_join(self, joiner: str) -> None:
         if self.view is None or not self.is_coordinator:
@@ -601,17 +612,26 @@ class GroupMember:
     def _sequence(self, origin: str, payload: Any) -> None:
         seq = self._order_next
         self._order_next = seq + 1
-        frame = {"t": "ORDERED", "seq": seq, "origin": origin, "body": payload}
         assert self.view is not None
+        view_id = self.view.view_id
+        frame = {
+            "t": "ORDERED",
+            "seq": seq,
+            "origin": origin,
+            "body": payload,
+            "view": view_id,
+        }
         for member in self.view.members:
             if member != self.endpoint_name:
                 self._channel.send(member, frame)
-        self._on_ordered(seq, origin, payload)
+        self._on_ordered(seq, origin, payload, view_id)
 
-    def _on_ordered(self, seq: int, origin: str, payload: Any) -> None:
+    def _on_ordered(self, seq: int, origin: str, payload: Any, view_id: int) -> None:
         if seq < self._order_expected:
             return
-        self._order_buffer[seq] = (origin, payload)
+        if self.view is not None and view_id < self.view.view_id:
+            return  # sequenced before the view this member now follows
+        self._order_buffer[seq] = (origin, payload, view_id)
         self._drain_order_buffer()
 
     def _drain_order_buffer(self) -> None:
@@ -619,14 +639,14 @@ class GroupMember:
         if probe is not None and probe.mutated("drain_with_holes", self.endpoint_name):
             # Mutant: drain everything buffered, skipping over gaps.
             for seq in sorted(self._order_buffer):
-                origin, payload = self._order_buffer.pop(seq)
+                origin, payload, _view_id = self._order_buffer.pop(seq)
                 self._order_expected = max(self._order_expected, seq + 1)
                 self._order_next = max(self._order_next, self._order_expected)
                 self._deliver(origin, payload, kind="total", seq=seq)
             return
         while self._order_expected in self._order_buffer:
             seq = self._order_expected
-            origin, payload = self._order_buffer.pop(seq)
+            origin, payload, _view_id = self._order_buffer.pop(seq)
             self._order_expected += 1
             self._order_next = max(self._order_next, self._order_expected)
             self._deliver(origin, payload, kind="total", seq=seq)

@@ -8,7 +8,7 @@ On a failure hypothesis shrinks to the minimal (seed, script) pair,
 which is exactly the reproduction a protocol bug needs.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.conformance import HistoryRecorder, check_history, run_axioms
 from repro.gcs.directory import GroupDirectory
@@ -81,6 +81,20 @@ def run_script(script, seed):
 
 @settings(max_examples=25, deadline=None)
 @given(script=st.lists(step, min_size=1, max_size=12), seed=st.integers(0, 10_000))
+# A partition merge racing the minority sequencer: its ORDERED frame lands
+# after the merged view, where the merging coordinator reuses the seq.
+@example(
+    script=[
+        ("heal", 0),
+        ("heal", 0),
+        ("partition", 1),
+        ("fifo", 0),
+        ("heal", 0),
+        ("total", 2),
+        ("total", 0),
+    ],
+    seed=0,
+)
 def test_ordering_axioms_hold_under_random_faults(script, seed):
     history = run_script(script, seed)
     violations = run_axioms(history, names=ORDERING_AXIOMS)
