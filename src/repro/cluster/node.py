@@ -34,6 +34,7 @@ from repro.monitoring.monitor import (
     monitoring_bundle,
 )
 from repro.monitoring.sampler import ThreadSampler
+from repro.osgi.errors import BundleException
 from repro.osgi.framework import Framework
 from repro.sim.eventloop import EventLoop
 from repro.sim.network import Network
@@ -376,7 +377,9 @@ class Node:
                 instance = self.instance_manager.create_instance(
                     name, policy=policy, quota=quota
                 )
-            except Exception as exc:
+            except BundleException as exc:
+                # The instance manager's refusal (the name is taken, say)
+                # fails the deploy; anything else is a bug and propagates.
                 if deploy_span is not None:
                     deploy_span.attributes["ok"] = False
                     deploy_span.finish(self.loop.clock.now)
@@ -421,12 +424,11 @@ class Node:
         self._state_listeners.append(listener)
 
     def _set_state(self, new_state: NodeState) -> None:
+        """Enter ``new_state`` and tell the listeners; a listener that
+        raises propagates out of the transition."""
         self.state = new_state
         for listener in list(self._state_listeners):
-            try:
-                listener(self, new_state)
-            except Exception:
-                pass
+            listener(self, new_state)
 
     def __repr__(self) -> str:
         return "Node(%s, %s, %d instances)" % (

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
 #: The recognised event kinds, in no particular order.
@@ -77,30 +76,65 @@ def payload_digest(payload: Any) -> str:
     return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
 class HistoryEvent:
-    """One observation; ``index`` is the global happened-before order."""
+    """One observation; ``index`` is the global happened-before order.
 
-    index: int
-    at: float
-    kind: str
-    node: str
-    data: Dict[str, Any] = field(default_factory=dict)
-    trace_id: Optional[str] = None
-    span_id: Optional[str] = None
+    One is built per recorded event, so it is a plain slotted class
+    compared field by field; nothing writes to it after
+    :meth:`History.append`.
+    """
 
-    def to_dict(self) -> Dict[str, Any]:
+    __slots__ = ("index", "at", "kind", "node", "data", "trace_id", "span_id")
+
+    def __init__(
+        self,
+        index: int,
+        at: float,
+        kind: str,
+        node: str,
+        data: Optional[Dict[str, Any]] = None,
+        trace_id: Optional[str] = None,
+        span_id: Optional[str] = None,
+    ) -> None:
+        self.index = index
+        self.at = at
+        self.kind = kind
+        self.node = node
+        self.data: Dict[str, Any] = {} if data is None else data
+        self.trace_id = trace_id
+        self.span_id = span_id
+
+    def _fields(self) -> tuple:
+        return (
+            self.index,
+            self.at,
+            self.kind,
+            self.node,
+            self.data,
+            self.trace_id,
+            self.span_id,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def _as_dict(self, data: Dict[str, Any]) -> Dict[str, Any]:
         out: Dict[str, Any] = {
             "index": self.index,
             "at": round(self.at, 9),
             "kind": self.kind,
             "node": self.node,
-            "data": {k: self.data[k] for k in sorted(self.data)},
+            "data": data,
         }
         if self.span_id is not None:
             out["trace_id"] = self.trace_id
             out["span_id"] = self.span_id
         return out
+
+    def to_dict(self) -> Dict[str, Any]:
+        return self._as_dict({k: self.data[k] for k in sorted(self.data)})
 
     def __str__(self) -> str:
         return "%6d %10.6f %-12s %-24s %s" % (
@@ -111,12 +145,20 @@ class HistoryEvent:
             {k: self.data[k] for k in sorted(self.data)},
         )
 
+    def __repr__(self) -> str:
+        return (
+            "HistoryEvent(index=%r, at=%r, kind=%r, node=%r, data=%r, "
+            "trace_id=%r, span_id=%r)" % self._fields()
+        )
+
 
 class History:
     """Append-only event log for one run (one chaos episode, one test)."""
 
     def __init__(self) -> None:
         self.events: List[HistoryEvent] = []
+        #: kind -> that kind's events in index order, kept by :meth:`append`.
+        self._by_kind: Dict[str, List[HistoryEvent]] = {}
 
     def append(
         self,
@@ -128,20 +170,20 @@ class History:
         span_id: Optional[str] = None,
     ) -> HistoryEvent:
         event = HistoryEvent(
-            index=len(self.events),
-            at=at,
-            kind=kind,
-            node=node,
-            data=data,
-            trace_id=trace_id,
-            span_id=span_id,
+            len(self.events), at, kind, node, data, trace_id, span_id
         )
         self.events.append(event)
+        same_kind = self._by_kind.get(kind)
+        if same_kind is None:
+            self._by_kind[kind] = [event]
+        else:
+            same_kind.append(event)
         return event
 
     # ------------------------------------------------------------------
     def of_kind(self, kind: str) -> List[HistoryEvent]:
-        return [e for e in self.events if e.kind == kind]
+        """This kind's events in index order (a copy the caller may keep)."""
+        return list(self._by_kind.get(kind, ()))
 
     def groups(self) -> List[str]:
         """Every GCS group that appears in the history, sorted."""
@@ -157,8 +199,16 @@ class History:
         return [e.to_dict() for e in self.events]
 
     def to_json(self) -> str:
-        """Canonical JSON rendering — byte-identical for same-seed runs."""
-        return json.dumps(self.to_dicts(), sort_keys=True, separators=(",", ":"))
+        """Canonical JSON rendering — byte-identical for same-seed runs.
+
+        ``data`` goes in unsorted: ``sort_keys`` orders every level, so
+        the bytes are those of :meth:`to_dicts`.
+        """
+        return json.dumps(
+            [e._as_dict(e.data) for e in self.events],
+            sort_keys=True,
+            separators=(",", ":"),
+        )
 
     def digest(self) -> str:
         """SHA-256 over the canonical JSON — the replay fingerprint."""

@@ -13,7 +13,10 @@ completed operation's response), apply it to the model state, and
 recurse; memoise on (remaining-op set, state) to prune re-entered
 configurations. The sim is single-threaded, so history indices are a
 faithful real-time order and most registry calls are synchronous
-(invoke and return adjacent), which makes the common case near-linear.
+(invoke and return adjacent). Such an op, once it is the earliest
+invoked, is the *only* minimal one, so the checker applies that forced
+prefix without search and the DFS runs on what is left: in the common
+case nothing, which makes it linear.
 The worst case is exponential in the number of genuinely concurrent
 operations per key — in this platform that is the handful of failover
 writes racing a partition, not the whole run.
@@ -119,16 +122,49 @@ def _apply(state: Optional[str], op: Operation) -> Tuple[bool, Optional[str]]:
 def _check_key(key: str, ops: List[Operation]) -> Optional[ConformanceViolation]:
     """Wing–Gong DFS over one key's operations; None when linearizable."""
     # Pending/failed reads constrain nothing.
-    ops = [
-        o
-        for o in ops
-        if o.action in MUTATIONS or (o.complete and o.ok)
-    ]
-    if not ops:
+    ops = sorted(
+        (o for o in ops if o.action in MUTATIONS or (o.complete and o.ok)),
+        key=lambda o: o.invoked,
+    )
+    if not ops or _linearizable(ops):
         return None
-    by_id = {o.op_id: o for o in ops}
-    # returned-index list for the minimality test: an op is minimal iff no
-    # other remaining op RETURNED before its invocation.
+    witnesses = tuple(
+        sorted(
+            index
+            for o in ops
+            for index in (o.invoked, o.returned)
+            if index is not None
+        )
+    )
+    return ConformanceViolation(
+        checker="linearizability",
+        message="operations on key %r admit no linearization against the "
+        "sequential register model (%d ops)" % (key, len(ops)),
+        node="",
+        events=witnesses,
+    )
+
+
+def _linearizable(ops: List[Operation]) -> bool:
+    """Whether ``ops`` (sorted by invocation) admit a linearization."""
+    # Forced prefix: while the earliest-invoked op is complete, ok and
+    # returned before every other op was invoked, it is the only minimal
+    # op and not uncertain, so the search could only apply it next.
+    state: Optional[str] = UNKNOWN
+    first = 0
+    while first < len(ops):
+        op = ops[first]
+        if not (op.complete and op.ok):
+            break
+        if first + 1 < len(ops) and ops[first + 1].invoked < op.returned:
+            break
+        legal, state = _apply(state, op)
+        if not legal:
+            return False
+        first += 1
+    by_id = {o.op_id: o for o in ops[first:]}
+    # An op is minimal iff no other remaining op RETURNED before its
+    # invocation.
     seen: Set[Tuple[FrozenSet[int], Optional[str]]] = set()
 
     def search(remaining: FrozenSet[int], state: Optional[str]) -> bool:
@@ -159,23 +195,7 @@ def _check_key(key: str, ops: List[Operation]) -> Optional[ConformanceViolation]
                 return True
         return False
 
-    if search(frozenset(by_id), UNKNOWN):
-        return None
-    witnesses = tuple(
-        sorted(
-            index
-            for o in ops
-            for index in (o.invoked, o.returned)
-            if index is not None
-        )
-    )
-    return ConformanceViolation(
-        checker="linearizability",
-        message="operations on key %r admit no linearization against the "
-        "sequential register model (%d ops)" % (key, len(ops)),
-        node="",
-        events=witnesses,
-    )
+    return search(frozenset(by_id), state)
 
 
 def check_linearizability(history: History) -> List[ConformanceViolation]:

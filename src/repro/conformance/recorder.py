@@ -15,6 +15,11 @@ clock's current time, so recording an episode leaves fault-trace digests
 When the probe also carries telemetry, each event is stamped with the
 ambient span context, cross-linking conformance findings into the
 distributed trace.
+
+A payload is digested once per object, not once per delivery: the
+simulator hands every member the same payload object, and payloads are
+read-only once sent (the :class:`~repro.sim.network.Message` contract,
+docs/CONFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -45,6 +50,16 @@ class HistoryRecorder:
         #: earlier run in the same process created; first-seen ordinals
         #: keep same-seed histories byte-identical run to run.
         self._incarnations: Dict[int, int] = {}
+        #: id(payload) -> (payload, digest). The entry holds the payload,
+        #: so its id cannot be reused by another object while it exists.
+        self._digests: Dict[int, Tuple[Any, str]] = {}
+
+    def _payload_digest(self, payload: Any) -> str:
+        entry = self._digests.get(id(payload))
+        if entry is None:
+            entry = (payload, payload_digest(payload))
+            self._digests[id(payload)] = entry
+        return entry[1]
 
     def _incarnation(self, raw: int) -> int:
         ordinal = self._incarnations.get(raw)
@@ -60,14 +75,7 @@ class HistoryRecorder:
             context = self.tracer.current_context()
             if context is not None:
                 trace_id, span_id = context.trace_id, context.span_id
-        self.history.append(
-            at=self._clock.now,
-            kind=kind,
-            node=node,
-            data=data,
-            trace_id=trace_id,
-            span_id=span_id,
-        )
+        self.history.append(self._clock.now, kind, node, data, trace_id, span_id)
 
     # ------------------------------------------------------------------
     # GCS taps (called from repro.gcs.member)
@@ -113,7 +121,7 @@ class HistoryRecorder:
                 "group": group,
                 "kind": kind,
                 "seq": seq,
-                "payload": payload_digest(payload),
+                "payload": self._payload_digest(payload),
                 "incarnation": self._incarnation(incarnation),
             },
         )
@@ -138,7 +146,7 @@ class HistoryRecorder:
                 "kind": kind,
                 "sender": sender,
                 "seq": seq,
-                "payload": payload_digest(payload),
+                "payload": self._payload_digest(payload),
                 "view_id": view_id,
                 "view_members": list(view_members),
                 "incarnation": self._incarnation(incarnation),

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import NodeState
+from repro.osgi.errors import BundleException
 from repro.vosgi.delegation import ExportPolicy
 
 
@@ -159,3 +160,37 @@ def test_state_listeners_fire(cluster):
     node.add_state_listener(lambda n, s: states.append(s))
     node.fail()
     assert states == [NodeState.FAILED]
+
+
+def test_deploy_of_a_taken_name_fails_the_completion(cluster):
+    node = cluster.node("n1")
+    cluster.run_until_settled([node.deploy_instance("acme")])
+    again = node.deploy_instance("acme")
+    cluster.run_for(5.0)
+    assert again.done and not again.ok
+    assert isinstance(again.error, BundleException)
+
+
+def test_deploy_bug_propagates_instead_of_failing_the_completion(cluster, monkeypatch):
+    node = cluster.node("n1")
+
+    def broken(name, policy=None, quota=None):
+        raise ZeroDivisionError("bug in create_instance")
+
+    monkeypatch.setattr(node.instance_manager, "create_instance", broken)
+    completion = node.deploy_instance("acme")
+    with pytest.raises(ZeroDivisionError):
+        cluster.run_for(5.0)
+    assert not completion.done
+
+
+def test_raising_state_listener_propagates(cluster):
+    node = cluster.node("n1")
+
+    def broken(_node, _state):
+        raise KeyError("listener bug")
+
+    node.add_state_listener(broken)
+    with pytest.raises(KeyError):
+        node.fail()
+    assert node.state == NodeState.FAILED

@@ -1,0 +1,65 @@
+"""The layer call ledger names every count that moved, by workload and layer."""
+
+import json
+
+from benchmarks.ledger import LEDGER, differences, ledger_of
+
+
+def trace_document(calls=100, spans=7):
+    return {
+        "provenance": {"python": "3.12.4"},
+        "workloads": {
+            "chaos_fleet": {
+                "layers": {
+                    "gcs": {"self_s": 1.5, "share": 0.2, "calls_in": calls},
+                    "conformance": {"self_s": 0.5, "share": 0.1, "calls_in": 40},
+                },
+                "counters": {"telemetry.spans": spans},
+            }
+        }
+    }
+
+
+def test_ledger_keeps_the_exact_columns_only():
+    ledger = ledger_of(trace_document())
+    assert ledger["python"] == "3.12"
+    assert ledger["workloads"] == {
+        "chaos_fleet": {
+            "calls_in": {"conformance": 40, "gcs": 100},
+            "counters": {"telemetry.spans": 7},
+        }
+    }
+
+
+def test_equal_runs_differ_in_nothing():
+    assert differences(ledger_of(trace_document()), ledger_of(trace_document())) == []
+
+
+def test_a_moved_count_is_named_by_workload_and_layer():
+    moved = differences(
+        ledger_of(trace_document()), ledger_of(trace_document(calls=101, spans=8))
+    )
+    assert moved == [
+        "chaos_fleet gcs calls_in: ledger 100, run 101",
+        "chaos_fleet telemetry.spans counters: ledger 7, run 8",
+    ]
+
+
+def test_another_python_is_reported():
+    recorded = ledger_of(trace_document())
+    recorded["python"] = "2.7"
+    assert differences(recorded, ledger_of(trace_document()))[0].startswith(
+        "recorded with Python 2.7"
+    )
+
+
+def test_committed_ledger_covers_four_workloads_twenty_layers_seventeen_counters():
+    with open(LEDGER, "r", encoding="utf-8") as handle:
+        ledger = json.load(handle)
+    assert ledger["python"] == "3.12"
+    assert sorted(ledger["workloads"]) == [
+        "chaos_fleet", "macro_day", "macro_wide", "tenant_platform"
+    ]
+    for row in ledger["workloads"].values():
+        assert len(row["calls_in"]) == 20
+        assert len(row["counters"]) == 17
