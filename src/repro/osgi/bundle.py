@@ -161,7 +161,7 @@ class Bundle:
         if activator is not None:
             try:
                 activator.start(self._context)
-            except Exception as exc:
+            except Exception as exc:  # spec: a failed start is a BundleException
                 self._cleanup_after_stop()
                 self.state = BundleState.RESOLVED
                 raise BundleException(
@@ -188,7 +188,7 @@ class Bundle:
         if self._activator is not None:
             try:
                 self._activator.stop(self._context)
-            except Exception as exc:  # spec: bundle still stops
+            except Exception as exc:  # spec: the bundle still stops, then raises
                 error = exc
         self._cleanup_after_stop()
         self.state = BundleState.RESOLVED
@@ -317,13 +317,14 @@ class BundleContext:
         self, clazz: str, filter: "str | Filter | None" = None
     ) -> Optional[ServiceReference]:
         self._check_valid()
-        return self._bundle.framework._lookup_reference(clazz, filter)
+        references = self._bundle.framework.registry.get_references(clazz, filter)
+        return references[0] if references else None
 
     def get_service_references(
         self, clazz: Optional[str] = None, filter: "str | Filter | None" = None
     ) -> List[ServiceReference]:
         self._check_valid()
-        return self._bundle.framework._lookup_references(clazz, filter)
+        return self._bundle.framework.registry.get_references(clazz, filter)
 
     def get_service(self, reference: ServiceReference) -> Any:
         self._check_valid()

@@ -4,12 +4,17 @@ OSGi delivers lifecycle changes to registered listeners; this module keeps
 the same three event families and a small dispatcher that isolates listener
 failures (a throwing listener produces a FrameworkEvent ERROR instead of
 breaking the publisher, as the spec requires).
+
+Publishers test the family's listener container (``_bundle_listeners``,
+``_service_entries``, ``_framework_listeners``) before building an event,
+so an unobserved transition costs one truth test and no event object.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional
 
 
@@ -79,6 +84,9 @@ class _ServiceListenerEntry:
         self.filter = filter
         self.classes = classes  # frozenset of objectClass names, or None=any
         self.seq = seq
+
+
+_SEQ = attrgetter("seq")
 
 
 class EventDispatcher:
@@ -192,22 +200,12 @@ class EventDispatcher:
         elif not self._service_index:
             entries = list(self._service_wildcard)
         else:
-            touched = list(self._service_wildcard)
+            touched = set(self._service_wildcard)
             for clazz in classes:
-                touched.extend(self._service_index.get(clazz, ()))
-            if len(classes) > 1:
-                # A listener interested in several of the event's classes
-                # appears in several buckets — deliver once, in
-                # registration order.
-                seen = set()
-                entries = []
-                for entry in sorted(touched, key=lambda e: e.seq):
-                    if entry.seq not in seen:
-                        seen.add(entry.seq)
-                        entries.append(entry)
-            else:
-                touched.sort(key=lambda e: e.seq)
-                entries = touched
+                touched.update(self._service_index.get(clazz, ()))
+            # A listener interested in several of the event's classes sits
+            # in several buckets: deliver once, in registration order.
+            entries = sorted(touched, key=_SEQ)
         props = getattr(reference, "_raw_properties", None)
         if props is None:
             props = reference.properties
@@ -221,15 +219,17 @@ class EventDispatcher:
             try:
                 listener(event)
             except Exception:
-                # Deliberately swallowed: an erroring framework listener must
-                # not recurse into more ERROR events.
+                # Listener isolation (OSGi core, event delivery); reporting
+                # a framework listener's failure as an ERROR would recurse.
                 pass
 
     def _safely(self, listener: Callable[[Any], None], event: Any) -> None:
         try:
             listener(event)
         except Exception as exc:
-            if not self._delivering_error:
+            # Listener isolation (OSGi core, event delivery): report the
+            # failure as a FrameworkEvent ERROR, deliver to the next one.
+            if self._framework_listeners and not self._delivering_error:
                 self._delivering_error = True
                 try:
                     self.fire_framework_event(

@@ -33,6 +33,10 @@ from repro.osgi.errors import InvalidSyntaxError
 from repro.osgi.version import Version
 
 _MISSING = object()
+#: Value types that are never sequences; a leaf tests these by exact type
+#: before the ``isinstance`` ladder (``bool`` is not among them).
+_SCALARS = frozenset((str, int, float))
+_SEQUENCES = (list, tuple, set, frozenset)
 
 #: A compiled matcher: raw property mapping -> bool.
 _Matcher = Callable[[Mapping[str, Any]], bool]
@@ -165,10 +169,24 @@ def _compile(node: Filter) -> _Matcher:
     kind = node.kind
     if kind == Filter.AND:
         matchers = tuple(child._match for child in node.children)
-        return lambda props: all(m(props) for m in matchers)
+
+        def match_all(props: Mapping[str, Any]) -> bool:
+            for match in matchers:
+                if not match(props):
+                    return False
+            return True
+
+        return match_all
     if kind == Filter.OR:
         matchers = tuple(child._match for child in node.children)
-        return lambda props: any(m(props) for m in matchers)
+
+        def match_any(props: Mapping[str, Any]) -> bool:
+            for match in matchers:
+                if match(props):
+                    return True
+            return False
+
+        return match_any
     if kind == Filter.NOT:
         inner = node.children[0]._match
         return lambda props: not inner(props)
@@ -178,12 +196,15 @@ def _compile(node: Filter) -> _Matcher:
         return lambda props: lookup(props) is not _MISSING
 
     compare = _compile_compare(node)
+    exact = node.attribute
 
     def leaf(props: Mapping[str, Any]) -> bool:
-        actual = lookup(props)
+        actual = props.get(exact, _MISSING)
         if actual is _MISSING:
-            return False
-        if isinstance(actual, (list, tuple, set, frozenset)):
+            actual = lookup(props)
+            if actual is _MISSING:
+                return False
+        if type(actual) not in _SCALARS and isinstance(actual, _SEQUENCES):
             return any(compare(item) for item in actual)
         return compare(actual)
 
@@ -240,6 +261,11 @@ def _compile_equal(expected: str) -> Callable[[Any], bool]:
     expected_version = _coerce_version(expected)
 
     def compare(actual: Any) -> bool:
+        kind = type(actual)
+        if kind is str:
+            return actual == expected
+        if kind is int or kind is float:
+            return expected_number is not None and float(actual) == expected_number
         if isinstance(actual, bool):
             return str(actual).lower() == expected_bool
         if isinstance(actual, (int, float)):
@@ -256,7 +282,12 @@ def _compile_ordered(expected: str, greater: bool) -> Callable[[Any], bool]:
     expected_version = _coerce_version(expected)
 
     def compare(actual: Any) -> bool:
-        if isinstance(actual, (int, float)) and not isinstance(actual, bool):
+        kind = type(actual)
+        if kind is str:
+            return actual >= expected if greater else actual <= expected
+        if kind is int or kind is float or (
+            isinstance(actual, (int, float)) and not isinstance(actual, bool)
+        ):
             if expected_number is None:
                 return False
             return actual >= expected_number if greater else actual <= expected_number

@@ -23,7 +23,6 @@ from repro.osgi.events import (
     FrameworkEvent,
     FrameworkEventType,
 )
-from repro.osgi.filter import Filter, parse_filter
 from repro.osgi.manifest import Manifest
 from repro.osgi.persistence import (
     BundleRecord,
@@ -31,7 +30,7 @@ from repro.osgi.persistence import (
     FrameworkStorage,
     InMemoryFrameworkStorage,
 )
-from repro.osgi.registry import ServiceReference, ServiceRegistry
+from repro.osgi.registry import ServiceRegistry
 from repro.osgi.startlevel import StartLevelManager
 from repro.osgi.wiring import Resolver
 
@@ -57,6 +56,10 @@ class Framework:
         Locations of freshly installed definitions are added automatically.
     properties:
         Launch properties visible to bundles via ``context.get_property``.
+    class_fallback:
+        The custom topmost loader every bundle gets when installed (see
+        :class:`~repro.osgi.loader.BundleNamespace`); a virtual instance
+        passes its delegation loader, so restored bundles have it too.
     """
 
     def __init__(
@@ -68,18 +71,22 @@ class Framework:
         definition_resolver: Optional[
             Callable[[str], Optional[BundleDefinition]]
         ] = None,
+        class_fallback: Optional[Callable[[str, str], Any]] = None,
     ) -> None:
         self.instance_id = instance_id
         self.storage = storage if storage is not None else InMemoryFrameworkStorage()
         self.repository: Dict[str, BundleDefinition] = dict(repository or {})
         self.definition_resolver = definition_resolver
+        self.class_fallback = class_fallback
         self.properties: Dict[str, Any] = dict(properties or {})
         self.dispatcher = EventDispatcher()
         self.registry = ServiceRegistry(self.dispatcher)
         self.resolver = Resolver(self)
         self.start_levels = StartLevelManager(self)
         self.active = False
+        #: id -> bundle; ids only grow, so insertion order is id order.
         self._bundles: Dict[int, Bundle] = {}
+        self._by_location: Dict[str, Bundle] = {}
         self._next_bundle_id = 1
         self.counters: Dict[str, int] = {
             "installs": 0,
@@ -150,9 +157,10 @@ class Framework:
         # first bundle operation — a crash right after boot must still
         # find the instance on the SAN.
         self._changed()
-        self.dispatcher.fire_framework_event(
-            FrameworkEvent(FrameworkEventType.STARTED, source=self)
-        )
+        if self.dispatcher._framework_listeners:
+            self.dispatcher.fire_framework_event(
+                FrameworkEvent(FrameworkEventType.STARTED, source=self)
+            )
 
     def stop(self) -> None:
         """Stop every bundle, persist state and shut the framework down."""
@@ -168,9 +176,10 @@ class Framework:
         # the way down, at the level the framework ran at (the walk ends
         # at 0): that is the level the next start() must come back to.
         self._write_state(running_level)
-        self.dispatcher.fire_framework_event(
-            FrameworkEvent(FrameworkEventType.STOPPED, source=self)
-        )
+        if self.dispatcher._framework_listeners:
+            self.dispatcher.fire_framework_event(
+                FrameworkEvent(FrameworkEventType.STOPPED, source=self)
+            )
         if self._system_bundle._context is not None:
             self._system_bundle._context._invalidate()
         self._system_bundle._context = None
@@ -260,9 +269,9 @@ class Framework:
                 definition.symbolic_name,
                 definition.version,
             )
-        for bundle in self._bundles.values():
-            if bundle.location == location:
-                return bundle
+        existing = self._by_location.get(location)
+        if existing is not None:
+            return existing
         if verify:
             # Imported here so repro.osgi stays importable without the
             # analysis package (strict downward layering otherwise).
@@ -274,8 +283,10 @@ class Framework:
 
                 raise VerificationError(definition.symbolic_name, diagnostics)
         bundle = Bundle(self, self._next_bundle_id, definition, location)
+        bundle.namespace.fallback = self.class_fallback
         self._next_bundle_id += 1
         self._bundles[bundle.bundle_id] = bundle
+        self._by_location[location] = bundle
         self.repository.setdefault(location, definition)
         self.counters["installs"] += 1
         self._fire_bundle_event(BundleEventType.INSTALLED, bundle)
@@ -284,7 +295,7 @@ class Framework:
 
     def bundles(self) -> List[Bundle]:
         """All installed bundles, ordered by bundle id (excludes system)."""
-        return [self._bundles[i] for i in sorted(self._bundles)]
+        return list(self._bundles.values())
 
     def get_bundle(self, bundle_id: int) -> Optional[Bundle]:
         if bundle_id == 0:
@@ -299,29 +310,11 @@ class Framework:
 
     def _remove_bundle(self, bundle: Bundle) -> None:
         self._bundles.pop(bundle.bundle_id, None)
+        self._by_location.pop(bundle.location, None)
 
     def _resolve_bundle(self, bundle: Bundle) -> None:
         self.counters["resolves"] += 1
         self.resolver.resolve(bundle)
-
-    # ------------------------------------------------------------------
-    # Service lookup (what a bundle context sees)
-    # ------------------------------------------------------------------
-    def _lookup_reference(
-        self, clazz: str, filter: "str | Filter | None"
-    ) -> Optional[ServiceReference]:
-        references = self.registry.get_references(clazz, self._parse_filter(filter))
-        return references[0] if references else None
-
-    def _lookup_references(
-        self, clazz: Optional[str], filter: "str | Filter | None"
-    ) -> List[ServiceReference]:
-        return self.registry.get_references(clazz, self._parse_filter(filter))
-
-    def _parse_filter(self, filter: "str | Filter | None") -> Optional[Filter]:
-        if filter is None or isinstance(filter, Filter):
-            return filter
-        return parse_filter(filter)
 
     # ------------------------------------------------------------------
     # Events & accounting
@@ -331,17 +324,19 @@ class Framework:
             self.counters["starts"] += 1
         elif type == BundleEventType.STOPPED:
             self.counters["stops"] += 1
-        self.dispatcher.fire_bundle_event(BundleEvent(type, bundle))
+        if self.dispatcher._bundle_listeners:
+            self.dispatcher.fire_bundle_event(BundleEvent(type, bundle))
 
     def _report_error(self, source: Any, error: Exception) -> None:
-        self.dispatcher.fire_framework_event(
-            FrameworkEvent(
-                FrameworkEventType.ERROR,
-                source=source,
-                error=error,
-                message=str(error),
+        if self.dispatcher._framework_listeners:
+            self.dispatcher.fire_framework_event(
+                FrameworkEvent(
+                    FrameworkEventType.ERROR,
+                    source=source,
+                    error=error,
+                    message=str(error),
+                )
             )
-        )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -10,6 +10,7 @@ service factories producing a distinct instance per consuming bundle.
 from __future__ import annotations
 
 from bisect import insort
+from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.osgi.errors import ServiceException
@@ -24,6 +25,9 @@ from repro.osgi.filter import Filter, parse_filter
 OBJECTCLASS = "objectClass"
 SERVICE_ID = "service.id"
 SERVICE_RANKING = "service.ranking"
+
+#: Bucket order key: ``(-ranking, service.id)``, best first.
+_ORDER_KEY = attrgetter("_order_key")
 
 
 class ServiceFactory:
@@ -89,10 +93,6 @@ class ServiceReference:
     def registered(self) -> bool:
         return self._registration._registered
 
-    def _sort_key(self):
-        # Highest ranking first, then lowest service id.
-        return (-self.ranking, self.service_id)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ServiceReference):
             return NotImplemented
@@ -116,7 +116,6 @@ class ServiceRegistration:
         self,
         registry: "ServiceRegistry",
         bundle: Any,
-        classes: Sequence[str],
         service: Any,
         properties: Dict[str, Any],
     ) -> None:
@@ -135,10 +134,6 @@ class ServiceRegistration:
         if not isinstance(ranking, int):
             ranking = 0
         return (-ranking, self._properties[SERVICE_ID])
-
-    def __lt__(self, other: "ServiceRegistration") -> bool:
-        # Best-first bucket order: highest ranking, then oldest (lowest id).
-        return self._order_key < other._order_key
 
     @property
     def reference(self) -> ServiceReference:
@@ -162,9 +157,11 @@ class ServiceRegistration:
         updated.update(pinned)
         self._properties = updated
         self._registry._reindex(self)
-        self._registry._dispatcher.fire_service_event(
-            ServiceEvent(ServiceEventType.MODIFIED, self._reference)
-        )
+        dispatcher = self._registry._dispatcher
+        if dispatcher._service_entries:
+            dispatcher.fire_service_event(
+                ServiceEvent(ServiceEventType.MODIFIED, self._reference)
+            )
 
     def unregister(self) -> None:
         """Withdraw the service; fires UNREGISTERING before removal."""
@@ -216,19 +213,21 @@ class ServiceRegistry:
         props[OBJECTCLASS] = classes
         props[SERVICE_ID] = self._next_id
         self._next_id += 1
-        registration = ServiceRegistration(self, bundle, classes, service, props)
+        registration = ServiceRegistration(self, bundle, service, props)
         self._registrations[props[SERVICE_ID]] = registration
         for clazz in classes:
-            insort(self._by_class.setdefault(clazz, []), registration)
-        self._dispatcher.fire_service_event(
-            ServiceEvent(ServiceEventType.REGISTERED, registration._reference)
-        )
+            insort(self._by_class.setdefault(clazz, []), registration, key=_ORDER_KEY)
+        if self._dispatcher._service_entries:
+            self._dispatcher.fire_service_event(
+                ServiceEvent(ServiceEventType.REGISTERED, registration._reference)
+            )
         return registration
 
     def _unregister(self, registration: ServiceRegistration) -> None:
-        self._dispatcher.fire_service_event(
-            ServiceEvent(ServiceEventType.UNREGISTERING, registration._reference)
-        )
+        if self._dispatcher._service_entries:
+            self._dispatcher.fire_service_event(
+                ServiceEvent(ServiceEventType.UNREGISTERING, registration._reference)
+            )
         registration._registered = False
         registration._bundle = None
         registration._use_counts.clear()
@@ -236,13 +235,8 @@ class ServiceRegistry:
         if self._registrations.pop(registration._properties[SERVICE_ID], None) is None:
             return  # reentrant unregister during the UNREGISTERING event
         for clazz in registration._properties[OBJECTCLASS]:
-            bucket = self._by_class.get(clazz)
-            if bucket is None:
-                continue
-            try:
-                bucket.remove(registration)
-            except ValueError:
-                pass
+            bucket = self._by_class[clazz]
+            bucket.remove(registration)
             if not bucket:
                 del self._by_class[clazz]
 
@@ -256,7 +250,7 @@ class ServiceRegistry:
         for clazz in registration._properties[OBJECTCLASS]:
             bucket = self._by_class.get(clazz)
             if bucket is not None:
-                bucket.sort()
+                bucket.sort(key=_ORDER_KEY)
 
     def unregister_all(self, bundle: Any) -> int:
         """Withdraw every service the bundle registered; returns the count."""
@@ -285,34 +279,23 @@ class ServiceRegistry:
                 return []
             if parsed is None:
                 return [r._reference for r in bucket]
-            return [
-                r._reference for r in bucket if parsed.matches(r._properties)
-            ]
+            match = parsed._match
+            return [r._reference for r in bucket if match(r._properties)]
+        pool: Iterable[ServiceRegistration] = self._registrations.values()
         if parsed is not None:
             candidates = parsed.objectclass_candidates()
             if candidates is not None:
-                # The filter pins the objectClass: merge candidate buckets
-                # (a service registered under several candidate classes
-                # appears once) instead of scanning every registration.
-                # Dedup is keyed by service.id — stable across interpreter
-                # identity reuse, unlike id().
-                seen: set = set()
-                out = []
-                for name in candidates:
-                    for r in self._by_class.get(name, ()):
-                        service_id = r._properties[SERVICE_ID]
-                        if service_id not in seen and parsed.matches(r._properties):
-                            seen.add(service_id)
-                            out.append(r._reference)
-                out.sort(key=lambda ref: ref._sort_key())
-                return out
-        out = [
-            r._reference
-            for r in self._registrations.values()
-            if parsed is None or parsed.matches(r._properties)
-        ]
-        out.sort(key=lambda ref: ref._sort_key())
-        return out
+                # The filter pins the objectClass: merge the candidate
+                # buckets (a service under several of them counts once,
+                # keyed by service.id) instead of scanning every service.
+                pool = {
+                    r._properties[SERVICE_ID]: r
+                    for name in candidates
+                    for r in self._by_class.get(name, ())
+                }.values()
+            match = parsed._match
+            pool = [r for r in pool if match(r._properties)]
+        return [r._reference for r in sorted(pool, key=_ORDER_KEY)]
 
     def get_reference(
         self, clazz: str, filter: "str | Filter | None" = None
@@ -325,8 +308,9 @@ class ServiceRegistry:
             bucket = self._by_class.get(clazz)
             return bucket[0]._reference if bucket else None
         parsed = filter if isinstance(filter, Filter) else parse_filter(filter)
+        match = parsed._match
         for registration in self._by_class.get(clazz, ()):
-            if parsed.matches(registration._properties):
+            if match(registration._properties):
                 return registration._reference
         return None
 

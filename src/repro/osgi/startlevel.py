@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from typing import List, Set, TYPE_CHECKING
 
+from repro.osgi.bundle import Bundle, BundleState
 from repro.osgi.errors import BundleException
+from repro.osgi.events import FrameworkEvent, FrameworkEventType
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.osgi.bundle import Bundle
     from repro.osgi.framework import Framework
 
 
@@ -36,8 +37,6 @@ class StartLevelManager:
         if level < 1:
             raise BundleException("bundle start level must be >= 1")
         bundle.start_level = level
-        from repro.osgi.bundle import BundleState
-
         try:
             if bundle.autostart:
                 if level <= self._level and bundle.state == BundleState.RESOLVED:
@@ -65,15 +64,15 @@ class StartLevelManager:
         while self._level > target:
             self._deactivate_level(self._level)
             self._level = max(self._occupied(target, self._level - 1), default=target)
-        from repro.osgi.events import FrameworkEvent, FrameworkEventType
-
-        self._framework.dispatcher.fire_framework_event(
-            FrameworkEvent(
-                FrameworkEventType.STARTLEVEL_CHANGED,
-                source=self._framework,
-                message="start level is now %d" % self._level,
+        dispatcher = self._framework.dispatcher
+        if dispatcher._framework_listeners:
+            dispatcher.fire_framework_event(
+                FrameworkEvent(
+                    FrameworkEventType.STARTLEVEL_CHANGED,
+                    source=self._framework,
+                    message="start level is now %d" % self._level,
+                )
             )
-        )
         self._framework._changed()
 
     def _occupied(self, low: int, high: int) -> Set[int]:
@@ -85,8 +84,6 @@ class StartLevelManager:
         }
 
     def _activate_level(self, level: int) -> None:
-        from repro.osgi.bundle import BundleState
-
         candidates: List["Bundle"] = [
             b
             for b in self._framework.bundles()  # in bundle-id order
@@ -103,8 +100,6 @@ class StartLevelManager:
                 self._framework._report_error(bundle, exc)
 
     def _deactivate_level(self, level: int) -> None:
-        from repro.osgi.bundle import BundleState
-
         candidates = [
             b
             for b in self._framework.bundles()

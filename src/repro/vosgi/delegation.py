@@ -191,15 +191,8 @@ class ServiceMirror:
         )
         if service is None:
             return
-        properties = {
-            k: v
-            for k, v in reference.properties.items()
-            if k not in (OBJECTCLASS, "service.id")
-        }
-        properties[IMPORTED_MARK] = True
-        properties[IMPORTED_FROM] = reference.service_id
         registration = self._child.registry.register(
-            self._child.system_bundle, classes, service, properties
+            self._child.system_bundle, classes, service, _mirrored(reference)
         )
         self._mirrors[reference.service_id] = (reference, registration)
 
@@ -207,15 +200,8 @@ class ServiceMirror:
         if reference.service_id not in self._mirrors:
             self._maybe_mirror(reference)
             return
-        properties = {
-            k: v
-            for k, v in reference.properties.items()
-            if k not in (OBJECTCLASS, "service.id")
-        }
-        properties[IMPORTED_MARK] = True
-        properties[IMPORTED_FROM] = reference.service_id
         _, registration = self._mirrors[reference.service_id]
-        registration.set_properties(properties)
+        registration.set_properties(_mirrored(reference))
 
     def _release(self, host_service_id: int) -> None:
         """Withdraw one mirror and give back the host use count taken when
@@ -239,3 +225,15 @@ class ServiceMirror:
             len(self._mirrors),
             "open" if self._active else "closed",
         )
+
+
+def _mirrored(reference: ServiceReference) -> Dict[str, Any]:
+    """The child-side properties of a mirror of ``reference``."""
+    properties = {
+        k: v
+        for k, v in reference._raw_properties.items()
+        if k not in (OBJECTCLASS, "service.id")
+    }
+    properties[IMPORTED_MARK] = True
+    properties[IMPORTED_FROM] = reference.service_id
+    return properties

@@ -24,9 +24,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from repro.isolation.quotas import ResourceQuota
-from repro.osgi.bundle import Bundle
+from repro.osgi.bundle import Bundle, ResourceLedger
 from repro.osgi.definition import BundleDefinition
-from repro.osgi.events import BundleEvent, BundleEventType
 from repro.osgi.framework import Framework
 from repro.osgi.persistence import FrameworkStorage
 from repro.vosgi.delegation import DelegationLoader, ExportPolicy, ServiceMirror
@@ -57,6 +56,9 @@ class VirtualInstance:
         # (the SharedStore qualifies): the place bundle "archives" live so a
         # restore on a different node can re-materialize them.
         self.repository = repository
+        # The topmost loader reaches every bundle of the child framework
+        # at install, including those a restore re-installs on start.
+        self.loader = DelegationLoader(host, self.policy)
         self.framework = Framework(
             instance_id="vosgi:%s" % name,
             storage=storage,
@@ -64,14 +66,11 @@ class VirtualInstance:
             definition_resolver=(
                 repository.get_definition if repository is not None else None
             ),
+            class_fallback=self.loader,
         )
-        self.loader = DelegationLoader(host, self.policy)
         self.mirror = ServiceMirror(host, self.framework, self.policy)
-        self.framework.dispatcher.add_bundle_listener(self._on_bundle_event)
         # Platform-attributed consumption (e.g. network service time the
         # ipvs charges to this customer), counted alongside bundle ledgers.
-        from repro.osgi.bundle import ResourceLedger
-
         self.platform_ledger = ResourceLedger()
 
     # ------------------------------------------------------------------
@@ -87,8 +86,6 @@ class VirtualInstance:
         if self.running:
             return
         self.framework.start()
-        for bundle in self.framework.bundles():
-            bundle.namespace.fallback = self.loader
         self.mirror.open()
 
     def stop(self) -> None:
@@ -115,7 +112,6 @@ class VirtualInstance:
                 definition.version,
             )
         bundle = self.framework.install(definition, location)
-        bundle.namespace.fallback = self.loader
         if self.repository is not None:
             self.repository.put_definition(bundle.location, definition)
         return bundle
@@ -125,12 +121,6 @@ class VirtualInstance:
 
     def get_bundle_by_name(self, symbolic_name: str) -> Optional[Bundle]:
         return self.framework.get_bundle_by_name(symbolic_name)
-
-    def _on_bundle_event(self, event: BundleEvent) -> None:
-        # Bundles installed behind our back (state restore on start) still
-        # get the topmost delegation loader.
-        if event.type == BundleEventType.INSTALLED:
-            event.bundle.namespace.fallback = self.loader
 
     # ------------------------------------------------------------------
     # Accounting

@@ -178,3 +178,22 @@ def test_counters_track_operations(framework):
     assert framework.counters["installs"] == 1
     assert framework.counters["starts"] == 1
     assert framework.counters["stops"] == 1
+
+
+def test_bundles_stay_in_id_order_across_uninstall_and_reinstall(framework):
+    a = framework.install(simple_bundle("a"), "loc:a")
+    b = framework.install(simple_bundle("b"), "loc:b")
+    c = framework.install(simple_bundle("c"), "loc:c")
+    assert framework.bundles() == [a, b, c]
+    b.uninstall()
+    assert framework.bundles() == [a, c]
+    again = framework.install(simple_bundle("b"), "loc:b")
+    assert again is not b and again.bundle_id > c.bundle_id
+    assert framework.bundles() == [a, c, again]
+    assert [x.bundle_id for x in framework.bundles()] == sorted(
+        x.bundle_id for x in framework.bundles()
+    )
+    # The location index answers a repeated install with the live bundle.
+    assert framework.install(simple_bundle("other"), "loc:b") is again
+    a.uninstall()
+    assert framework.bundles() == [c, again]

@@ -32,7 +32,7 @@ def linear_model(registry, clazz=None, flt=None):
         if flt is not None and not flt.matches(props):
             continue
         out.append(registration._reference)
-    out.sort(key=lambda ref: ref._sort_key())
+    out.sort(key=lambda ref: (-ref.ranking, ref.service_id))
     return out
 
 

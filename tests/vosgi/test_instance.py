@@ -209,6 +209,49 @@ def test_restored_bundles_get_delegation_loader():
     host.stop()
 
 
+class _LoadsOnStart(RecordingActivator):
+    """Loads a host-exported class inside ``start()``."""
+
+    loaded = []
+
+    def start(self, context) -> None:
+        super().start(context)
+        _LoadsOnStart.loaded.append(context.bundle.load_class("log.Thing"))
+
+
+def test_restored_bundle_loads_host_class_inside_its_activator():
+    """A bundle re-installed by a restore from the SAN must have the
+    delegation loader before its activator runs, not only after start."""
+    store = SharedStore()
+    host = Framework("host")
+    host.start()
+    host.install(library_bundle("log", "1.0.0", "LogThing"))
+    policy = ExportPolicy(packages={"log"})
+
+    def make_instance():
+        return VirtualInstance(
+            "acme",
+            host,
+            policy=policy,
+            storage=store.mount("n1").framework_storage(),
+            repository=store,
+        )
+
+    _LoadsOnStart.loaded = []
+    instance = make_instance()
+    instance.start()
+    instance.install(simple_bundle("app", activator_factory=_LoadsOnStart)).start()
+    instance.stop()
+
+    reborn = make_instance()
+    reborn.start()
+    bundle = reborn.get_bundle_by_name("app")
+    assert bundle.state == BundleState.ACTIVE
+    assert _LoadsOnStart.loaded == ["LogThing", "LogThing"]
+    assert bundle.namespace.delegated_loads == 1
+    host.stop()
+
+
 def test_same_bundle_name_in_two_instances_keeps_distinct_archives():
     """Regression: two customers installing a same-named bundle must not
     overwrite each other's archive in the shared SAN repository — their
