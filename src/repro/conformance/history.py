@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Dict, Iterator, List, Optional
 
 #: The recognised event kinds, in no particular order.
@@ -64,6 +65,19 @@ EVENT_KINDS = (
     "rollout",
     "request_drop",
 )
+
+#: Events per encoder call in :meth:`History.digest`.
+_DIGEST_BATCH = 512
+#: What :func:`json.dumps` does with a value it cannot encode: raise.
+_refuse = json.JSONEncoder().default
+
+
+class _Escaped(dict):
+    """String -> its JSON text with ASCII escapes, escaped on first sight."""
+
+    def __missing__(self, text: str) -> str:
+        escaped = self[text] = encode_basestring_ascii(text)
+        return escaped
 
 
 def payload_digest(payload: Any) -> str:
@@ -198,21 +212,27 @@ class History:
     def to_dicts(self) -> List[Dict[str, Any]]:
         return [e.to_dict() for e in self.events]
 
-    def to_json(self) -> str:
-        """Canonical JSON rendering — byte-identical for same-seed runs.
-
-        ``data`` goes in unsorted: ``sort_keys`` orders every level, so
-        the bytes are those of :meth:`to_dicts`.
-        """
-        return json.dumps(
-            [e._as_dict(e.data) for e in self.events],
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
     def digest(self) -> str:
-        """SHA-256 over the canonical JSON — the replay fingerprint."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        """SHA-256 of the canonical JSON of :meth:`to_dicts` (sorted keys,
+        ``(",", ":")`` separators, ASCII escapes): the replay fingerprint.
+
+        The document is never built: the encoder behind :func:`json.dumps`,
+        with the same options, renders :data:`_DIGEST_BATCH` events at a
+        time into the hash, and escapes each distinct string once per pass.
+        ``data`` goes in unsorted; ``sort_keys`` orders every level.
+        """
+        # markers (None: no cycle check), default, string encoder, indent,
+        # key and item separators, sort_keys, skipkeys, allow_nan.
+        encode = c_make_encoder(
+            None, _refuse, _Escaped().__getitem__, None, ":", ",", True, False, True
+        )
+        sha = hashlib.sha256(b"[")
+        for start in range(0, len(self.events), _DIGEST_BATCH):
+            batch = self.events[start : start + _DIGEST_BATCH]
+            text = "".join(encode([e._as_dict(e.data) for e in batch], 0))[1:-1]
+            sha.update(("," + text if start else text).encode("ascii"))
+        sha.update(b"]")
+        return sha.hexdigest()
 
     def __len__(self) -> int:
         return len(self.events)

@@ -19,7 +19,10 @@ distributed trace.
 A payload is digested once per object, not once per delivery: the
 simulator hands every member the same payload object, and payloads are
 read-only once sent (the :class:`~repro.sim.network.Message` contract,
-docs/CONFORMANCE.md).
+docs/CONFORMANCE.md). Customer-directory values share that memo: a read
+hands over the stored value itself, and writes replace stored values
+rather than mutate them. A delivery records its view's members tuple
+itself, not a copy.
 """
 
 from __future__ import annotations
@@ -27,10 +30,6 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Tuple
 
 from repro.conformance.history import History, payload_digest
-
-
-def _digest_or_none(data: Any) -> Optional[str]:
-    return None if data is None else payload_digest(data)
 
 
 class HistoryRecorder:
@@ -60,6 +59,9 @@ class HistoryRecorder:
             entry = (payload, payload_digest(payload))
             self._digests[id(payload)] = entry
         return entry[1]
+
+    def _digest_or_none(self, value: Any) -> Optional[str]:
+        return None if value is None else self._payload_digest(value)
 
     def _incarnation(self, raw: int) -> int:
         ordinal = self._incarnations.get(raw)
@@ -148,7 +150,7 @@ class HistoryRecorder:
                 "seq": seq,
                 "payload": self._payload_digest(payload),
                 "view_id": view_id,
-                "view_members": list(view_members),
+                "view_members": view_members,
                 "incarnation": self._incarnation(incarnation),
             },
         )
@@ -186,8 +188,9 @@ class HistoryRecorder:
         as an invoke/return pair back to back (the directory is
         synchronous); the raw descriptor dicts are recorded as digests."""
         key = "descriptor:%s" % name
-        op_id = self.op_invoke(process, action, key, value=_digest_or_none(value))
-        self.op_return(op_id, result=_digest_or_none(result), ok=True)
+        digest = self._digest_or_none
+        op_id = self.op_invoke(process, action, key, value=digest(value))
+        self.op_return(op_id, result=digest(result), ok=True)
 
     # ------------------------------------------------------------------
     # Migration milestones

@@ -26,6 +26,7 @@ from repro.faults.campaign import (
     default_scenario,
     replay_and_check,
     replay_schedule,
+    shrink_schedule,
     verify_deployment,
 )
 from repro.faults.injector import FaultInjector
@@ -58,6 +59,7 @@ __all__ = [
     "default_scenario",
     "replay_and_check",
     "replay_schedule",
+    "shrink_schedule",
     "verify_deployment",
     "FaultInjector",
     "Invariant",

@@ -16,6 +16,7 @@ emits a paste-able reproduction (seed + schedule) for a regression test.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -571,3 +572,30 @@ class ChaosCampaign:
             self.episodes,
             self.episode_duration,
         )
+
+
+def shrink_schedule(
+    schedule: FaultSchedule, fails: Callable[[FaultSchedule], bool]
+) -> Tuple[FaultSchedule, int]:
+    """Delta debugging (ddmin) over ``schedule``'s actions: a 1-minimal
+    sub-schedule on which ``fails`` still holds, and how many distinct
+    sub-schedules were probed (docs/FAULTS.md)."""
+    probe = functools.lru_cache(maxsize=None)(lambda acts: fails(FaultSchedule(acts)))
+    actions, chunks = schedule.actions, 2
+    if not probe(actions):
+        raise ValueError("the full schedule does not fail; nothing to shrink")
+    while len(actions) >= 2:
+        size = -(-len(actions) // chunks)
+        starts = range(0, len(actions), size)
+        parts = [actions[i : i + size] for i in starts]
+        rests = [actions[:i] + actions[i + size :] for i in starts]
+        for index, candidate in enumerate(parts + (rests if len(parts) > 2 else [])):
+            if probe(candidate):
+                actions = candidate
+                chunks = 2 if index < len(parts) else max(chunks - 1, 2)
+                break
+        else:
+            if chunks >= len(actions):
+                break
+            chunks = min(2 * chunks, len(actions))
+    return FaultSchedule(actions), probe.cache_info().currsize

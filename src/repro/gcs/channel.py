@@ -132,7 +132,7 @@ class ReliableChannel:
             self._transmit(destination, msg_id, payload)
             self._arm_retry(destination, msg_id, payload, attempt + 1)
 
-        event = self._loop.call_after(self.rto, retry, label="rc-retry:%d" % msg_id)
+        event = self._loop.call_after(self.rto, retry, label="rc-retry")
         self._pending[msg_id] = (destination, payload, event, attempt)
 
     def _on_data(self, source: str, frame: Dict[str, Any]) -> None:

@@ -88,6 +88,8 @@ class GroupMember:
         )
 
         self.view: Optional[View] = None
+        #: The view's other members, the heartbeat's destinations.
+        self._peers: List[str] = []
         self.running = False
         #: True once join() has ever been called; a not-running member
         #: that has joined before is dead for good (see Protocol._member).
@@ -253,11 +255,8 @@ class GroupMember:
         def beat() -> None:
             if not self.running:
                 return
-            view = self.view
-            if view is not None:
-                self._endpoint.send_all(
-                    [member for member in view.members if member != me], heartbeat
-                )
+            if self.view is not None:
+                self._endpoint.send_all(self._peers, heartbeat)
             self._check_failures()
             self._beat_count += 1
             if self._beat_count % 10 == 0 and self.is_coordinator:
@@ -447,6 +446,7 @@ class GroupMember:
         if not new_view.contains(self.endpoint_name):
             return
         self.view = new_view
+        self._peers = [m for m in new_view.members if m != self.endpoint_name]
         now = self._loop.clock.now
         change = ViewChange.between(old_view, new_view)
         if probe is not None:

@@ -38,12 +38,13 @@ class NodeInventory:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "NodeInventory":
+        """Shares ``data``'s containers: ``INV`` payloads are read-only."""
         return cls(
             node_id=data["node_id"],
             at=float(data["at"]),
-            instances=dict(data.get("instances", {})),
-            resources=dict(data.get("resources", {})),
-            standbys=list(data.get("standbys", [])),
+            instances=data.get("instances", {}),
+            resources=data.get("resources", {}),
+            standbys=data.get("standbys", []),
         )
 
 

@@ -255,13 +255,12 @@ class MigrationModule:
         """Two nodes hosting the same instance: lexicographically smaller
         node id keeps it (same rule as the DEPLOYED handler, but driven by
         the periodic gossip so missed messages cannot hide a duplicate)."""
-        if remote.node_id == self.node.node_id:
+        if remote.node_id >= self.node.node_id or not remote.instances:
             return
         if self.node.instance_manager is None:
             return
-        mine = set(self.node.instance_manager.names())
-        for name in sorted(mine & set(remote.instances)):
-            if remote.node_id < self.node.node_id:
+        for name in self.node.instance_manager.names():
+            if name in remote.instances:
                 self.duplicate_deploys += 1
                 self.node.undeploy_instance(name)
 

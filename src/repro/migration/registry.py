@@ -108,7 +108,7 @@ class CustomerDirectory:
             probe.directory_op(self._owner, "write", descriptor.name, data, data)
 
     def get(self, name: str) -> Optional[CustomerDescriptor]:
-        data = self._area.get(name)
+        data = self._area.read_only(name)
         probe = self._loop.probe
         if probe is not None:
             if probe.mutated("stale_directory_reads", self._owner):

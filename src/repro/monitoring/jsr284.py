@@ -55,7 +55,8 @@ class Constraint:
     that would cross the limit (raising :class:`ConstraintViolation`);
     soft constraints allow them but invoke ``on_exceeded`` — the hook the
     Autonomic Module uses to learn about SLA overshoot without breaking the
-    customer mid-operation.
+    customer mid-operation. A hook that raises is counted in
+    ``callback_errors``.
     """
 
     def __init__(
@@ -70,6 +71,7 @@ class Constraint:
         self.hard = hard
         self.on_exceeded = on_exceeded
         self.violations = 0
+        self.callback_errors = 0
 
     def admit(self, domain: "ResourceDomain", proposed_total: float) -> bool:
         """Return False (hard) or fire the callback (soft) on overshoot."""
@@ -80,7 +82,8 @@ class Constraint:
             try:
                 self.on_exceeded(domain, proposed_total)
             except Exception:
-                pass
+                # A soft constraint never fails the consumption it admits.
+                self.callback_errors += 1
         return not self.hard
 
     def __repr__(self) -> str:
@@ -151,10 +154,7 @@ class ResourceDomain:
 
     def _notify(self) -> None:
         for listener in list(self._usage_listeners):
-            try:
-                listener(self, self._usage)
-            except Exception:
-                pass
+            listener(self, self._usage)
 
     def __repr__(self) -> str:
         return "ResourceDomain(%s, %s=%.3f%s)" % (

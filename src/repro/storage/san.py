@@ -65,10 +65,10 @@ class SharedStore:
     # ------------------------------------------------------------------
     def save_state(self, instance_id: str, state: FrameworkState) -> None:
         payload = state.to_dict()
-        self._validate(payload, "framework state of %s" % instance_id)
+        size = self._encoded_size(payload, "framework state of %s" % instance_id)
         self._states[instance_id] = copy.deepcopy(payload)
         self.stats.state_writes += 1
-        self.stats.bytes_written += _approx_size(payload)
+        self.stats.bytes_written += size
 
     def load_state(self, instance_id: str) -> Optional[FrameworkState]:
         self.stats.state_reads += 1
@@ -117,9 +117,10 @@ class SharedStore:
         """Attach a node to the store."""
         return Mount(self, node_id)
 
-    def _validate(self, value: Any, what: str) -> None:
+    def _encoded_size(self, value: Any, what: str) -> int:
+        """Length of ``value``'s JSON encoding; refuses what has none."""
         try:
-            json.dumps(value)
+            return len(json.dumps(value))
         except (TypeError, ValueError) as exc:
             raise StorageError(
                 "%s is not JSON-serializable: %s" % (what, exc)
@@ -149,10 +150,16 @@ class DataArea(MutableMapping[str, Any]):
         self._store.stats.data_reads += 1
         return copy.deepcopy(self._backing[key])
 
+    def read_only(self, key: str) -> Any:
+        """The stored value itself (or ``None``), uncopied: writes replace it."""
+        self._store.stats.data_reads += 1
+        return self._backing.get(key)
+
     def __setitem__(self, key: str, value: Any) -> None:
-        self._store._validate(value, "data %r in area %s" % (key, self._key))
+        what = "data %r in area %s" % (key, self._key)
+        size = self._store._encoded_size(value, what)
         self._store.stats.data_writes += 1
-        self._store.stats.bytes_written += _approx_size(value)
+        self._store.stats.bytes_written += size
         self._backing[key] = copy.deepcopy(value)
 
     def __delitem__(self, key: str) -> None:
@@ -224,10 +231,3 @@ class SanFrameworkStorage(FrameworkStorage):
 
     def __repr__(self) -> str:
         return "SanFrameworkStorage(%s)" % self._mount
-
-
-def _approx_size(value: Any) -> int:
-    try:
-        return len(json.dumps(value))
-    except (TypeError, ValueError):
-        return 0

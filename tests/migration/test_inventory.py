@@ -57,6 +57,14 @@ def test_total_instances():
     assert inventory.total_instances() == 3
 
 
+def test_from_dict_shares_the_read_only_payload():
+    payload = inv("n1", 3.5, ["a"], cpu_capacity=1.0).to_dict()
+    heard = NodeInventory.from_dict(payload)
+    assert heard.instances is payload["instances"]
+    assert heard.resources is payload["resources"]
+    assert heard.standbys is payload["standbys"]
+
+
 def test_dict_roundtrip():
     original = inv("n1", 3.5, ["a"], cpu_available_share=0.7)
     assert NodeInventory.from_dict(original.to_dict()).resources == {

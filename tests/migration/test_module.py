@@ -60,6 +60,28 @@ class TestGossip:
         assert "cpu_capacity" in inventory.resources
 
 
+class TestGossipDuplicateResolution:
+    """Two hosts of one instance: the inventory round leaves it on the
+    lexicographically smaller node id, whichever side hears first."""
+
+    def test_larger_node_id_stands_down(self):
+        cluster, modules = build_platform()
+        admit(cluster, modules, "acme", "n1")
+        cluster.run_until_settled([cluster.node("n3").deploy_instance("acme")])
+        cluster.run_for(2.0)
+        assert host_of(cluster, "acme") == "n1"
+        assert "acme" not in cluster.node("n3").instance_names()
+        assert modules["n3"].duplicate_deploys == 1
+        assert modules["n1"].duplicate_deploys == 0
+
+    def test_sole_host_keeps_its_instance_through_empty_inventories(self):
+        cluster, modules = build_platform()
+        admit(cluster, modules, "acme", "n3")
+        cluster.run_for(2.0)
+        assert host_of(cluster, "acme") == "n3"
+        assert sum(m.duplicate_deploys for m in modules.values()) == 0
+
+
 class TestPlannedMigration:
     def test_migrate_moves_instance(self):
         cluster, modules = build_platform()

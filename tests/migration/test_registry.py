@@ -17,6 +17,24 @@ def directory(store):
     return CustomerDirectory(store, EventLoop())
 
 
+def test_get_reads_the_stored_value_once_without_copying(
+    directory, store, monkeypatch
+):
+    import copy
+
+    directory.put(CustomerDescriptor(name="acme", packages=("a.b",)))
+    reads = store.stats.data_reads
+    copies = []
+    deepcopy = copy.deepcopy
+    monkeypatch.setattr(
+        copy, "deepcopy", lambda v, *a: copies.append(v) or deepcopy(v, *a)
+    )
+    assert directory.get("acme").packages == ("a.b",)
+    assert directory.get("ghost") is None
+    assert copies == []
+    assert store.stats.data_reads == reads + 2
+
+
 def test_put_get_roundtrip(directory):
     descriptor = CustomerDescriptor(
         name="acme",

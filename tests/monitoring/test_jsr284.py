@@ -76,6 +76,29 @@ def test_constraint_callback_errors_swallowed():
     domain.consume(10)  # must not raise
 
 
+def test_soft_constraint_callback_errors_are_counted():
+    def broken(domain, total):
+        raise RuntimeError("policy bug")
+
+    domain = ResourceDomain("d", HEAP_MEMORY)
+    constraint = Constraint(limit=0, hard=False, on_exceeded=broken)
+    domain.add_constraint(constraint)
+    domain.consume(10)
+    domain.consume(5)
+    assert domain.usage == 15
+    assert constraint.violations == constraint.callback_errors == 2
+
+
+def test_a_raising_usage_listener_is_not_swallowed():
+    def broken(domain, usage):
+        raise ValueError("listener bug")
+
+    domain = ResourceDomain("d", HEAP_MEMORY)
+    domain.add_usage_listener(broken)
+    with pytest.raises(ValueError, match="listener bug"):
+        domain.consume(10)
+
+
 def test_constraints_checked_in_order_hard_first_denies():
     domain = ResourceDomain("d", HEAP_MEMORY)
     domain.add_constraint(Constraint(limit=50, hard=True))

@@ -1,5 +1,7 @@
 """Shared store: global visibility, crash survival, serializability contract."""
 
+import json
+
 import pytest
 
 from repro.osgi.definition import simple_bundle
@@ -17,6 +19,53 @@ def sample_state():
         bundles=[BundleRecord("loc://a", "a", "1.0.0", True, 1)],
         start_level=5,
     )
+
+
+class TestEncodeOnce:
+    @pytest.fixture
+    def encodings(self, monkeypatch):
+        made = []
+        dumps = json.dumps
+
+        def counted(value, *args, **kwargs):
+            made.append(value)
+            return dumps(value, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counted)
+        return made
+
+    def test_a_data_write_encodes_its_value_once(self, store, encodings):
+        value = {"k": [1, "é"], "n": None}
+        store.data_area("i", "b")["x"] = value
+        assert encodings == [value]
+        assert store.stats.bytes_written == len(json.dumps(value))
+
+    def test_a_state_write_encodes_its_payload_once(self, store, encodings):
+        store.save_state("env", sample_state())
+        assert len(encodings) == 1
+        assert store.stats.bytes_written == len(json.dumps(encodings[0]))
+
+    def test_an_unserializable_write_counts_nothing(self, store, encodings):
+        with pytest.raises(StorageError):
+            store.data_area("i", "b")["x"] = {"k": object()}
+        assert store.stats.as_dict() == SharedStore().stats.as_dict()
+
+
+class TestReadOnly:
+    def test_read_only_hands_over_the_stored_value_and_counts(self, store):
+        area = store.data_area("i", "b")
+        area["x"] = {"k": [1]}
+        shared = area.read_only("x")
+        assert shared == {"k": [1]} and area.read_only("x") is shared
+        assert area.read_only("missing") is None
+        assert store.stats.data_reads == 3
+
+    def test_item_reads_still_copy(self, store):
+        area = store.data_area("i", "b")
+        area["x"] = {"k": [1]}
+        area["x"]["k"].append(2)
+        assert area["x"] == {"k": [1]}
+        assert store.stats.data_reads == 2
 
 
 class TestFrameworkStates:
