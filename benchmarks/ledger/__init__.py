@@ -1,12 +1,16 @@
-"""The layer call ledger: ``calls_in`` per (workload, layer) and the
-public counters of ``python -m benchmarks.suite trace --smoke``, committed
-as ``calls_smoke.json`` beside this file.
+"""The layer call ledger: each workload's ``digest``, ``attempted`` and
+``failed``, its ``calls_in`` per layer and its public counters from
+``python -m benchmarks.suite trace --smoke``, committed as
+``calls_smoke.json`` beside this file.
 
 Host seconds on a shared runner mean nothing, but a layer's ``calls_in``
 is exact for a seed and a Python version, so an accidental extra Python
-call per request or per message shows up here by layer name. A change
-that moves a count on purpose re-records the ledger and declares the
-movement in CHANGES.md, as a re-pinned digest is declared.
+call per request or per message shows up here by layer name. The digest
+covers the simulated side of the unit (its report, sim metrics and
+counters), so a change that claims to leave the simulation byte-exact is
+held to it by workload name. A change that moves a count or a digest on
+purpose re-records the ledger and declares the movement in CHANGES.md, as
+a re-pinned digest is declared.
 
 ::
 
@@ -26,6 +30,9 @@ from typing import Any, Dict, List
 
 LEDGER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "calls_smoke.json")
 
+#: What the ledger keeps of the unit itself, besides its two columns.
+RUN_FIELDS = ("digest", "attempted", "failed")
+
 
 def ledger_of(trace: Dict[str, Any]) -> Dict[str, Any]:
     """The exact part of a ``trace`` document, per workload."""
@@ -34,6 +41,7 @@ def ledger_of(trace: Dict[str, Any]) -> Dict[str, Any]:
         "python": ".".join(trace["provenance"]["python"].split(".")[:2]),
         "workloads": {
             name: {
+                **{field: report[field] for field in RUN_FIELDS},
                 "calls_in": {
                     layer: row["calls_in"]
                     for layer, row in sorted(report["layers"].items())
@@ -61,6 +69,12 @@ def differences(recorded: Dict[str, Any], measured: Dict[str, Any]) -> List[str]
             where = "run" if old is None else "ledger"
             lines.append("%s: only in the %s" % (workload, where))
             continue
+        for field in RUN_FIELDS:
+            if old.get(field) != new.get(field):
+                lines.append(
+                    "%s %s: ledger %s, run %s"
+                    % (workload, field, old.get(field), new.get(field))
+                )
         for column in ("calls_in", "counters"):
             for name in sorted(set(old[column]) | set(new[column])):
                 before, after = old[column].get(name), new[column].get(name)

@@ -90,10 +90,13 @@ def scripted_policy(
             "Action": Action,
         }
 
+    # The scripts are operator-written text, so any runtime error is
+    # theirs: it is counted on the policy, and the engine runs on.
     def condition(event: Event, context: AutonomicContext) -> bool:
         try:
             return bool(eval(condition_code, scope(event, context)))
         except Exception:
+            policy.errors += 1
             return False  # a broken script never matches
 
     def action(event: Event, context: AutonomicContext) -> List[Action]:
@@ -103,10 +106,12 @@ def scripted_policy(
         try:
             exec(action_code, namespace)
         except Exception:
+            policy.errors += 1
             return []  # a broken action script does nothing
         return [a for a in actions if isinstance(a, Action)]
 
-    return Policy(name, condition, action, priority=priority)
+    policy = Policy(name, condition, action, priority=priority)
+    return policy
 
 
 def load_policies(text: str) -> List[Policy]:

@@ -90,6 +90,8 @@ class Policy:
         self.action = action
         self.priority = priority
         self.fired = 0
+        #: Script runtime errors, counted in place of raising (scripted_policy).
+        self.errors = 0
 
     def evaluate(self, event: Event, context: AutonomicContext) -> List[Action]:
         if not self.condition(event, context):
@@ -143,14 +145,13 @@ class PolicyEngine:
         """Evaluate policies in priority order; escalate when none fires.
 
         Returns the actions carried out (successfully or not) at this
-        level; escalated events return the parent's actions.
+        level; escalated events return the parent's actions. A policy or
+        executor that raises propagates; a scripted policy counts its
+        script's errors in :attr:`Policy.errors` instead.
         """
         actions: List[Action] = []
         for policy in self._policies:
-            try:
-                actions.extend(policy.evaluate(event, context))
-            except Exception:
-                continue  # one broken scripted policy must not stop others
+            actions.extend(policy.evaluate(event, context))
         if not actions:
             if self.parent is not None:
                 self.escalated_events += 1
@@ -165,11 +166,7 @@ class PolicyEngine:
         if self.executor is None:
             self.executed_actions.append(action)
             return
-        try:
-            ok = self.executor(action, context)
-        except Exception:
-            ok = False
-        if ok:
+        if self.executor(action, context):
             self.executed_actions.append(action)
         else:
             self.failed_actions.append(action)

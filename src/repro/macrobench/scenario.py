@@ -167,7 +167,9 @@ class MacroScenario:
         #: the per-request cost of ring affinity is one list index.
         self._client_home: List[int] = []
         self._client_names: List[str] = []
+        self._clients = self.config.clients
         self._build()
+        self._submits = [shard.submit for shard in self._shards]
 
     # -- topology ----------------------------------------------------------
     def _build(self) -> None:
@@ -217,7 +219,7 @@ class MacroScenario:
         self._latencies.append(request.completed_at - request.arrived_at)
 
     def _on_arrival(self, _index: int) -> None:
-        client = self._client_rng.randrange(self.config.clients)
+        client = self._client_rng.randrange(self._clients)
         shard = self._client_home[client]
         self._per_shard_submitted[shard] += 1
         if self._laned:
@@ -228,15 +230,11 @@ class MacroScenario:
             loop = self.loop
             previous = loop.set_schedule_lane(self._shard_lanes[shard])
             try:
-                self._shards[shard].submit(
-                    self._vips[shard], client=self._client_names[client]
-                )
+                self._submits[shard](self._vips[shard], self._client_names[client])
             finally:
                 loop.set_schedule_lane(previous)
         else:
-            self._shards[shard].submit(
-                self._vips[shard], client=self._client_names[client]
-            )
+            self._submits[shard](self._vips[shard], self._client_names[client])
 
     # -- execution ---------------------------------------------------------
     def run(self) -> MacroResult:

@@ -7,9 +7,10 @@ reproducible regardless of dict/set iteration quirks in caller code.
 Internally the loop is a two-tier scheduling structure tuned for the
 macro-benchmark event volumes (millions of events per run):
 
-* a binary heap of ``(when, seq, event)`` tuples — tuple entries compare
-  at C speed, where heap discipline on the event objects themselves
-  would call a Python-level ``__lt__`` O(log n) times per operation;
+* a binary heap of ``(when, seq, action, arg)`` tuples — tuple entries
+  compare at C speed (``seq`` is unique, so a comparison never reaches
+  ``action``), where heap discipline on event objects would call a
+  Python-level ``__lt__`` O(log n) times per operation;
 * a FIFO *ready deque* for events scheduled at the **current** instant
   (``call_soon`` and same-instant chains): those never need heap
   ordering at all, because every event already queued for this instant
@@ -19,8 +20,10 @@ macro-benchmark event volumes (millions of events per run):
 
 Fire-and-forget callers (network delivery, request completions, arrival
 generators) use :meth:`EventLoop.call_transient_at`: transient events
-return no handle, can never be cancelled, and are recycled through an
-object pool, eliminating the per-event allocation on the hottest paths.
+return no handle and can never be cancelled, so the queue entry is the
+whole event — one tuple, no other allocation. A cancellable
+:meth:`EventLoop.call_at` entry carries its :class:`ScheduledEvent`
+handle as ``action`` and the :data:`_HANDLE` marker as ``arg``.
 Ordering is identical either way — both APIs draw from the same sequence
 counter.
 """
@@ -37,24 +40,23 @@ from repro.sim.clock import Clock
 #: Sentinel distinguishing "no argument" from an explicit ``None`` arg.
 _NO_ARG = object()
 
-#: Upper bound on pooled transient-event objects kept for reuse.
-_POOL_LIMIT = 4096
+#: Queue-entry ``arg`` marking ``action`` as a cancellable
+#: :class:`ScheduledEvent` handle rather than the callable itself.
+_HANDLE = object()
+
+#: A queue entry: ``(when, seq, action, arg)``.
+_Entry = Tuple[float, int, Any, Any]
+
+
+def _cancelled(entry: _Entry) -> bool:
+    """Whether ``entry`` holds a cancelled :meth:`EventLoop.call_at` handle."""
+    return entry[3] is _HANDLE and entry[2].cancelled
 
 
 class ScheduledEvent:
     """Handle for a scheduled callback; supports cancellation."""
 
-    __slots__ = (
-        "when",
-        "seq",
-        "action",
-        "arg",
-        "label",
-        "cancelled",
-        "transient",
-        "lane",
-        "_on_cancel",
-    )
+    __slots__ = ("when", "seq", "action", "label", "cancelled", "_on_cancel")
 
     def __init__(
         self,
@@ -66,17 +68,8 @@ class ScheduledEvent:
         self.when = when
         self.seq = seq
         self.action = action
-        #: Optional single argument passed to ``action`` at fire time
-        #: (transient events use it to avoid per-event closures).
-        self.arg: Any = _NO_ARG
         self.label = label
         self.cancelled = False
-        #: Owning lane id (always 0 on the global loop; the laned loop in
-        #: :mod:`repro.sim.lanes` uses it for per-lane bookkeeping).
-        self.lane = 0
-        #: Pool-recyclable event with no external handle (see
-        #: :meth:`EventLoop.call_transient_at`).
-        self.transient = False
         #: Loop bookkeeping hook; cleared once the event leaves the queue.
         self._on_cancel: Optional[Callable[[], None]] = None
 
@@ -88,9 +81,6 @@ class ScheduledEvent:
         if self._on_cancel is not None:
             self._on_cancel()
             self._on_cancel = None
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.when, self.seq) < (other.when, other.seq)
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
@@ -124,15 +114,14 @@ class EventLoop:
 
     def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock = clock if clock is not None else Clock()
-        self._queue: List[Tuple[float, int, ScheduledEvent]] = []
-        #: Events at the current instant, in seq (FIFO) order. Invariant:
+        self._queue: List[_Entry] = []
+        #: Entries at the current instant, in seq (FIFO) order. Invariant:
         #: every entry's ``when`` equals the clock time it was appended
         #: at, and the deque is drained before the clock advances.
-        self._ready: "deque[ScheduledEvent]" = deque()
-        self._pool: List[ScheduledEvent] = []
+        self._ready: "deque[_Entry]" = deque()
         self._seq = 0
         self._fired = 0
-        self._live = 0  # non-cancelled events still queued; pending is O(1)
+        self._dropped = 0  # events cancelled while queued; pending is O(1)
         self._cancelled_in_queue = 0
         #: What instrumented code on this loop reports to: a
         #: :class:`repro.telemetry.runtime.Probe`, or ``None`` (unobserved)
@@ -199,15 +188,15 @@ class EventLoop:
                 "cannot schedule in the past: now=%r when=%r"
                 % (self.clock.now, when)
             )
-        event = ScheduledEvent(when, self._seq, action, label)
-        self._seq += 1
+        seq = self._seq
+        event = ScheduledEvent(when, seq, action, label)
+        self._seq = seq + 1
         if when == self.clock.now:
             event._on_cancel = self._note_cancel_ready
-            self._ready.append(event)
+            self._ready.append((when, seq, event, _HANDLE))
         else:
             event._on_cancel = self._note_cancel
-            heapq.heappush(self._queue, (when, event.seq, event))
-        self._live += 1
+            heapq.heappush(self._queue, (when, seq, event, _HANDLE))
         return event
 
     def call_after(
@@ -241,35 +230,23 @@ class EventLoop:
         """Schedule a fire-and-forget event; no handle, no cancellation.
 
         Transient events are the hot-path variant of :meth:`call_at`:
-        because the caller can never cancel one, the loop recycles the
-        underlying :class:`ScheduledEvent` objects through an object
-        pool. ``arg``, when given, is passed to ``action`` at fire time,
-        which lets callers avoid a per-event closure. Ordering is the
-        same strict ``(time, seq)`` as every other event.
+        because the caller can never cancel one, the queue entry is the
+        whole event and nothing else is allocated. ``arg``, when given,
+        is passed to ``action`` at fire time, which lets callers avoid a
+        per-event closure. Ordering is the same strict ``(time, seq)`` as
+        every other event.
         """
         now = self.clock.now
         if when < now:
             raise ValueError(
                 "cannot schedule in the past: now=%r when=%r" % (now, when)
             )
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.when = when
-            event.seq = self._seq
-            event.action = action
-            event.arg = arg
-            event.cancelled = False
-        else:
-            event = ScheduledEvent(when, self._seq, action)
-            event.arg = arg
-            event.transient = True
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
         if when == now:
-            self._ready.append(event)
+            self._ready.append((when, seq, action, arg))
         else:
-            heapq.heappush(self._queue, (when, event.seq, event))
-        self._live += 1
+            heapq.heappush(self._queue, (when, seq, action, arg))
 
     def call_transient_after(
         self,
@@ -278,7 +255,7 @@ class EventLoop:
         arg: Any = _NO_ARG,
         lane: Optional[int] = None,
     ) -> None:
-        """Transient (uncancellable, pooled) variant of :meth:`call_after`."""
+        """Transient (uncancellable) variant of :meth:`call_after`."""
         if delay < 0:
             raise ValueError("negative delay: %r" % delay)
         self.call_transient_at(self.clock.now + delay, action, arg, lane)
@@ -289,7 +266,7 @@ class EventLoop:
     @property
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued (O(1))."""
-        return self._live
+        return self._seq - self._fired - self._dropped
 
     @property
     def fired(self) -> int:
@@ -310,35 +287,27 @@ class EventLoop:
         """Virtual time of the next live event, or ``None`` if idle."""
         self._drop_cancelled_head()
         ready = self._ready
-        while ready and ready[0].cancelled:
+        while ready and _cancelled(ready[0]):
             ready.popleft()
         if ready:
             # Ready events sit at the current instant; nothing queued can
             # be earlier (past scheduling is rejected).
-            return ready[0].when
+            return ready[0][0]
         if not self._queue:
             return None
         return self._queue[0][0]
 
-    def _fire(self, event: ScheduledEvent) -> None:
-        """Execute one dequeued, non-cancelled event.
+    def _fire_entry(self, action: Any, arg: Any) -> None:
+        """Execute one dequeued, live entry's ``action`` and ``arg``.
 
         :meth:`run_until` repeats these steps in its own body for heap
-        events; a change here belongs there too.
+        entries; a change here belongs there too.
         """
-        self._live -= 1
         self._fired += 1
-        action = event.action
-        arg = event.arg
-        if event.transient:
-            event.action = None  # type: ignore[assignment]
-            event.arg = _NO_ARG
-            pool = self._pool
-            if len(pool) < _POOL_LIMIT:
-                pool.append(event)
-        else:
-            event._on_cancel = None
-        if arg is _NO_ARG:
+        if arg is _HANDLE:
+            action._on_cancel = None
+            action.action()
+        elif arg is _NO_ARG:
             action()
         else:
             action(arg)
@@ -347,20 +316,20 @@ class EventLoop:
         """Fire the single next event. Returns False when the queue is empty."""
         self._drop_cancelled_head()
         ready = self._ready
-        while ready and ready[0].cancelled:
+        while ready and _cancelled(ready[0]):
             ready.popleft()
         queue = self._queue
         # Ready events live at the current instant. A heap event at the
         # same instant was necessarily scheduled earlier (smaller seq),
         # so the heap wins ties.
-        if queue and (not ready or queue[0][0] <= ready[0].when):
-            event = heapq.heappop(queue)[2]
+        if queue and (not ready or queue[0][0] <= ready[0][0]):
+            when, _, action, arg = heapq.heappop(queue)
         elif ready:
-            event = ready.popleft()
+            when, _, action, arg = ready.popleft()
         else:
             return False
-        self.clock.advance_to(event.when)
-        self._fire(event)
+        self.clock.advance_to(when)
+        self._fire_entry(action, arg)
         return True
 
     def run_until(self, deadline: float) -> int:
@@ -380,16 +349,13 @@ class EventLoop:
         queue = self._queue
         ready = self._ready
         clock = self.clock
-        pool = self._pool
+        heappop = heapq.heappop
         fired_before = self._fired
         while True:
-            while queue and queue[0][2].cancelled:
-                heapq.heappop(queue)
-                self._cancelled_in_queue -= 1
-            while ready and ready[0].cancelled:
-                ready.popleft()
+            # A cancelled head is not dropped here: its batch fires
+            # nothing, and no action can observe the clock it advanced.
             if ready:
-                when = ready[0].when
+                when = ready[0][0]
             elif queue:
                 when = queue[0][0]
             else:
@@ -404,24 +370,17 @@ class EventLoop:
             # before the clock reached it, so they carry smaller seqs
             # than anything in the ready deque)...
             while queue and queue[0][0] == when:
-                event = heapq.heappop(queue)[2]
-                if event.cancelled:
-                    self._cancelled_in_queue -= 1
-                    continue
-                # The steps of _fire(event), in line: nearly every event
+                _, _, action, arg = heappop(queue)
+                # The steps of _fire_entry, in line: nearly every event
                 # of a macro run comes off the heap, and the call was a
                 # measurable share of each.
-                self._live -= 1
+                if arg is _HANDLE:
+                    if action.cancelled:
+                        self._cancelled_in_queue -= 1
+                        continue
+                    action._on_cancel = None
+                    action, arg = action.action, _NO_ARG
                 self._fired += 1
-                action = event.action
-                arg = event.arg
-                if event.transient:
-                    event.action = None  # type: ignore[assignment]
-                    event.arg = _NO_ARG
-                    if len(pool) < _POOL_LIMIT:
-                        pool.append(event)
-                else:
-                    event._on_cancel = None
                 if arg is _NO_ARG:
                     action()
                 else:
@@ -429,14 +388,9 @@ class EventLoop:
             # ...then the ready deque, which only ever holds events for
             # the current instant and may keep growing mid-batch.
             while ready:
-                event = ready[0]
-                if event.cancelled:
-                    ready.popleft()
-                    continue
-                if event.when != when:  # pragma: no cover - defensive
-                    break
-                ready.popleft()
-                self._fire(event)
+                _, _, action, arg = ready.popleft()
+                if arg is not _HANDLE or not action.cancelled:
+                    self._fire_entry(action, arg)
         if deadline > clock.now:
             clock.advance_to(deadline)
         return self._fired - fired_before
@@ -460,7 +414,7 @@ class EventLoop:
 
     def _note_cancel(self) -> None:
         """Bookkeeping for a cancellation of a still-queued heap event."""
-        self._live -= 1
+        self._dropped += 1
         self._cancelled_in_queue += 1
         # Compact once cancelled entries outnumber live ones: rebuilding
         # the heap from the survivors is O(live) and keeps pop cost from
@@ -470,17 +424,19 @@ class EventLoop:
 
     def _note_cancel_ready(self) -> None:
         """Cancellation of a ready-deque event: skipped at pop time."""
-        self._live -= 1
+        self._dropped += 1
 
     def _compact(self) -> None:
         # In place: run_until holds an alias to the queue across actions
         # that may cancel (and thus compact) while a batch is mid-flight.
-        self._queue[:] = [e for e in self._queue if not e[2].cancelled]
+        self._queue[:] = [
+            e for e in self._queue if e[3] is not _HANDLE or not e[2].cancelled
+        ]
         heapq.heapify(self._queue)
         self._cancelled_in_queue = 0
 
     def _drop_cancelled_head(self) -> None:
-        while self._queue and self._queue[0][2].cancelled:
+        while self._queue and _cancelled(self._queue[0]):
             heapq.heappop(self._queue)
             self._cancelled_in_queue -= 1
 

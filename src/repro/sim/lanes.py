@@ -38,6 +38,24 @@ __all__ = ["Lane", "LaneScheduler", "LanedEventLoop"]
 #: Key larger than any real (when, seq) — "nothing posted for this lane".
 _INF_KEY: Tuple[float, int] = (float("inf"), -1)
 
+#: Upper bound on pooled transient-event objects kept for reuse.
+_POOL_LIMIT = 4096
+
+
+class _LaneEvent(ScheduledEvent):
+    """A laned loop's queue entry: the handle plus what only this loop
+    keeps on it (fire-time ``arg``, owning ``lane``, pool membership)."""
+
+    __slots__ = ("arg", "lane", "transient")
+
+    def __init__(
+        self, when: float, seq: int, action: Callable[..., Any], label: str = ""
+    ) -> None:
+        super().__init__(when, seq, action, label)
+        self.arg: Any = _NO_ARG
+        self.lane = 0
+        self.transient = False
+
 
 class Lane:
     """One partition's scheduling state: its own heap + ready deque.
@@ -64,8 +82,8 @@ class Lane:
         self.lane_id = lane_id
         #: Registration key (node/shard id) — informational.
         self.key = key
-        self.queue: List[Tuple[float, int, ScheduledEvent]] = []
-        self.ready: "deque[ScheduledEvent]" = deque()
+        self.queue: List[Tuple[float, int, _LaneEvent]] = []
+        self.ready: "deque[_LaneEvent]" = deque()
         self.cancelled_in_queue = 0
         #: Smallest (when, seq) currently represented for this lane in the
         #: scheduler's head index, or ``_INF_KEY`` when none is. Used to
@@ -102,7 +120,7 @@ class Lane:
             return (head.when, head.seq)
         return None
 
-    def pop_head(self) -> ScheduledEvent:
+    def pop_head(self) -> _LaneEvent:
         """Remove and return the event :meth:`head_key` described."""
         queue = self.queue
         ready = self.ready
@@ -247,6 +265,7 @@ class LanedEventLoop(EventLoop):
         #: Smallest (when, seq) scheduled into a foreign lane during the
         #: current batch — tightens the batch bound.
         self._cross_min: Optional[Tuple[float, int]] = None
+        self._pool: List[_LaneEvent] = []
 
     # ------------------------------------------------------------------
     # Lane management
@@ -289,7 +308,7 @@ class LanedEventLoop(EventLoop):
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _enqueue(self, event: ScheduledEvent, lane_id: int) -> None:
+    def _enqueue(self, event: _LaneEvent, lane_id: int) -> None:
         """Route one event into its lane and keep the head index honest."""
         lane = self._lanes[lane_id]
         event.lane = lane_id
@@ -298,7 +317,6 @@ class LanedEventLoop(EventLoop):
             lane.ready.append(event)
         else:
             heapq.heappush(lane.queue, (when, event.seq, event))
-        self._live += 1
         if lane_id != self._exec_lane:
             key = (when, event.seq)
             self._merge.post(lane, key)
@@ -319,7 +337,7 @@ class LanedEventLoop(EventLoop):
                 "cannot schedule in the past: now=%r when=%r"
                 % (self.clock.now, when)
             )
-        event = ScheduledEvent(when, self._seq, action, label)
+        event = _LaneEvent(when, self._seq, action, label)
         self._seq += 1
         lane_id = self._sched_lane if lane is None else lane
         # Same per-tier hooks as the base loop: ready-deque cancels are
@@ -353,7 +371,7 @@ class LanedEventLoop(EventLoop):
             event.arg = arg
             event.cancelled = False
         else:
-            event = ScheduledEvent(when, self._seq, action)
+            event = _LaneEvent(when, self._seq, action)
             event.arg = arg
             event.transient = True
         self._seq += 1
@@ -364,7 +382,7 @@ class LanedEventLoop(EventLoop):
         loop's ``_note_cancel``, scoped to the lane's own heap)."""
 
         def note() -> None:
-            self._live -= 1
+            self._dropped += 1
             lane.cancelled_in_queue += 1
             if lane.cancelled_in_queue > len(lane.queue) // 2:
                 lane.compact()
@@ -374,6 +392,24 @@ class LanedEventLoop(EventLoop):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def _fire(self, event: _LaneEvent) -> None:
+        """Execute one dequeued, non-cancelled event."""
+        self._fired += 1
+        action = event.action
+        arg = event.arg
+        if event.transient:
+            event.action = None  # type: ignore[assignment]
+            event.arg = _NO_ARG
+            pool = self._pool
+            if len(pool) < _POOL_LIMIT:
+                pool.append(event)
+        else:
+            event._on_cancel = None
+        if arg is _NO_ARG:
+            action()
+        else:
+            action(arg)
+
     def peek_next_time(self) -> Optional[float]:
         key = self._merge.peek_key()
         return key[0] if key is not None else None

@@ -20,6 +20,9 @@ from typing import Callable, Optional
 
 from repro.sim.eventloop import EventLoop
 
+#: ``2.0 * math.pi * x`` is ``(2.0 * math.pi) * x``, so this is exact.
+_TWO_PI = 2.0 * math.pi
+
 
 class DiurnalProfile:
     """Rate curve ``rate(t)``: a raised-cosine day shape in requests/s.
@@ -106,7 +109,8 @@ class OpenLoopArrivals:
         self.candidates = 0
         self.finished = False
         self._started_at: Optional[float] = None
-        self._deadline = 0.0
+        #: What every thinning step reads, bound once by :meth:`start`.
+        self._thinning: tuple = ()
 
     def start(self) -> None:
         """Begin generating; idempotent-guarded against double starts."""
@@ -114,28 +118,30 @@ class OpenLoopArrivals:
             raise RuntimeError("arrival process already started")
         now = self._loop.clock.now
         self._started_at = now
-        self._deadline = now + self.duration
         if self._profile.peak_rps <= 0.0:
             # A zero-peak day has no arrivals (and no rate to draw gaps at).
             self.finished = True
             return
+        rng, base, peak = self._rng, self._profile.base_rps, self._profile.peak_rps
+        day, deadline = self._profile.day_seconds, now + self.duration
+        self._thinning = (rng.random, rng.expovariate, base, peak, day, now, deadline)
         self._schedule_next(now)
 
     def _schedule_next(self, when: float) -> None:
         """Draw candidates after ``when`` until one is accepted and
-        schedule that one; rejected candidates never reach the loop."""
-        rng = self._rng
-        profile = self._profile
-        peak_rps = profile.peak_rps
-        started_at = self._started_at
-        deadline = self._deadline
+        schedule that one; rejected candidates never reach the loop.
+        The accept test is :meth:`DiurnalProfile.rate` in line: the same
+        float operations in the same order."""
+        random, expovariate, base, peak, day, started_at, deadline = self._thinning
+        cos = math.cos
         while True:
-            when += rng.expovariate(peak_rps)
+            when += expovariate(peak)
             if when > deadline:
                 self.finished = True
                 return
             self.candidates += 1
-            if rng.random() * peak_rps < profile.rate(when - started_at):
+            shape = 0.5 - 0.5 * cos(_TWO_PI * (((when - started_at) / day) % 1.0))
+            if random() * peak < base + (peak - base) * shape:
                 self._loop.call_transient_at(when, self._arrive)
                 return
 

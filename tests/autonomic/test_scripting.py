@@ -57,6 +57,15 @@ class TestScriptedPolicy:
         policy = scripted_policy("brittle", "True", "actions.append(1/0)")
         assert policy.evaluate(usage_event(0.9), AutonomicContext()) == []
 
+    def test_runtime_errors_are_counted_on_the_policy(self):
+        condition = scripted_policy("c", "event.data['missing'] > 1", "pass")
+        action = scripted_policy("a", "True", "actions.append(undefined)")
+        fine = scripted_policy("f", "True", "pass")
+        for policy in (condition, action, fine):
+            for _ in range(2):
+                policy.evaluate(usage_event(0.9), AutonomicContext())
+        assert (condition.errors, action.errors, fine.errors) == (2, 2, 0)
+
     def test_non_action_appends_filtered(self):
         policy = scripted_policy("junk", "True", "actions.append('not-an-action')")
         assert policy.evaluate(usage_event(0.9), AutonomicContext()) == []

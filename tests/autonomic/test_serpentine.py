@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.autonomic.scripting import scripted_policy
 from repro.autonomic.serpentine import (
     Action,
     AutonomicContext,
@@ -59,14 +60,27 @@ def test_policies_evaluated_in_priority_order():
 
 
 def test_broken_policy_does_not_stop_others():
+    bad = scripted_policy("bad", "True", "actions.append(1 / 0)", priority=9)
+    engine = PolicyEngine("e")
+    engine.add_policy(bad)
+    engine.add_policy(Policy("good", always, emit("ok")))
+    actions = engine.handle(Event("x", at=0.0), AutonomicContext())
+    assert [a.kind for a in actions] == ["ok"]
+    assert bad.errors == 1
+
+
+def test_a_raising_policy_propagates():
+    """Only script text is the operator's to get wrong; a Python policy
+    that raises is a bug, and the engine does not hide it."""
+
     def broken(event, context):
-        raise RuntimeError("scripted policy bug")
+        raise RuntimeError("policy bug")
 
     engine = PolicyEngine("e")
     engine.add_policy(Policy("bad", always, broken, priority=9))
     engine.add_policy(Policy("good", always, emit("ok")))
-    actions = engine.handle(Event("x", at=0.0), AutonomicContext())
-    assert [a.kind for a in actions] == ["ok"]
+    with pytest.raises(RuntimeError, match="policy bug"):
+        engine.handle(Event("x", at=0.0), AutonomicContext())
 
 
 def test_unhandled_event_escalates_to_parent():
@@ -107,14 +121,18 @@ def test_executor_success_and_failure_tracked():
     assert [a.kind for a in engine.failed_actions] == ["bad"]
 
 
-def test_executor_exception_counts_as_failure():
+def test_a_raising_executor_propagates():
+    """An executor reports a refused action by returning False; one that
+    raises is a bug and is not booked as a failed action."""
+
     def exploding(action, context):
         raise RuntimeError("boom")
 
     engine = PolicyEngine("e", executor=exploding)
     engine.add_policy(Policy("p", always, emit("x")))
-    engine.handle(Event("x", at=0.0), AutonomicContext())
-    assert len(engine.failed_actions) == 1
+    with pytest.raises(RuntimeError, match="boom"):
+        engine.handle(Event("x", at=0.0), AutonomicContext())
+    assert engine.failed_actions == [] and engine.executed_actions == []
 
 
 def test_remove_policy():

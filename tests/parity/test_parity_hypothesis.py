@@ -4,7 +4,11 @@ Two generators, two levels:
 
 * raw event loops — random scripts of timed events that spawn
   same-instant and future children across lanes and cancel earlier
-  events mid-run, the adversarial surface of the k-way merge;
+  events mid-run, the adversarial surface of the k-way merge; and
+  scripts mixing every scheduling API (cancellable, transient with and
+  without ``arg``, ``call_soon``) with ``step``, ``peek_next_time``,
+  ``pending`` and partial ``run_until`` calls, where the laned loop's
+  event objects are the oracle for the global loop's tuple entries;
 * whole clusters — random node counts, link latencies, jitter, loss
   rates and fault scripts replayed through the real injector, compared
   by fault-trace digest.
@@ -15,7 +19,7 @@ reproduction recipe goes straight into a regression test.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import DependableEnvironment
@@ -75,6 +79,106 @@ def test_random_schedules_fire_identically(ops):
     """Any script of events, children and cancellations fires in the
     same order at the same instants on both schedulers."""
     assert run_script(EventLoop(Clock()), ops) == run_script(
+        LanedEventLoop(Clock()), ops
+    )
+
+
+# One mixed-script op. ``at`` / ``soon`` return cancellable handles and
+# ``cancel`` cancels one; ``transient`` (with or without ``arg``) returns
+# none; ``step``, ``peek`` and ``run`` (a partial deadline) drive and
+# read the loop mid-script. Times are few, so entries share instants.
+_WHEN = st.integers(min_value=0, max_value=12)  # centiseconds from now
+_LANE = st.integers(min_value=0, max_value=2)
+_CHILDREN = st.integers(min_value=0, max_value=4)
+MIXED_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("at"), _WHEN, _LANE, _CHILDREN, st.integers(0, 4)),
+        st.tuples(st.just("transient"), _WHEN, _LANE, _CHILDREN, st.booleans()),
+        st.tuples(st.just("soon"), _LANE, _CHILDREN),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=30)),
+        st.tuples(st.just("step")),
+        st.tuples(st.just("peek")),
+        st.tuples(st.just("run"), st.integers(min_value=0, max_value=150)),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def run_mixed_script(loop, ops):
+    """Interpreter for scripts mixing every scheduling API with reads."""
+    lanes = [0, loop.register_lane("n1"), loop.register_lane("n2")]
+    log = []
+    handles = []
+    specs = {}  # tag -> (lane, children, cancel)
+
+    def fire(tag):
+        now = loop.clock.now
+        log.append((tag, round(now, 9), loop.pending))
+        lane, children, cancel = specs[tag]
+        if cancel and handles:
+            handles[(cancel - 1) % len(handles)].cancel()
+        for child in range(children):
+            # Child 0 lands at the current instant; each kind in turn
+            # meets the others there and in the future.
+            kind = (child + len(tag)) % 4
+            schedule(
+                "%s.%d" % (tag, child),
+                kind,
+                now + 0.01 * child,
+                lanes[(lane + child + 1) % 3],
+                0,
+                0,
+            )
+
+    def schedule(tag, kind, when, lane, children, cancel):
+        specs[tag] = (lane, children, cancel)
+        if kind == 0:
+            handles.append(loop.call_at(when, lambda: fire(tag), tag, lane))
+        elif kind == 1:
+            loop.call_transient_at(when, fire, tag, lane=lane)
+        elif kind == 2:
+            loop.call_transient_at(when, lambda: fire(tag), lane=lane)
+        else:
+            handles.append(loop.call_soon(lambda: fire(tag), tag, lane))
+
+    for index, op in enumerate(ops):
+        tag = str(index)
+        now = loop.clock.now
+        if op[0] == "at":
+            _, when_cs, lane, children, cancel = op
+            schedule(tag, 0, now + when_cs / 100.0, lanes[lane], children, cancel)
+        elif op[0] == "transient":
+            _, when_cs, lane, children, with_arg = op
+            kind = 1 if with_arg else 2
+            schedule(tag, kind, now + when_cs / 100.0, lanes[lane], children, 0)
+        elif op[0] == "soon":
+            schedule(tag, 3, now, lanes[op[1]], op[2], 0)
+        elif op[0] == "cancel":
+            if handles:
+                handles[op[1] % len(handles)].cancel()
+        elif op[0] == "step":
+            log.append(("step", loop.step(), round(loop.clock.now, 9)))
+        elif op[0] == "peek":
+            log.append(("peek", loop.peek_next_time(), loop.pending))
+        else:
+            log.append(("run", loop.run_until(op[1] / 100.0), loop.pending))
+    loop.run_until(3.0)
+    return log, loop.fired, loop.scheduled, loop.pending, loop.clock.now
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=MIXED_OPS)
+# step() with a heap entry and a ready entry at one instant: heap first.
+@example(ops=[("at", 5, 0, 1, 0), ("at", 5, 0, 0, 0), ("step",), ("step",)])
+# A cancelled ready head under peek_next_time, pending and step.
+@example(ops=[("soon", 0, 0), ("soon", 1, 0), ("cancel", 0), ("peek",), ("step",)])
+def test_mixed_entry_scripts_fire_identically(ops):
+    """Cancellable and transient entries (with and without ``arg``),
+    ``call_soon``, ``step``, ``peek_next_time`` / ``pending`` reads and a
+    partial ``run_until``: the global loop's tuple entries fire and
+    report exactly what the laned loop's event objects do."""
+    assert run_mixed_script(EventLoop(Clock()), ops) == run_mixed_script(
         LanedEventLoop(Clock()), ops
     )
 

@@ -1,4 +1,4 @@
-"""Transient (pooled) events and the same-instant ready queue.
+"""Transient events and the same-instant ready queue.
 
 The macro-scale fast paths reroute scheduling through
 ``call_transient_at`` and a ready deque; these must be observably
@@ -7,6 +7,7 @@ indistinguishable from ``call_at`` — same strict (time, seq) order.
 
 import pytest
 
+from repro.sim import eventloop
 from repro.sim.eventloop import EventLoop
 
 
@@ -73,18 +74,29 @@ def test_ready_queue_respects_step_and_cancellation():
     assert loop.step() is False
 
 
-def test_pool_recycles_event_objects():
+def test_transients_construct_no_event_objects(monkeypatch):
+    """A transient is its queue entry: scheduling and firing 1,000 of
+    them, same-instant and future, builds no ScheduledEvent."""
+    built = []
+
+    class Counting(eventloop.ScheduledEvent):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(eventloop, "ScheduledEvent", Counting)
     loop = EventLoop()
-    for _ in range(3):
-        loop.call_transient_after(1.0, lambda: None)
-    loop.run_until(10.0)
-    before = len(loop._pool)
-    assert before >= 1
-    # New transients draw from the pool rather than allocating.
-    loop.call_transient_after(1.0, lambda: None)
-    assert len(loop._pool) == before - 1
-    loop.run_until(20.0)
-    assert len(loop._pool) == before
+    seen = []
+    for index in range(1000):
+        loop.call_transient_at(0.001 * (index % 10), seen.append, index)
+    loop.run_until(1.0)
+    assert sorted(seen) == list(range(1000))
+    assert built == []
+    # The count does see a handle when one is made.
+    loop.call_at(2.0, lambda: None)
+    assert len(built) == 1
 
 
 def test_pooled_events_do_not_leak_state():

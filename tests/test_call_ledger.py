@@ -1,15 +1,20 @@
-"""The layer call ledger names every count that moved, by workload and layer."""
+"""The layer call ledger names every count and digest that moved, by
+workload and layer."""
 
 import json
 
 from benchmarks.ledger import LEDGER, differences, ledger_of
 
 
-def trace_document(calls=100, spans=7):
+def trace_document(calls=100, spans=7, digest="ab12"):
     return {
         "provenance": {"python": "3.12.4"},
         "workloads": {
             "chaos_fleet": {
+                "digest": digest,
+                "attempted": 4,
+                "failed": 0,
+                "correct": True,
                 "layers": {
                     "gcs": {"self_s": 1.5, "share": 0.2, "calls_in": calls},
                     "conformance": {"self_s": 0.5, "share": 0.1, "calls_in": 40},
@@ -25,6 +30,9 @@ def test_ledger_keeps_the_exact_columns_only():
     assert ledger["python"] == "3.12"
     assert ledger["workloads"] == {
         "chaos_fleet": {
+            "digest": "ab12",
+            "attempted": 4,
+            "failed": 0,
             "calls_in": {"conformance": 40, "gcs": 100},
             "counters": {"telemetry.spans": 7},
         }
@@ -45,6 +53,13 @@ def test_a_moved_count_is_named_by_workload_and_layer():
     ]
 
 
+def test_a_moved_digest_is_named_by_workload():
+    moved = differences(
+        ledger_of(trace_document()), ledger_of(trace_document(digest="cd34"))
+    )
+    assert moved == ["chaos_fleet digest: ledger ab12, run cd34"]
+
+
 def test_another_python_is_reported():
     recorded = ledger_of(trace_document())
     recorded["python"] = "2.7"
@@ -61,5 +76,7 @@ def test_committed_ledger_covers_four_workloads_twenty_layers_seventeen_counters
         "chaos_fleet", "macro_day", "macro_wide", "tenant_platform"
     ]
     for row in ledger["workloads"].values():
+        assert len(row["digest"]) == 64
+        assert row["attempted"] > 0 and row["failed"] == 0
         assert len(row["calls_in"]) == 20
         assert len(row["counters"]) == 17
