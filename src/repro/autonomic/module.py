@@ -145,10 +145,8 @@ class AutonomicModule:
         wake_agent = self.context.facilities.get("wake_agent")
         if wake_agent is None:
             return False
-        try:
-            wake_agent(action.target)
-        except Exception:
-            return False
+        # A refused wake fails the agent's completion; a raise is a bug.
+        wake_agent(action.target)
         return True
 
     def _do_migrate(self, action: Action) -> bool:

@@ -43,7 +43,9 @@ class ReliableChannel:
         rto: float = 0.05,
     ) -> None:
         self.node_id = node_id
-        self._endpoint = endpoint
+        #: Frames go straight to the network: one call each, not two.
+        self._source = endpoint.name
+        self._send_all = endpoint.network.send_all
         self._loop = loop
         self._on_deliver = on_deliver
         self.rto = rto
@@ -106,8 +108,9 @@ class ReliableChannel:
     # ------------------------------------------------------------------
     def _transmit(self, destination: str, msg_id: int, payload: Any) -> None:
         self.sent += 1
-        self._endpoint.send(
-            destination,
+        self._send_all(
+            self._source,
+            (destination,),
             {
                 "rc": {
                     "kind": "data",
@@ -132,7 +135,8 @@ class ReliableChannel:
             self._transmit(destination, msg_id, payload)
             self._arm_retry(destination, msg_id, payload, attempt + 1)
 
-        event = self._loop.call_after(self.rto, retry, label="rc-retry")
+        loop = self._loop
+        event = loop.call_at(loop.clock.now + self.rto, retry, "rc-retry")
         self._pending[msg_id] = (destination, payload, event, attempt)
 
     def _on_data(self, source: str, frame: Dict[str, Any]) -> None:
@@ -141,8 +145,10 @@ class ReliableChannel:
         incarnation = frame.get("inc", 0)
         # The ack echoes the data frame's incarnation so the (possibly
         # rebooted) sender can tell whether it concerns its current life.
-        self._endpoint.send(
-            source, {"rc": {"kind": "ack", "id": msg_id, "inc": incarnation}}
+        self._send_all(
+            self._source,
+            (source,),
+            {"rc": {"kind": "ack", "id": msg_id, "inc": incarnation}},
         )
         key = (sender, incarnation, msg_id)
         if key in self._seen:

@@ -351,6 +351,7 @@ class GroupMember:
         if self.view is None:
             return
         now = self._loop.clock.now
+        timeout = None if self.adaptive_fd else self.fd_timeout
         newly_suspected = False
         for member in self.view.members:
             if member == self.endpoint_name or member in self._suspected:
@@ -359,7 +360,7 @@ class GroupMember:
             if last is None:
                 self._last_heard[member] = now
                 continue
-            if now - last > self._timeout_for(member):
+            if now - last > (timeout or self._timeout_for(member)):
                 self._suspected.add(member)
                 self.suspicions.append((now, member))
                 newly_suspected = True
@@ -378,9 +379,9 @@ class GroupMember:
         return min(self.fd_timeout, max(2 * self.hb_interval, adaptive))
 
     def _observe_heartbeat(self, member: str, now: float) -> None:
+        """Fold the gap since ``member``'s last beat into the EWMA."""
         last = self._last_heard.get(member)
-        self._last_heard[member] = now
-        if not self.adaptive_fd or last is None:
+        if last is None:
             return
         interval = now - last
         mean, deviation = self._arrival_stats.get(
@@ -519,7 +520,10 @@ class GroupMember:
     def _on_network(self, message: Message) -> None:
         payload = message.payload
         if isinstance(payload, dict) and "hb" in payload:
-            self._observe_heartbeat(payload["hb"], self._loop.clock.now)
+            now = self._loop.clock.now
+            if self.adaptive_fd:
+                self._observe_heartbeat(payload["hb"], now)
+            self._last_heard[payload["hb"]] = now
             return
         if isinstance(payload, dict) and "probe" in payload:
             self._on_probe(payload["probe"])

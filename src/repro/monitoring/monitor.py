@@ -147,11 +147,9 @@ class MonitoringModule:
             self._history.setdefault(
                 instance.name, deque(maxlen=self._history_size)
             ).append(report)
+            # A raising listener stops the run (it is a platform bug).
             for listener in list(self._listeners):
-                try:
-                    listener(report)
-                except Exception:
-                    pass
+                listener(report)
         self._arm()
 
     # ------------------------------------------------------------------

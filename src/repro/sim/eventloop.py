@@ -119,7 +119,10 @@ class EventLoop:
         #: every entry's ``when`` equals the clock time it was appended
         #: at, and the deque is drained before the clock advances.
         self._ready: "deque[_Entry]" = deque()
-        self._seq = 0
+        #: Events ever scheduled: the sequence counter itself. The
+        #: network's tick coalescing reads it to prove that nothing else
+        #: was scheduled in between.
+        self.scheduled = 0
         self._fired = 0
         self._dropped = 0  # events cancelled while queued; pending is O(1)
         self._cancelled_in_queue = 0
@@ -188,9 +191,9 @@ class EventLoop:
                 "cannot schedule in the past: now=%r when=%r"
                 % (self.clock.now, when)
             )
-        seq = self._seq
+        seq = self.scheduled
         event = ScheduledEvent(when, seq, action, label)
-        self._seq = seq + 1
+        self.scheduled = seq + 1
         if when == self.clock.now:
             event._on_cancel = self._note_cancel_ready
             self._ready.append((when, seq, event, _HANDLE))
@@ -241,8 +244,8 @@ class EventLoop:
             raise ValueError(
                 "cannot schedule in the past: now=%r when=%r" % (now, when)
             )
-        seq = self._seq
-        self._seq = seq + 1
+        seq = self.scheduled
+        self.scheduled = seq + 1
         if when == now:
             self._ready.append((when, seq, action, arg))
         else:
@@ -266,22 +269,12 @@ class EventLoop:
     @property
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued (O(1))."""
-        return self._seq - self._fired - self._dropped
+        return self.scheduled - self._fired - self._dropped
 
     @property
     def fired(self) -> int:
         """Total number of events executed so far."""
         return self._fired
-
-    @property
-    def scheduled(self) -> int:
-        """Total number of events ever scheduled (the sequence counter).
-
-        Exposed so callers batching same-instant work (the network's
-        per-tick delivery coalescing) can prove "nothing else was
-        scheduled in between" without reaching into loop internals.
-        """
-        return self._seq
 
     def peek_next_time(self) -> Optional[float]:
         """Virtual time of the next live event, or ``None`` if idle."""

@@ -337,8 +337,8 @@ class LanedEventLoop(EventLoop):
                 "cannot schedule in the past: now=%r when=%r"
                 % (self.clock.now, when)
             )
-        event = _LaneEvent(when, self._seq, action, label)
-        self._seq += 1
+        event = _LaneEvent(when, self.scheduled, action, label)
+        self.scheduled += 1
         lane_id = self._sched_lane if lane is None else lane
         # Same per-tier hooks as the base loop: ready-deque cancels are
         # skipped at pop time, heap cancels feed the owning lane's
@@ -366,15 +366,15 @@ class LanedEventLoop(EventLoop):
         if pool:
             event = pool.pop()
             event.when = when
-            event.seq = self._seq
+            event.seq = self.scheduled
             event.action = action
             event.arg = arg
             event.cancelled = False
         else:
-            event = _LaneEvent(when, self._seq, action)
+            event = _LaneEvent(when, self.scheduled, action)
             event.arg = arg
             event.transient = True
-        self._seq += 1
+        self.scheduled += 1
         self._enqueue(event, self._sched_lane if lane is None else lane)
 
     def _make_lane_cancel(self, lane: Lane) -> Callable[[], None]:

@@ -87,23 +87,19 @@ class Endpoint:
         handler: Callable[[Message], None],
     ) -> None:
         self.name = name
-        self._network = network
+        self.network = network
         self._handler = handler
         self.alive = True
 
     def send(self, destination: str, payload: Any, size_bytes: int = 256) -> None:
         """Send ``payload`` to the endpoint named ``destination``."""
-        self._network.send_all(self.name, (destination,), payload, size_bytes)
+        self.network.send_all(self.name, (destination,), payload, size_bytes)
 
     def send_all(
         self, destinations: Iterable[str], payload: Any, size_bytes: int = 256
     ) -> None:
         """Send the one ``payload`` object to each of ``destinations``."""
-        self._network.send_all(self.name, destinations, payload, size_bytes)
-
-    def deliver(self, message: Message) -> None:
-        if self.alive:
-            self._handler(message)
+        self.network.send_all(self.name, destinations, payload, size_bytes)
 
     def __repr__(self) -> str:
         state = "up" if self.alive else "down"
@@ -386,35 +382,34 @@ class Network:
             self._tick_entries = None
             self._tick_when = -1.0
             self._tick_lane = -1
+        stats = self.stats
+        endpoints = self._endpoints
         for link, batch in entries:
             if link.batch is batch:
                 # Later same-instant sends must open a fresh batch once
                 # this event has fired.
                 link.batch = None
                 link.batch_at = -1.0
+            # Delivered in line: this loop runs once per message.
             for message in batch:
-                self._deliver(message)
-
-    def _deliver(self, message: Message) -> None:
-        # Re-check the partition at delivery time: a partition raised while
-        # the message was in flight also kills it, like a dropped TCP link.
-        if (
-            self._group_of is not None or self._node_group_of is not None
-        ) and self._partitioned(message.source, message.destination):
-            self.stats.dropped_partition += 1
-            return
-        endpoint = self._endpoints.get(message.destination)
-        if endpoint is None or not endpoint.alive:
-            self.stats.dropped_dead += 1
-            return
-        self.stats.delivered += 1
-        trace = message.trace
-        probe = self.loop.probe if trace is not None else None
-        if probe is None:
-            endpoint.deliver(message)
-            return
-        # The sender's context is the ambient parent while the handler runs.
-        probe.carry(trace, endpoint.deliver, message)
+                # A partition raised while the message was in flight
+                # also kills it, like a dropped TCP link.
+                if (
+                    self._group_of is not None or self._node_group_of is not None
+                ) and self._partitioned(message.source, message.destination):
+                    stats.dropped_partition += 1
+                    continue
+                endpoint = endpoints.get(message.destination)
+                if endpoint is None or not endpoint.alive:
+                    stats.dropped_dead += 1
+                    continue
+                stats.delivered += 1
+                trace = message.trace
+                probe = self.loop.probe if trace is not None else None
+                if probe is None:
+                    endpoint._handler(message)
+                else:  # the sender's context is the handler's parent
+                    probe.carry(trace, endpoint._handler, message)
 
     def __repr__(self) -> str:
         return "Network(endpoints=%d, latency=%.4fs, loss=%.3f)" % (

@@ -157,31 +157,37 @@ class Probe:
     ) -> None:
         """``deliver(message)`` with the sender's ``context`` as parent.
 
-        Pushed and popped directly: this runs once per traced message
-        delivered, and a ``with`` block costs several times the two calls.
+        Runs once per traced message delivered, so the stack is pushed
+        and popped in place, and not at all when ``context`` is already
+        on top (every heartbeat and gossip under the episode root).
         """
         telemetry = self.telemetry
         if telemetry is None:
             deliver(message)
             return
-        tracer = telemetry.tracer
-        tracer.push_scope(context)
+        stack = telemetry.tracer._stack
+        if stack and stack[-1] is context:
+            deliver(message)
+            return
+        stack.append(context)
         try:
             deliver(message)
         finally:
-            tracer.pop_scope()
+            stack.pop()
 
     # ------------------------------------------------------------------
     # Protocol events. Those only the recorder observes pass their
     # arguments on to the HistoryRecorder method of the same name.
     # ------------------------------------------------------------------
     def multicast_send(self, *event: Any) -> None:
-        if self.recorder is not None:
-            self.recorder.multicast_send(*event)
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.multicast_send(*event)
 
     def deliver(self, *event: Any) -> None:
-        if self.recorder is not None:
-            self.recorder.deliver(*event)
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.deliver(*event)
 
     def view_install(self, node: str, incarnation: int, group: str, *view: Any) -> None:
         if self.recorder is not None:

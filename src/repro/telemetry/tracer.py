@@ -211,8 +211,8 @@ class Tracer:
 
     # ------------------------------------------------------------------
     # Bare push/pop: the ambient root scope (scenarios span many run_for
-    # calls, so the push and the pop happen at different call sites) and
-    # the network's per-message delivery, where a ``with`` is too dear.
+    # calls, so the push and the pop happen at different call sites).
+    # Probe.carry, once per message, works on ``_stack`` in place.
     # ------------------------------------------------------------------
     def push_scope(self, context: SpanContext) -> None:
         self._stack.append(context)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.autonomic.module import AutonomicModule
 from repro.autonomic.policies import consolidation_policy, sla_enforcement_policy
+from repro.autonomic.serpentine import Action
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import NodeState
 from repro.migration.module import MigrationModule
@@ -166,3 +167,29 @@ def test_stop_detaches_listeners():
     )
     cluster.run_for(6.0)
     assert module.actions_log == []
+
+
+class TestWakeAction:
+    def test_refused_without_a_wake_agent(self):
+        cluster, migrations, autonomics = build_platform()
+        module = autonomics["n1"]
+        assert module._execute(Action("wake-node", "n2"), module.context) is False
+
+    def test_the_wake_agent_is_called_with_the_target(self):
+        cluster, migrations, autonomics = build_platform()
+        module = autonomics["n1"]
+        woken = []
+        module.context.facilities["wake_agent"] = woken.append
+        assert module._execute(Action("wake-node", "n2"), module.context) is True
+        assert woken == ["n2"]
+
+    def test_a_raising_wake_agent_propagates(self):
+        cluster, migrations, autonomics = build_platform()
+        module = autonomics["n1"]
+
+        def wake_agent(node_id):
+            raise KeyError(node_id)
+
+        module.context.facilities["wake_agent"] = wake_agent
+        with pytest.raises(KeyError, match="n9"):
+            module._execute(Action("wake-node", "n9"), module.context)

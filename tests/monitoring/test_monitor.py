@@ -211,3 +211,19 @@ def test_bundle_packaging_requires_instance_manager(loop, host):
 
     with pytest.raises(BundleException):
         bundle.start()
+
+
+def test_a_raising_listener_stops_the_run(loop, manager):
+    """Report listeners are platform code (the autonomic module, the SLA
+    tracker): an error in one is a bug and leaves the tick, loudly."""
+    manager.create_instance("acme")
+    module = MonitoringModule(loop, manager, interval=1.0)
+
+    def broken(report):
+        raise ZeroDivisionError("broken listener")
+
+    module.add_listener(broken)
+    module.start()
+    with pytest.raises(ZeroDivisionError, match="broken listener"):
+        loop.run_for(2.0)
+    assert module.ticks == 1

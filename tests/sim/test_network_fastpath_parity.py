@@ -3,12 +3,16 @@
 ``ReferenceNetwork`` below is the per-message ``send`` / ``_deliver`` the
 repo ran before ``Network.send_all`` became the one implementation: one
 ``_Link()`` per ``setdefault``, the member-to-group dict rebuilt on every
-partition test, nothing hoisted. It is kept here as the oracle. A
-Hypothesis script of sends, fan-outs, partitions, slow nodes, endpoint
-churn and loss changes runs against both on the same seed and must give
-the same delivery log (time, send time, source, destination, payload
-identity, order), the same ``NetworkStats``, ``loop.scheduled`` / ``loop.fired``
-and the same final RNG state, under the global and the laned scheduler.
+partition test, nothing hoisted, and a delivery that always pushes and
+pops the sender's span context around the handler. It is kept here as
+the oracle. A Hypothesis script of sends, fan-outs, partitions, slow
+nodes, endpoint churn, loss changes and span scopes opened and closed
+between sends runs against both on the same seed, with telemetry
+attached. Both must give the same delivery log (time, send time, source,
+destination, payload identity, order, the handler's ambient span context
+and the distinct contexts on the tracer stack), the same
+``NetworkStats``, ``loop.scheduled`` / ``loop.fired`` and the same final
+RNG state, under the global and the laned scheduler.
 
 The count guards at the end pin what the fast path is allowed to
 allocate and rebuild: one ``_Link`` per ordered pair that carried a
@@ -30,6 +34,7 @@ from repro.sim.eventloop import EventLoop
 from repro.sim.lanes import LanedEventLoop
 from repro.sim.network import Endpoint, Message, Network, NetworkStats
 from repro.sim.rng import RngStreams
+from repro.telemetry.runtime import Telemetry, attach
 
 
 # ----------------------------------------------------------------------
@@ -136,8 +141,10 @@ class ReferenceNetwork:
     ) -> None:
         self.stats.sent += 1
         self.stats.bytes_sent += size_bytes
+        probe = self.loop.probe
+        trace = None if probe is None else probe.context()
         message = Message(
-            source, destination, payload, self.loop.clock.now, size_bytes, None
+            source, destination, payload, self.loop.clock.now, size_bytes, trace
         )
         if self._partitioned(source, destination):
             self.stats.dropped_partition += 1
@@ -194,7 +201,20 @@ class ReferenceNetwork:
             self.stats.dropped_dead += 1
             return
         self.stats.delivered += 1
-        endpoint.deliver(message)
+        trace = message.trace
+        probe = self.loop.probe if trace is not None else None
+        if probe is None:
+            if endpoint.alive:
+                endpoint._handler(message)
+            return
+        # Always push the sender's context, even when it is already on top.
+        tracer = probe.telemetry.tracer
+        tracer.push_scope(trace)
+        try:
+            if endpoint.alive:
+                endpoint._handler(message)
+        finally:
+            tracer.pop_scope()
 
 
 # ----------------------------------------------------------------------
@@ -209,6 +229,9 @@ NODES = ("n1", "n2", "n3", "solo")
 PAYLOADS = tuple(["payload", index] for index in range(4))
 PING = ["ping"]
 PONG = ["pong"]
+
+#: Span scopes a script moves between: how many contexts are ambient.
+SCOPES = (0, 1, 2)
 
 name = st.sampled_from(NAMES)
 node = st.sampled_from(NODES)
@@ -240,6 +263,10 @@ OP = st.one_of(
     st.tuples(st.just("attach"), name),
     st.tuples(st.just("loss"), st.sampled_from([0.0, 0.25, 0.6])),
     st.tuples(st.just("run_for"), st.sampled_from([0.0, 0.0004, 0.0011, 0.01, 0.2])),
+    # The ambient span scope from here on: none, the root, or a fresh
+    # child span of the root.
+    st.tuples(st.just("scope"), st.sampled_from(SCOPES)),
+    st.tuples(st.just("scope"), st.sampled_from(SCOPES)),
 )
 SCRIPT = st.lists(OP, min_size=1, max_size=40)
 
@@ -250,13 +277,37 @@ def _payload(index: int) -> Any:
     return PING if index == len(PAYLOADS) else PAYLOADS[index]
 
 
+def _context(tracer) -> Any:
+    context = tracer.current_context()
+    return None if context is None else (context.trace_id, context.span_id)
+
+
+def _distinct_depth(tracer) -> int:
+    """Stack depth, an entry equal to the one under it not counted.
+
+    The reference pushes the sender's context even when it is already
+    on top; the network leaves it there. Either way every
+    ``current_context()`` the handler and its callees can observe is
+    the same, and so is this depth, but the raw ``len`` differs by that
+    one skipped push.
+    """
+    stack = tracer._stack
+    return sum(
+        1
+        for index, context in enumerate(stack)
+        if index == 0 or context is not stack[index - 1]
+    )
+
+
 def run_script(factory, scheduler, script, seed, jitter, expand_fanout=False):
     """Interpret ``script``; returns everything the parity claim covers."""
     loop = SCHEDULERS[scheduler](Clock())
     for node_id in NODES:
         loop.register_lane(node_id)
     net = factory(loop, RngStreams(seed), 0.001, jitter, 0.1)
-    log: List[Tuple[float, float, str, str, Any]] = []
+    telemetry = Telemetry(loop.clock, RngStreams(seed))
+    tracer = telemetry.tracer
+    log: List[Tuple[float, float, str, str, Any, int, Any]] = []
 
     def handler(message: Message) -> None:
         log.append(
@@ -265,6 +316,8 @@ def run_script(factory, scheduler, script, seed, jitter, expand_fanout=False):
                 message.sent_at,
                 message.source,
                 message.destination,
+                _context(tracer),
+                _distinct_depth(tracer),
                 message.payload,
             )
         )
@@ -275,38 +328,48 @@ def run_script(factory, scheduler, script, seed, jitter, expand_fanout=False):
     for endpoint_name in NAMES:
         net.attach(endpoint_name, handler)
     attached = set(NAMES)
-    for op in script:
-        kind = op[0]
-        if kind == "send":
-            net.send(op[1], op[2], _payload(op[3]))
-        elif kind == "send_all":
-            if expand_fanout:
-                for destination in op[2]:
-                    net.send(op[1], destination, _payload(op[3]))
+    opened: List[Any] = []
+    with attach(loop, telemetry=telemetry):
+        for op in script:
+            kind = op[0]
+            if kind == "send":
+                net.send(op[1], op[2], _payload(op[3]))
+            elif kind == "send_all":
+                if expand_fanout:
+                    for destination in op[2]:
+                        net.send(op[1], destination, _payload(op[3]))
+                else:
+                    net.send_all(op[1], op[2], _payload(op[3]))
+            elif kind == "partition":
+                net.partition(*op[1])
+            elif kind == "partition_nodes":
+                net.partition_nodes(*op[1])
+            elif kind == "heal":
+                net.heal()
+            elif kind == "set_node_latency":
+                net.set_node_latency(op[1], op[2])
+            elif kind == "clear_node_latency":
+                net.clear_node_latency(op[1])
+            elif kind == "detach":
+                net.detach(op[1])
+                attached.discard(op[1])
+            elif kind == "attach":
+                if op[1] not in attached:
+                    net.attach(op[1], handler)
+                    attached.add(op[1])
+            elif kind == "loss":
+                net.loss_rate = op[1]
+            elif kind == "scope":
+                while len(opened) > op[1]:
+                    tracer.pop_scope()
+                    opened.pop().finish(loop.clock.now)
+                while len(opened) < op[1]:
+                    span = tracer.start_span("child" if opened else "root")
+                    tracer.push_scope(span.context)
+                    opened.append(span)
             else:
-                net.send_all(op[1], op[2], _payload(op[3]))
-        elif kind == "partition":
-            net.partition(*op[1])
-        elif kind == "partition_nodes":
-            net.partition_nodes(*op[1])
-        elif kind == "heal":
-            net.heal()
-        elif kind == "set_node_latency":
-            net.set_node_latency(op[1], op[2])
-        elif kind == "clear_node_latency":
-            net.clear_node_latency(op[1])
-        elif kind == "detach":
-            net.detach(op[1])
-            attached.discard(op[1])
-        elif kind == "attach":
-            if op[1] not in attached:
-                net.attach(op[1], handler)
-                attached.add(op[1])
-        elif kind == "loss":
-            net.loss_rate = op[1]
-        else:
-            loop.run_for(op[1])
-    loop.run_for(5.0)
+                loop.run_for(op[1])
+        loop.run_for(5.0)
     return {
         "log": log,
         "stats": net.stats.as_dict(),
@@ -315,15 +378,16 @@ def run_script(factory, scheduler, script, seed, jitter, expand_fanout=False):
         "fired": loop.fired,
         "pending": loop.pending,
         "rng": net._rng.getstate(),
+        "spans": telemetry.export_spans(),
     }
 
 
 def assert_same_run(expected, actual) -> None:
     assert len(actual["log"]) == len(expected["log"])
     for got, want in zip(actual["log"], expected["log"]):
-        assert got[:4] == want[:4]
-        assert got[4] is want[4], "payload identity differs at %r" % (want[:4],)
-    for key in ("stats", "partitioned", "scheduled", "fired", "pending", "rng"):
+        assert got[:6] == want[:6]
+        assert got[6] is want[6], "payload identity differs at %r" % (want[:6],)
+    for key in ("stats", "partitioned", "scheduled", "fired", "pending", "rng", "spans"):
         assert actual[key] == expected[key], key
 
 

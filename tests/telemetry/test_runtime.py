@@ -117,3 +117,27 @@ def test_telemetry_ids_use_dedicated_rng_stream():
     telemetry = Telemetry(Clock(), shared)
     telemetry.tracer.start_span("op")
     assert [shared.stream("network").random() for _ in range(5)] == baseline
+
+
+@pytest.mark.parametrize("on_top", [True, False], ids=["context-on-top", "pushed"])
+def test_carry_leaves_the_stack_as_it_found_it_when_the_handler_raises(on_top):
+    """Both branches of a carried delivery: the sender's context already
+    ambient (left alone) and a different one (pushed, then popped)."""
+    loop = EventLoop()
+    telemetry = make_telemetry(clock=loop.clock)
+    tracer = telemetry.tracer
+    root = telemetry.open_root("episode")
+    sender = root.context if on_top else tracer.start_span("send").context
+    before = list(tracer._stack)
+    seen = []
+
+    def handler(message):
+        seen.append((message, tracer.current_context(), len(tracer._stack)))
+        raise RuntimeError("handler bug")
+
+    with attach(loop, telemetry=telemetry) as probe:
+        with pytest.raises(RuntimeError, match="handler bug"):
+            probe.carry(sender, handler, "message")
+    assert seen == [("message", sender, 1 if on_top else 2)]
+    assert len(tracer._stack) == len(before)
+    assert all(now is then for now, then in zip(tracer._stack, before))
