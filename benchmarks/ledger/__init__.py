@@ -21,14 +21,29 @@ a re-pinned digest is declared.
 The committed ledger is recorded with the Python the CI ``suite`` job
 pins (3.12); another version calls other standard-library code and may
 differ.
+
+``chaos_seeds.json``, the red-seed ledger, is the same kind of record
+for correctness: per fleet size and seed, the sorted names of the
+invariant and conformance checks one chaos episode violated (empty for
+a green seed). A seed that turns red, or green, fails the check until
+it is re-recorded and the change is declared in CHANGES.md::
+
+    python -m benchmarks.ledger --chaos 3 8           # check (every push)
+    python -m benchmarks.ledger --chaos 16            # check (nightly)
+    python -m benchmarks.ledger --chaos 3 --record    # re-record 3 nodes
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from typing import Any, Dict, List
 
 LEDGER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "calls_smoke.json")
+CHAOS_LEDGER = os.path.join(os.path.dirname(LEDGER), "chaos_seeds.json")
+
+#: Fleet size -> the seeds the red-seed ledger sweeps (1 to N).
+CHAOS_SEEDS = {3: 60, 8: 60, 16: 40}
 
 #: What the ledger keeps of the unit itself, besides its two columns.
 RUN_FIELDS = ("digest", "attempted", "failed")
@@ -53,8 +68,48 @@ def ledger_of(trace: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+def chaos_verdicts(nodes: int, seed: int) -> List[str]:
+    """The sorted names of the invariant and conformance checks one chaos
+    episode violates: a fleet of ``nodes`` nodes with six customers and
+    three warm standbys, every fault kind, conformance on, a 30 s
+    episode and a 10 s settle."""
+    from benchmarks.suite.workloads import FleetScale, _fleet_scenario
+    from repro.faults import ChaosCampaign
+
+    result = ChaosCampaign(
+        scenario_factory=_fleet_scenario(FleetScale(nodes, 6, 3, 1, 30.0, 10.0), []),
+        seed=seed,
+        episodes=1,
+        episode_duration=30,
+        settle=10,
+        kinds=None,
+        conformance=True,
+    ).run()
+    return sorted(
+        {v.invariant for v in result.violations}
+        | {v.checker for v in result.conformance_violations}
+    )
+
+
+def chaos_ledger(sizes: List[int]) -> Dict[str, Any]:
+    """The red-seed ledger's fleets of ``sizes`` nodes, every seed swept."""
+    return {
+        "python": "%d.%d" % sys.version_info[:2],
+        "workloads": {
+            "fleet_%d" % nodes: {
+                "verdicts": {
+                    "%02d" % seed: chaos_verdicts(nodes, seed)
+                    for seed in range(1, CHAOS_SEEDS[nodes] + 1)
+                }
+            }
+            for nodes in sorted(sizes)
+        },
+    }
+
+
 def differences(recorded: Dict[str, Any], measured: Dict[str, Any]) -> List[str]:
-    """One line per (workload, layer or counter) that does not match."""
+    """One line per (workload, field, or key of a column such as a layer,
+    a counter or a seed) that does not match."""
     lines = []
     if recorded["python"] != measured["python"]:
         lines.append(
@@ -75,9 +130,12 @@ def differences(recorded: Dict[str, Any], measured: Dict[str, Any]) -> List[str]
                     "%s %s: ledger %s, run %s"
                     % (workload, field, old.get(field), new.get(field))
                 )
-        for column in ("calls_in", "counters"):
-            for name in sorted(set(old[column]) | set(new[column])):
-                before, after = old[column].get(name), new[column].get(name)
+        # calls_in and counters here, verdicts in the red-seed ledger.
+        columns = {k for row in (old, new) for k, v in row.items() if isinstance(v, dict)}
+        for column in sorted(columns):
+            was, now = old.get(column, {}), new.get(column, {})
+            for name in sorted(set(was) | set(now)):
+                before, after = was.get(name), now.get(name)
                 if before != after:
                     lines.append(
                         "%s %s %s: ledger %s, run %s"

@@ -133,12 +133,13 @@ class RealServer:
         #: :meth:`admit` (a real server lives on one loop).
         self._loop: Optional[EventLoop] = None
         self._clock = None
+        #: :meth:`_finish`, bound once so that :meth:`admit` does not
+        #: build a bound method per request.
+        self._finish_bound = self._finish
         #: Callback ``(request) -> None`` at completion — the hook that
-        #: charges the serving customer's resource ledger.
+        #: charges the serving customer's resource ledger. It runs after
+        #: the completion is counted; what it raises propagates.
         self.on_served = on_served
-        #: Times the ``on_served`` hook raised; the completion stands, the
-        #: failure is counted here and summed in ``DirectorCluster.stats``.
-        self.on_served_errors = 0
         #: Observers of :attr:`active_connections` changes, called as
         #: ``watcher(server, delta)`` with ``delta`` in {+1, -1} *after*
         #: the counter moved. Keeps the least-connection scheduler's
@@ -182,11 +183,11 @@ class RealServer:
                 request.serve_span = probe.start_span(
                     "ipvs.serve", self.node_id, {"port": self.port}
                 )
-        loop.call_transient_at(finish_at, self._finish, request)
+        loop.call_transient_at(finish_at, self._finish_bound, request)
 
     def _finish(self, request: Request) -> None:
-        """Completion of an admitted request: a pooled transient event
-        with the request as its argument."""
+        """Completion of an admitted request: a transient event with the
+        request as its argument."""
         self.active_connections -= 1
         if self._watchers:
             for watcher in self._watchers:
@@ -206,10 +207,7 @@ class RealServer:
             if probe is not None:
                 probe.request_served(request, now)
         if self.on_served is not None:
-            try:
-                self.on_served(request)
-            except Exception:
-                self.on_served_errors += 1
+            self.on_served(request)
 
     def __repr__(self) -> str:
         return "RealServer(%s:%d, w=%d, active=%d, served=%d, %s)" % (
@@ -449,8 +447,8 @@ class DirectorCluster:
         #: empty and :meth:`stats` reports from aggregate counters.
         self.retain_requests = retain_requests
         self.requests: List[Request] = []
+        #: Requests submitted so far; the last one's ``request_id``.
         self.submitted = 0
-        self._next_request_id = 1
         #: node_id -> pre-drain weight (see :meth:`drain_node`).
         self._drained_weights: Dict[str, int] = {}
 
@@ -580,11 +578,8 @@ class DirectorCluster:
     # -- traffic ---------------------------------------------------------------
     def submit(self, endpoint: IpEndpoint, client: Optional[str] = None) -> Request:
         """Inject one request now; routing outcome is on the Request."""
-        request = Request(
-            self._next_request_id, endpoint, self._loop.clock.now, client
-        )
-        self._next_request_id += 1
         self.submitted += 1
+        request = Request(self.submitted, endpoint, self._loop.clock.now, client)
         if self.retain_requests:
             self.requests.append(request)
         probe = self._loop.probe
@@ -608,10 +603,9 @@ class DirectorCluster:
 
     # -- statistics -----------------------------------------------------------
     def stats(self) -> Dict[str, float]:
-        served = hook_errors = 0.0
+        served = 0.0
         for _endpoint, server in self.all_real_servers():
             served += server.served
-            hook_errors += server.on_served_errors
         if not self.retain_requests:
             # Aggregate-counter mode: per-request latency lives with the
             # caller's ``on_served`` hook (see repro.macrobench).
@@ -623,7 +617,6 @@ class DirectorCluster:
                 ),
                 "mean_latency": 0.0,
                 "max_latency": 0.0,
-                "on_served_errors": hook_errors,
             }
         completed = [r for r in self.requests if r.ok]
         dropped = [r for r in self.requests if r.dropped is not None]
@@ -636,7 +629,6 @@ class DirectorCluster:
                 sum(latencies) / len(latencies) if latencies else 0.0
             ),
             "max_latency": max(latencies) if latencies else 0.0,
-            "on_served_errors": hook_errors,
         }
 
     def per_node_served(self) -> Dict[str, int]:

@@ -219,7 +219,11 @@ class MacroScenario:
         self._latencies.append(request.completed_at - request.arrived_at)
 
     def _on_arrival(self, _index: int) -> None:
-        client = self._client_rng.randrange(self._clients)
+        # ``randrange(clients)`` without its two frames: the body of
+        # ``random.Random._randbelow_with_getrandbits``, same draws.
+        client = self._getrandbits(self._client_bits)
+        while client >= self._clients:
+            client = self._getrandbits(self._client_bits)
         shard = self._client_home[client]
         self._per_shard_submitted[shard] += 1
         if self._laned:
@@ -242,7 +246,10 @@ class MacroScenario:
         profile = DiurnalProfile(
             config.base_rps, config.peak_rps, config.day_seconds
         )
-        self._client_rng = self.rng.stream("macro.clients")
+        if self._clients < 1:
+            raise ValueError("need at least one client: %r" % self._clients)
+        self._getrandbits = self.rng.stream("macro.clients").getrandbits
+        self._client_bits = self._clients.bit_length()
         arrivals = OpenLoopArrivals(
             self.loop,
             self.rng.stream("macro.arrivals"),

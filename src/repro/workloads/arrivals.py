@@ -78,7 +78,7 @@ class OpenLoopArrivals:
     loop:
         The simulation event loop.
     rng:
-        A seeded ``random.Random`` stream (e.g.
+        A seeded stream; only its ``random()`` is drawn (e.g.
         ``RngStreams(seed).stream("arrivals")``).
     profile:
         The :class:`DiurnalProfile` rate curve.
@@ -109,7 +109,7 @@ class OpenLoopArrivals:
         self.candidates = 0
         self.finished = False
         self._started_at: Optional[float] = None
-        #: What every thinning step reads, bound once by :meth:`start`.
+        #: What an arrival reads, bound once by :meth:`start` (methods too).
         self._thinning: tuple = ()
 
     def start(self) -> None:
@@ -122,33 +122,42 @@ class OpenLoopArrivals:
             # A zero-peak day has no arrivals (and no rate to draw gaps at).
             self.finished = True
             return
-        rng, base, peak = self._rng, self._profile.base_rps, self._profile.peak_rps
+        base, peak = self._profile.base_rps, self._profile.peak_rps
         day, deadline = self._profile.day_seconds, now + self.duration
-        self._thinning = (rng.random, rng.expovariate, base, peak, day, now, deadline)
-        self._schedule_next(now)
+        loop = self._loop
+        self._thinning = (
+            self._rng.random, loop.call_transient_at, self._arrive, loop.clock,
+            base, peak, day, now, deadline,
+        )
+        self._arrive(True)
 
-    def _schedule_next(self, when: float) -> None:
-        """Draw candidates after ``when`` until one is accepted and
-        schedule that one; rejected candidates never reach the loop.
-        The accept test is :meth:`DiurnalProfile.rate` in line: the same
-        float operations in the same order."""
-        random, expovariate, base, peak, day, started_at, deadline = self._thinning
-        cos = math.cos
+    def _arrive(self, _first: bool = False) -> None:
+        """Deliver an accepted arrival (none when :meth:`start` calls it
+        with ``_first``), then draw candidates until one is accepted and
+        schedule it; rejected candidates never reach the loop. The gap is
+        :meth:`random.Random.expovariate`'s body and the accept test
+        :meth:`DiurnalProfile.rate`'s, in line: the same draws and float
+        operations in the same order."""
+        random, schedule, arrive, clock, base, peak, day, started_at, deadline = (
+            self._thinning
+        )
+        if _first:
+            when = started_at
+        else:
+            self.arrivals += 1
+            self._on_arrival(self.arrivals)
+            when = clock.now
+        log, cos = math.log, math.cos
         while True:
-            when += expovariate(peak)
+            when += -log(1.0 - random()) / peak
             if when > deadline:
                 self.finished = True
                 return
             self.candidates += 1
             shape = 0.5 - 0.5 * cos(_TWO_PI * (((when - started_at) / day) % 1.0))
             if random() * peak < base + (peak - base) * shape:
-                self._loop.call_transient_at(when, self._arrive)
+                schedule(when, arrive)
                 return
-
-    def _arrive(self) -> None:
-        self.arrivals += 1
-        self._on_arrival(self.arrivals)
-        self._schedule_next(self._loop.clock.now)
 
     def __repr__(self) -> str:
         return "OpenLoopArrivals(%d arrivals / %d candidates, %s)" % (

@@ -1,9 +1,19 @@
 """The layer call ledger names every count and digest that moved, by
-workload and layer."""
+workload and layer; the red-seed ledger names every chaos seed whose
+verdicts moved, by fleet and seed."""
 
 import json
 
-from benchmarks.ledger import LEDGER, differences, ledger_of
+import pytest
+
+from benchmarks.ledger import (
+    CHAOS_LEDGER,
+    CHAOS_SEEDS,
+    LEDGER,
+    chaos_verdicts,
+    differences,
+    ledger_of,
+)
 
 
 def trace_document(calls=100, spans=7, digest="ab12"):
@@ -80,3 +90,54 @@ def test_committed_ledger_covers_four_workloads_twenty_layers_seventeen_counters
         assert row["attempted"] > 0 and row["failed"] == 0
         assert len(row["calls_in"]) == 20
         assert len(row["counters"]) == 17
+
+
+# ----------------------------------------------------------------------
+# The red-seed ledger
+# ----------------------------------------------------------------------
+def test_a_seed_that_flips_is_named_by_fleet_and_seed():
+    recorded = {
+        "python": "3.12",
+        "workloads": {"fleet_3": {"verdicts": {"12": ["single-primary"], "13": []}}},
+    }
+    measured = {
+        "python": "3.12",
+        "workloads": {"fleet_3": {"verdicts": {"12": [], "13": ["customers-placed"]}}},
+    }
+    assert differences(recorded, measured) == [
+        "fleet_3 12 verdicts: ledger ['single-primary'], run []",
+        "fleet_3 13 verdicts: ledger [], run ['customers-placed']",
+    ]
+    assert differences(recorded, recorded) == []
+
+
+def test_committed_red_seed_ledger_holds_the_known_red_seeds():
+    with open(CHAOS_LEDGER, "r", encoding="utf-8") as handle:
+        ledger = json.load(handle)
+    assert ledger["python"] == "3.12"
+    fleets = ledger["workloads"]
+    assert sorted(fleets) == ["fleet_16", "fleet_3", "fleet_8"]
+    for nodes, seeds in CHAOS_SEEDS.items():
+        verdicts = fleets["fleet_%d" % nodes]["verdicts"]
+        assert sorted(verdicts) == ["%02d" % seed for seed in range(1, seeds + 1)]
+    red = {
+        name: {seed: names for seed, names in fleet["verdicts"].items() if names}
+        for name, fleet in fleets.items()
+    }
+    assert red == {
+        "fleet_3": {
+            "12": ["single-primary"],
+            "17": ["customers-placed"],
+            "23": ["customers-placed"],
+            "55": ["customers-placed"],
+        },
+        "fleet_8": {s: ["single-primary"] for s in ("05", "08", "22", "31")},
+        "fleet_16": {s: ["single-primary"] for s in ("05", "22", "23", "38")},
+    }
+
+
+@pytest.mark.parametrize("seed", [12, 13, 17])
+def test_a_swept_seed_matches_the_committed_ledger(seed):
+    with open(CHAOS_LEDGER, "r", encoding="utf-8") as handle:
+        verdicts = json.load(handle)["workloads"]["fleet_3"]["verdicts"]
+    assert chaos_verdicts(3, seed) == verdicts["%02d" % seed]

@@ -14,6 +14,7 @@ scheduler.
 
 from __future__ import annotations
 
+from math import log
 from typing import Callable, List, Optional, Tuple
 
 import pytest
@@ -210,23 +211,23 @@ def test_schedulers_agree_on_a_multi_day_run():
 # The boundary of the accept test, which no seeded stream reaches.
 # ----------------------------------------------------------------------
 class ScriptedRng:
-    """Gaps and accept draws read off two lists."""
+    """``random()`` reads a list of draws; ``expovariate`` is CPython's
+    body on that list, so the oracle's gaps and the in-line gaps of the
+    generator under test come off the same draws."""
 
-    def __init__(self, gaps: List[float], draws: List[float]) -> None:
-        self._gaps = list(gaps)
+    def __init__(self, draws: List[float]) -> None:
         self._draws = list(draws)
-        self.calls: List[str] = []
-
-    def expovariate(self, rate: float) -> float:
-        self.calls.append("expovariate(%r)" % rate)
-        return self._gaps.pop(0)
+        self.calls = 0
 
     def random(self) -> float:
-        self.calls.append("random")
+        self.calls += 1
         return self._draws.pop(0)
 
+    def expovariate(self, lambd: float) -> float:
+        return -log(1.0 - self.random()) / lambd
+
     def getstate(self):
-        return (tuple(self._gaps), tuple(self._draws), tuple(self.calls))
+        return (tuple(self._draws), self.calls)
 
 
 @pytest.mark.parametrize("loop_name", sorted(LOOPS))
@@ -234,15 +235,19 @@ def test_a_draw_that_lands_on_the_rate_is_rejected(loop_name):
     """``random() * peak < rate`` is strict: on a zero-base curve a
     candidate exactly at a day boundary (rate 0.0) is rejected even by
     a draw of 0.0."""
-    profile = DiurnalProfile(0.0, 8.0, 2.0)
-
-    def scripted():
-        # Candidates at 1.0 (peak of day one: accepted), 2.0 (the
-        # boundary, draw 0.0: rejected), 3.0 (accepted), then past the end.
-        return ScriptedRng([1.0, 1.0, 1.0, 5.0], [0.5, 0.0, 0.5])
-
-    reference = Run(ReferenceArrivals, loop_name, scripted(), profile, 4.0, 0.0, 0.25)
-    changed = Run(OpenLoopArrivals, loop_name, scripted(), profile, 4.0, 0.0, 0.25)
-    assert reference.arrived == [(1, 1.0), (2, 3.0)]
+    g = -log(1.0 - 0.5) / 8.0
+    profile = DiurnalProfile(0.0, 8.0, g + g)
+    # Gap and accept draws alternate. Candidates at g (the peak of day
+    # one: accepted), 2g (the boundary, draw 0.0: rejected), 3g
+    # (accepted), then a gap past the end.
+    draws = [0.5, 0.5, 0.5, 0.0, 0.5, 0.5, 0.999999]
+    reference = Run(
+        ReferenceArrivals, loop_name, ScriptedRng(draws), profile, 4 * g, 0.0, g / 4
+    )
+    changed = Run(
+        OpenLoopArrivals, loop_name, ScriptedRng(draws), profile, 4 * g, 0.0, g / 4
+    )
+    assert reference.arrived == [(1, g), (2, g + g + g)]
     assert reference.candidates == 3
+    assert reference.rng_state == ((), 7)
     assert_same_day(reference, changed)
