@@ -49,7 +49,6 @@ from repro.faults.campaign import replay_schedule
 from repro.rollout.scenario import SCENARIO_OPTIONS
 from repro.rollout.scenario import SCENARIOS as ROLLOUT_SCENARIOS
 from repro.rollout.scenario import rollout_scenario, rollout_verdict
-from repro.sim.scheduler import SCHEDULERS, use_scheduler
 from repro.sla import ServiceLevelAgreement
 from repro.telemetry.export import dump_chrome_json, dump_spans_json
 from repro.telemetry.runtime import Telemetry, attach
@@ -207,8 +206,8 @@ def _chaos(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         kinds=kinds,
     )
     banner(
-        "chaos campaign seed=%d episodes=%d duration=%.1fs scheduler=%s"
-        % (args.seed, args.episodes, args.duration, args.scheduler)
+        "chaos campaign seed=%d episodes=%d duration=%.1fs"
+        % (args.seed, args.episodes, args.duration)
     )
     result = campaign.run()
     for episode in result.episodes:
@@ -277,8 +276,8 @@ def _conform(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         conformance=True,
     )
     banner(
-        "conformance campaign seed=%d scenario=%s episodes=%d scheduler=%s"
-        % (args.seed, args.scenario, args.episodes, args.scheduler)
+        "conformance campaign seed=%d scenario=%s episodes=%d"
+        % (args.seed, args.scenario, args.episodes)
     )
     result = campaign.run()
     document = campaign_verdict(result, scenario=args.scenario)
@@ -559,8 +558,6 @@ class Command(NamedTuple):
     description: str
     #: ``--seed`` default; ``None`` means the command takes no seed.
     seed: Optional[int]
-    #: Whether the command takes ``--scheduler`` (see docs/SIM.md).
-    scheduler: bool
     setup: Callable[[argparse.ArgumentParser], None]
     run: Callable[[argparse.Namespace, argparse.ArgumentParser], int]
 
@@ -568,30 +565,30 @@ class Command(NamedTuple):
 COMMANDS = {
     "demo": Command(
         "Dependable Distributed OSGi Environment — demo run",
-        7, False, _demo_setup, _demo,
+        7, _demo_setup, _demo,
     ),
     "chaos": Command(
         "Seeded chaos campaign with invariant checking",
-        0, True, _chaos_setup, _chaos,
+        0, _chaos_setup, _chaos,
     ),
     "conform": Command(
         "Chaos campaign with virtual-synchrony + linearizability checking; "
         "emits a deterministic JSON verdict",
-        0, True, _conform_setup, _conform,
+        0, _conform_setup, _conform,
     ),
     "rollout": Command(
         "Staged canary rollout with SLA gates and automatic rollback, under "
         "a pinned fault scenario; emits a deterministic JSON verdict",
-        0, True, _rollout_setup, _rollout,
+        0, _rollout_setup, _rollout,
     ),
     "trace": Command(
         "Run a traced scenario and export Chrome trace_event JSON.",
-        42, True, _trace_setup, _trace,
+        42, _trace_setup, _trace,
     ),
     "lint": Command(
         "Sim-safety determinism linter: per-file rules DET000-DET008 "
         "(see docs/ANALYSIS.md)",
-        None, False, _lint_setup, _lint,
+        None, _lint_setup, _lint,
     ),
 }
 
@@ -605,21 +602,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     if command.seed is not None:
         parser.add_argument("--seed", type=int, default=command.seed)
-    if command.scheduler:
-        parser.add_argument(
-            "--scheduler",
-            choices=SCHEDULERS,
-            default="global",
-            help="event-loop scheduler (same seed, same output, byte for "
-            "byte — see docs/SIM.md)",
-        )
     command.setup(parser)
     args = parser.parse_args(argv)
     try:
-        if not command.scheduler:
-            return command.run(args, parser)
-        with use_scheduler(args.scheduler):
-            return command.run(args, parser)
+        return command.run(args, parser)
     except Unwritable as error:
         print("python -m repro %s: cannot write %s" % (name, error), file=sys.stderr)
         return EXIT_UNWRITABLE

@@ -8,21 +8,14 @@ from repro.cluster.node import Node, NodeState
 from repro.cluster.spec import CostModel, NodeSpec
 from repro.gcs.directory import GroupDirectory
 from repro.sim.clock import Clock
+from repro.sim.eventloop import EventLoop
 from repro.sim.network import Network
 from repro.sim.rng import RngStreams
-from repro.sim.scheduler import make_loop
 from repro.storage.san import SharedStore
 
 
 class Cluster:
-    """A set of nodes sharing network, SAN, group directory and clock.
-
-    ``scheduler`` selects the event-loop implementation: ``"global"``
-    (one heap) or ``"laned"`` (one event lane per node; see
-    ``docs/SIM.md``). ``None`` uses the ambient default from
-    :mod:`repro.sim.scheduler`. Same seed, same run either way — the
-    parity harness enforces it.
-    """
+    """A set of nodes sharing network, SAN, group directory and clock."""
 
     def __init__(
         self,
@@ -34,10 +27,9 @@ class Cluster:
         costs: Optional[CostModel] = None,
         monitoring_mode: str = "jsr284",
         monitoring_interval: float = 1.0,
-        scheduler: Optional[str] = None,
     ) -> None:
         self.rng = RngStreams(seed)
-        self.loop = make_loop(Clock(), scheduler)
+        self.loop = EventLoop(Clock())
         self.network = Network(
             self.loop, self.rng, latency=latency, jitter=jitter, loss_rate=loss_rate
         )
@@ -70,23 +62,18 @@ class Cluster:
     ) -> Node:
         if node_id in self._nodes:
             raise ValueError("node %r already exists" % node_id)
-        # Each node owns one event lane; anything the constructor
-        # schedules (monitors, timers) lands in the node's lane. On the
-        # global scheduler both calls are no-ops.
-        lane = self.loop.register_lane(node_id)
-        with self.loop.lane_scope(lane):
-            node = Node(
-                node_id,
-                self.loop,
-                self.network,
-                self.store,
-                self.directory,
-                spec=spec if spec is not None else self.spec,
-                costs=self.costs,
-                rng=self.rng,
-                monitoring_mode=monitoring_mode or self.monitoring_mode,
-                monitoring_interval=self.monitoring_interval,
-            )
+        node = Node(
+            node_id,
+            self.loop,
+            self.network,
+            self.store,
+            self.directory,
+            spec=spec if spec is not None else self.spec,
+            costs=self.costs,
+            rng=self.rng,
+            monitoring_mode=monitoring_mode or self.monitoring_mode,
+            monitoring_interval=self.monitoring_interval,
+        )
         self._nodes[node_id] = node
         return node
 
@@ -95,8 +82,7 @@ class Cluster:
         pending = []
         for node in self.nodes():
             if node.state == NodeState.OFF:
-                with self.loop.lane_scope(self.loop.lane_of_node(node.node_id)):
-                    pending.append(node.boot())
+                pending.append(node.boot())
         self.run_until_settled(pending)
 
     # ------------------------------------------------------------------
@@ -138,11 +124,16 @@ class Cluster:
         return sum(n.power_watts() for n in self.nodes())
 
     def gcs_listener_errors(self) -> int:
-        """GCS view and message listeners that raised, over all nodes.
+        """GCS view and message listeners that raised, over all nodes,
+        across crashes and rejoins (``loop.errors`` keys them by node).
 
         A raising listener is skipped so the others still run; this count
         is what is left of the exception (0 in a healthy run)."""
-        return sum(n.gcs_listener_errors for n in self.nodes())
+        return sum(
+            count
+            for key, count in self.loop.errors.items()
+            if key.startswith("gcs.listener/")
+        )
 
     def __repr__(self) -> str:
         states = {n.node_id: n.state.value for n in self.nodes()}

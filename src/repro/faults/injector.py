@@ -69,30 +69,18 @@ class FaultInjector:
 
     # ------------------------------------------------------------------
     def arm(self) -> None:
-        """Schedule every action relative to the current virtual time.
-
-        Node-targeted faults (crash, repair, clock skew) are routed to
-        the target node's event lane — the fault belongs to the node it
-        hits. Cluster-wide faults (partitions, loss bursts, slow-node
-        latency, which all mutate shared network state) stay in lane 0.
-        On the global scheduler the routing is a no-op.
-        """
+        """Schedule every action relative to the current virtual time."""
         if self.armed:
             raise RuntimeError("injector is already armed")
         self.armed = True
         loop = self.cluster.loop
         base = loop.clock.now
         self._baseline_loss = self.cluster.network.loss_rate
-        node_owned = (CRASH, REPAIR, CLOCK_SKEW)
         for action in self.schedule:
-            lane = None
-            if action.kind in node_owned:
-                lane = loop.lane_of_node(action.arg("node"))
             loop.call_at(
                 base + action.at,
                 lambda a=action: self._execute(a),
                 label="fault:%s" % action.kind,
-                lane=lane,
             )
 
     def quiesce(self) -> None:

@@ -116,8 +116,9 @@ class GroupMember:
         #: (virtual time, suspected member) — consumed by the ABL-DETECT bench.
         self.suspicions: List[Tuple[float, str]] = []
         self.delivered_count = 0
-        #: View and message listeners that raised; the others still ran.
-        self.listener_errors = 0
+        #: This node's key in ``loop.errors`` for view and message
+        #: listeners that raised; the others still ran.
+        self._error_key = "gcs.listener/%s" % node_id
 
     # ------------------------------------------------------------------
     # Public API
@@ -508,7 +509,7 @@ class GroupMember:
                 try:
                     listener(change)
                 except Exception:
-                    self.listener_errors += 1
+                    self._listener_raised()
 
     def _send_join(self, peers: List[str]) -> None:
         for peer in peers:
@@ -682,7 +683,11 @@ class GroupMember:
             try:
                 listener(sender, payload)
             except Exception:
-                self.listener_errors += 1
+                self._listener_raised()
+
+    def _listener_raised(self) -> None:
+        errors = self._loop.errors
+        errors[self._error_key] = errors.get(self._error_key, 0) + 1
 
     def __repr__(self) -> str:
         return "GroupMember(%s, %s, %s)" % (

@@ -32,8 +32,8 @@ from repro.ipvs.addressing import IpEndpoint
 from repro.ipvs.hashring import ConsistentHashRing
 from repro.ipvs.schedulers import LeastConnectionScheduler
 from repro.ipvs.server import DirectorCluster, Request
+from repro.sim.eventloop import EventLoop
 from repro.sim.rng import RngStreams
-from repro.sim.scheduler import make_loop
 from repro.workloads.arrivals import DiurnalProfile, OpenLoopArrivals
 
 __all__ = ["MacroConfig", "MacroResult", "MacroScenario"]
@@ -56,11 +56,6 @@ class MacroConfig:
     clients: int = 10000
     vnodes: int = 64
     seed: int = 2026
-    #: Event-loop scheduler: "global", "laned", or None for the ambient
-    #: default (:mod:`repro.sim.scheduler`). Deliberately excluded from
-    #: :meth:`MacroResult.report` — both values produce the identical
-    #: report, and the digest must prove it.
-    loop_scheduler: Optional[str] = None
 
     @classmethod
     def million_user_day(cls, **overrides: Any) -> "MacroConfig":
@@ -155,9 +150,7 @@ class MacroScenario:
 
     def __init__(self, config: Optional[MacroConfig] = None) -> None:
         self.config = config or MacroConfig()
-        self.loop = make_loop(None, self.config.loop_scheduler)
-        self._laned = self.loop.laned
-        self._shard_lanes: List[int] = []
+        self.loop = EventLoop()
         self.rng = RngStreams(self.config.seed)
         self._latencies = array("d")
         self._shards: List[DirectorCluster] = []
@@ -181,29 +174,21 @@ class MacroScenario:
         node = 0
         for s in range(config.shards):
             vip = IpEndpoint("10.0.%d.1" % s, 8080)
-            # One event lane per shard: directors, real servers and every
-            # request completion they schedule stay in the shard's lane
-            # (no-op under the global scheduler).
-            lane = self.loop.register_lane("shard%d" % s)
-            self._shard_lanes.append(lane)
-            with self.loop.lane_scope(lane):
-                shard = DirectorCluster(
-                    self.loop,
-                    replicas=config.replicas_per_shard,
-                    retain_requests=False,
+            shard = DirectorCluster(
+                self.loop,
+                replicas=config.replicas_per_shard,
+                retain_requests=False,
+            )
+            shard.add_service(vip, scheduler_factory=LeastConnectionScheduler)
+            for _ in range(config.servers_per_shard):
+                node += 1
+                shard.add_real_server(
+                    vip,
+                    "n%03d" % node,
+                    service_time=config.service_time,
+                    queue_limit=config.queue_limit,
+                    on_served=self._on_served,
                 )
-                shard.add_service(
-                    vip, scheduler_factory=LeastConnectionScheduler
-                )
-                for _ in range(config.servers_per_shard):
-                    node += 1
-                    shard.add_real_server(
-                        vip,
-                        "n%03d" % node,
-                        service_time=config.service_time,
-                        queue_limit=config.queue_limit,
-                        on_served=self._on_served,
-                    )
             self._shards.append(shard)
             self._vips.append(vip)
             self._per_shard_submitted.append(0)
@@ -226,19 +211,7 @@ class MacroScenario:
             client = self._getrandbits(self._client_bits)
         shard = self._client_home[client]
         self._per_shard_submitted[shard] += 1
-        if self._laned:
-            # Hand the request to the shard's lane: the completion chain
-            # it schedules belongs there, not in the arrival generator's
-            # lane. Bare set/restore instead of lane_scope — this is the
-            # per-request hot path.
-            loop = self.loop
-            previous = loop.set_schedule_lane(self._shard_lanes[shard])
-            try:
-                self._submits[shard](self._vips[shard], self._client_names[client])
-            finally:
-                loop.set_schedule_lane(previous)
-        else:
-            self._submits[shard](self._vips[shard], self._client_names[client])
+        self._submits[shard](self._vips[shard], self._client_names[client])
 
     # -- execution ---------------------------------------------------------
     def run(self) -> MacroResult:

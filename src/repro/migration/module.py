@@ -232,7 +232,7 @@ class MigrationModule:
 
         A handler that raises is not swallowed here: the error reaches
         the group member delivering the command, which counts it in
-        ``Protocol.listener_errors``.
+        ``Cluster.gcs_listener_errors``.
         """
         if payload.get("target_node") != self.node.node_id:
             return

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.clock import Clock
 
@@ -100,17 +99,7 @@ class EventLoop:
         loop = EventLoop()
         loop.call_at(1.5, lambda: print("hello"))
         loop.run_until(10.0)
-
-    Every scheduling method accepts an optional ``lane`` hint naming the
-    event's owning partition. The global loop ignores it — one queue,
-    one lane — but accepting the same signature everywhere lets callers
-    (network delivery, fault injection, macro scenarios) route work
-    without caring which scheduler is active; the partitioned
-    :class:`~repro.sim.lanes.LanedEventLoop` honours the hint.
     """
-
-    #: True on schedulers that actually partition events into lanes.
-    laned = False
 
     def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock = clock if clock is not None else Clock()
@@ -130,46 +119,11 @@ class EventLoop:
         #: :class:`repro.telemetry.runtime.Probe`, or ``None`` (unobserved)
         #: unless a driver attached one with :func:`repro.telemetry.attach`.
         self.probe: Any = None
-
-    # ------------------------------------------------------------------
-    # Lane hooks (no-ops here; LanedEventLoop overrides them)
-    # ------------------------------------------------------------------
-    @property
-    def lane_count(self) -> int:
-        """Number of registered lanes (the global loop is one lane)."""
-        return 1
-
-    @property
-    def executing_lane(self) -> int:
-        """Lane owning the event currently being fired (always 0 here)."""
-        return 0
-
-    def register_lane(self, key: str) -> int:
-        """Declare a lane for ``key`` (a node/shard id); returns its id.
-
-        The global loop maps every key to lane 0. Registering is
-        idempotent, so cluster wiring can declare lanes unconditionally.
-        """
-        return 0
-
-    def lane_of_node(self, node_id: str) -> int:
-        """Lane id owning ``node_id``'s events (always 0 here)."""
-        return 0
-
-    def set_schedule_lane(self, lane: int) -> int:
-        """Set the default lane for subsequent scheduling; returns the
-        previous default. No-op returning 0 on the global loop — callers
-        use the returned value to restore, so the pair stays balanced."""
-        return 0
-
-    @contextmanager
-    def lane_scope(self, lane: int) -> Iterator[None]:
-        """Scope the default scheduling lane for a ``with`` block."""
-        previous = self.set_schedule_lane(lane)
-        try:
-            yield
-        finally:
-            self.set_schedule_lane(previous)
+        #: Callbacks that raised and were counted so their peers still
+        #: ran, by ``"<site>/<node>"`` (``"gcs.listener/n2"``). The loop
+        #: outlives the members and protocols a crash or rejoin replaces,
+        #: so no count has to be carried across.
+        self.errors: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -179,7 +133,6 @@ class EventLoop:
         when: float,
         action: Callable[[], Any],
         label: str = "",
-        lane: Optional[int] = None,
     ) -> ScheduledEvent:
         """Schedule ``action`` at absolute virtual time ``when``.
 
@@ -207,28 +160,23 @@ class EventLoop:
         delay: float,
         action: Callable[[], Any],
         label: str = "",
-        lane: Optional[int] = None,
     ) -> ScheduledEvent:
         """Schedule ``action`` ``delay`` seconds from now (``delay >= 0``)."""
         if delay < 0:
             raise ValueError("negative delay: %r" % delay)
-        return self.call_at(self.clock.now + delay, action, label, lane)
+        return self.call_at(self.clock.now + delay, action, label)
 
     def call_soon(
-        self,
-        action: Callable[[], Any],
-        label: str = "",
-        lane: Optional[int] = None,
+        self, action: Callable[[], Any], label: str = ""
     ) -> ScheduledEvent:
         """Schedule ``action`` at the current instant, after queued peers."""
-        return self.call_at(self.clock.now, action, label, lane)
+        return self.call_at(self.clock.now, action, label)
 
     def call_transient_at(
         self,
         when: float,
         action: Callable[..., Any],
         arg: Any = _NO_ARG,
-        lane: Optional[int] = None,
     ) -> None:
         """Schedule a fire-and-forget event; no handle, no cancellation.
 
@@ -256,12 +204,11 @@ class EventLoop:
         delay: float,
         action: Callable[..., Any],
         arg: Any = _NO_ARG,
-        lane: Optional[int] = None,
     ) -> None:
         """Transient (uncancellable) variant of :meth:`call_after`."""
         if delay < 0:
             raise ValueError("negative delay: %r" % delay)
-        self.call_transient_at(self.clock.now + delay, action, arg, lane)
+        self.call_transient_at(self.clock.now + delay, action, arg)
 
     # ------------------------------------------------------------------
     # Execution

@@ -20,15 +20,16 @@ the same actions, in the same order, at the same virtual times, with the
 same sequence numbering as :class:`~repro.sim.eventloop.EventLoop` —
 regardless of how events are assigned to lanes. Lane assignment is pure
 routing: it changes which internal queue holds an event, never the
-observable execution. ``tests/parity`` holds both schedulers to that
-contract across every digest-producing scenario in the repo.
+observable execution. No production code builds this loop; it is the
+oracle of ``tests/sim/test_loop_oracle.py`` (``docs/SIM.md``).
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.sim.clock import Clock
 from repro.sim.eventloop import _NO_ARG, EventLoop, ScheduledEvent
@@ -301,6 +302,15 @@ class LanedEventLoop(EventLoop):
         self._sched_lane = lane
         return previous
 
+    @contextmanager
+    def lane_scope(self, lane: int) -> Iterator[None]:
+        """Scope the default scheduling lane for a ``with`` block."""
+        previous = self.set_schedule_lane(lane)
+        try:
+            yield
+        finally:
+            self.set_schedule_lane(previous)
+
     def lane_fired_counts(self) -> Dict[str, int]:
         """Events fired per lane, keyed by registration key ('' = lane 0)."""
         return {lane.key: lane.fired for lane in self._lanes}
@@ -350,6 +360,25 @@ class LanedEventLoop(EventLoop):
         self._enqueue(event, lane_id)
         return event
 
+    def call_after(
+        self,
+        delay: float,
+        action: Callable[[], Any],
+        label: str = "",
+        lane: Optional[int] = None,
+    ) -> ScheduledEvent:
+        if delay < 0:
+            raise ValueError("negative delay: %r" % delay)
+        return self.call_at(self.clock.now + delay, action, label, lane)
+
+    def call_soon(
+        self,
+        action: Callable[[], Any],
+        label: str = "",
+        lane: Optional[int] = None,
+    ) -> ScheduledEvent:
+        return self.call_at(self.clock.now, action, label, lane)
+
     def call_transient_at(
         self,
         when: float,
@@ -376,6 +405,17 @@ class LanedEventLoop(EventLoop):
             event.transient = True
         self.scheduled += 1
         self._enqueue(event, self._sched_lane if lane is None else lane)
+
+    def call_transient_after(
+        self,
+        delay: float,
+        action: Callable[..., Any],
+        arg: Any = _NO_ARG,
+        lane: Optional[int] = None,
+    ) -> None:
+        if delay < 0:
+            raise ValueError("negative delay: %r" % delay)
+        self.call_transient_at(self.clock.now + delay, action, arg, lane)
 
     def _make_lane_cancel(self, lane: Lane) -> Callable[[], None]:
         """Build the heap-cancel hook for one lane (mirrors the global

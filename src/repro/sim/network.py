@@ -171,10 +171,6 @@ class Network:
         self._tick_entries: Optional[List[Tuple[_Link, List[Message]]]] = None
         self._tick_when: float = -1.0
         self._tick_guard_seq: int = -1
-        #: Destination lane the open tick delivers into (lane ownership
-        #: of the shared event; always 0 on the global scheduler).
-        self._tick_lane: int = -1
-        self._laned = bool(getattr(loop, "laned", False))
 
     # ------------------------------------------------------------------
     # Topology
@@ -315,7 +311,6 @@ class Network:
         random = self._rng.random
         split = self.partitioned
         slow = bool(self._node_latency)
-        laned = self._laned
         links = self._links
         for destination in destinations:
             stats.sent += 1
@@ -347,24 +342,16 @@ class Network:
             link.batch = batch
             link.batch_at = deliver_at
             # Per-tick coalescing: links whose batches land on the *same*
-            # delivery instant share one scheduled event, provided (a) no
+            # delivery instant share one scheduled event, provided no
             # other event was scheduled since the tick event went in (the
-            # loop's sequence counter is unchanged) and (b) both batches
-            # deliver into the same lane. Under guard (a) the merged firing
-            # order is provably identical to one-event-per-batch: the
+            # loop's sequence counter is unchanged). The merged firing
+            # order is then provably identical to one-event-per-batch: the
             # would-be events carry consecutive seqs with nothing in
             # between, so seq order at the instant equals append order.
-            # Guard (b) is lane ownership: a tick event belongs to the lane
-            # of the node it delivers to, and merging batches bound for
-            # different lanes would execute one lane's deliveries inside
-            # another lane's event (always trivially true — lane 0 — on the
-            # global scheduler).
-            lane = loop.lane_of_node(self.node_of(destination)) if laned else 0
             entries = self._tick_entries
             if (
                 entries is not None
                 and self._tick_when == deliver_at
-                and self._tick_lane == lane
                 and loop.scheduled == self._tick_guard_seq
             ):
                 entries.append((link, batch))
@@ -372,8 +359,7 @@ class Network:
             entries = [(link, batch)]
             self._tick_entries = entries
             self._tick_when = deliver_at
-            self._tick_lane = lane
-            loop.call_transient_at(deliver_at, self._fire_tick, entries, lane)
+            loop.call_transient_at(deliver_at, self._fire_tick, entries)
             self._tick_guard_seq = loop.scheduled
 
     def _fire_tick(self, entries: List[Tuple[_Link, List[Message]]]) -> None:
@@ -381,7 +367,6 @@ class Network:
             # Later sends at this same timestamp must open a fresh tick.
             self._tick_entries = None
             self._tick_when = -1.0
-            self._tick_lane = -1
         stats = self.stats
         endpoints = self._endpoints
         for link, batch in entries:

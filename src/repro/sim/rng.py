@@ -38,13 +38,13 @@ class RngStreams:
     def substream(self, base: str, qualifier: str) -> random.Random:
         """Return the stream named ``base/qualifier``.
 
-        Named substreams give each entity (a node, a lane, a shard) its
-        own draw sequence derived only from the root seed and the two
-        names — never from creation order or partition layout. A
-        consumer that draws from ``substream("telemetry", node_id)``
-        therefore sees identical values whether the simulation runs on
-        one event lane or fifty, which is what keeps span/event ids
-        byte-identical across schedulers.
+        Named substreams give each entity (a node, a shard) its own
+        draw sequence derived only from the root seed and the two
+        names — never from creation order or from other entities'
+        draws. A consumer that draws from ``substream("telemetry",
+        node_id)`` therefore sees the same values however the other
+        nodes' events interleave with its own, which keeps a node's
+        span/event ids fixed when unrelated work is added or reordered.
         """
         return self.stream("%s/%s" % (base, qualifier))
 

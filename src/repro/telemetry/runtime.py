@@ -45,7 +45,7 @@ class Telemetry:
     rng:
         The cluster's :class:`~repro.sim.rng.RngStreams`; node-tagged
         span ids come from per-node ``telemetry/<node>`` substreams
-        (lane-count invariant), untagged ones from the base
+        (independent of other nodes' spans), untagged ones from the base
         ``"telemetry"`` stream — either way every pre-existing stream's
         draws are unchanged.
     scenario:

@@ -20,8 +20,8 @@ byte-identical span dumps. When the tracer is handed the cluster's
 ``random.Random``), each node's ids come from its own named substream
 (``telemetry/<node>``): an id is then a pure function of the root seed,
 the node and that node's span count — independent of how spans from
-*different* nodes interleave, and therefore identical whether the sim
-runs on the global scheduler, on one lane, or on fifty.
+*different* nodes interleave, so a change that adds a node or reorders
+other nodes' work leaves this node's ids where they were.
 
 Timer-driven causality (a node crash surfaces as missing heartbeats, not
 as a message) is stitched by the *ambient root span*: a scenario or chaos
@@ -133,7 +133,8 @@ class Tracer:
         self._clock = clock
         # Accept either a bare random.Random (legacy single-stream mode,
         # used directly by unit tests) or an RngStreams-like factory with
-        # per-entity substreams (per-node id mode; lane-count invariant).
+        # per-entity substreams (per-node id mode: a node's ids do not
+        # move when other nodes' spans interleave differently).
         if hasattr(rng, "substream"):
             self._streams = rng
             self._rng: random.Random = rng.stream("telemetry")

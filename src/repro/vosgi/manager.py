@@ -153,11 +153,10 @@ class InstanceManager:
             self._listeners.append(listener)
 
     def _notify(self, event: str, name: str) -> None:
+        # A raising listener propagates: the life-cycle step it reports
+        # has already happened, and the caller sees the error.
         for listener in list(self._listeners):
-            try:
-                listener(event, name)
-            except Exception:
-                pass
+            listener(event, name)
 
     def __repr__(self) -> str:
         return "InstanceManager(%d instances on %s)" % (

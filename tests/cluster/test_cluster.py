@@ -84,7 +84,9 @@ def test_gcs_listener_errors_are_summed_across_nodes_rejoins_and_crashes():
         session.set_message_listener(bad)
     sessions["n1"].multicast("x")
     cluster.run_for(1.0)
-    assert [n.gcs_listener_errors for n in cluster.nodes()] == [1, 1, 1]
+    assert cluster.loop.errors == {
+        "gcs.listener/n1": 1, "gcs.listener/n2": 1, "gcs.listener/n3": 1
+    }
     # A crash replaces the node's protocol; a rejoin replaces the member.
     cluster.node("n2").fail()
     control = cluster.node("n3").protocol.create_control_session(config)

@@ -269,7 +269,7 @@ class TestCommands:
         modules["n2"].command_handlers["ping"] = broken
         modules["n1"].send_command("n2", "ping", {})
         cluster.run_for(1.0)
-        assert cluster.node("n2").protocol.listener_errors == 1
+        assert cluster.loop.errors == {"gcs.listener/n2": 1}
 
 
 class TestRecordListeners:
@@ -288,4 +288,4 @@ class TestRecordListeners:
         migration = modules["n1"].migrate("acme", "n2")
         cluster.run_until_settled([migration], timeout=40)
         assert migration.ok and seen == ["acme"]
-        assert cluster.node("n1").protocol.listener_errors == 1
+        assert cluster.loop.errors == {"gcs.listener/n1": 1}

@@ -121,5 +121,7 @@ def test_no_rejected_candidate_reaches_the_loop():
 def test_no_scheduler_knob():
     with pytest.raises(TypeError):
         MacroConfig.smoke(scheduler="lc-bucketed")
+    with pytest.raises(TypeError):
+        MacroConfig.smoke(loop_scheduler="laned")
 
 

@@ -1,10 +1,10 @@
 """LanedEventLoop mechanics: merge order, lanes, cancellation, pooling.
 
-The differential parity harness (``tests/parity``) proves whole-scenario
-equivalence; these tests pin the individual mechanisms the proof rests
-on — exact ``(when, seq)`` merge order, lane routing, cross-lane
-cancellation bookkeeping, transient-pool sharing and same-instant FIFO
-across a merge boundary.
+The laned loop is the oracle of ``tests/sim/test_loop_oracle.py``;
+these tests pin the mechanisms that make it a faithful one — exact
+``(when, seq)`` merge order, lane routing, cross-lane cancellation
+bookkeeping, transient-pool sharing and same-instant FIFO across a
+merge boundary.
 """
 
 from __future__ import annotations
@@ -192,15 +192,19 @@ def test_mirrors_global_loop_counters():
     """fired/pending/clock agree with the global loop on a shared script."""
 
     def script(loop):
-        lanes = [loop.register_lane(k) for k in ("n1", "n2")]
+        if isinstance(loop, LanedEventLoop):
+            lanes = [loop.register_lane(k) for k in ("n1", "n2")]
+            hints = [{"lane": lane} for lane in lanes]
+        else:
+            hints = [{}, {}]
         out = []
         for i in range(10):
             loop.call_at(
                 0.1 * (i % 4) + 0.05,
                 lambda i=i: out.append(i),
-                lane=lanes[i % 2],
+                **hints[i % 2],
             )
-        cancelled = loop.call_at(0.3, lambda: out.append("no"), lane=lanes[0])
+        cancelled = loop.call_at(0.3, lambda: out.append("no"), **hints[0])
         cancelled.cancel()
         loop.run_until(1.0)
         return out, loop.fired, loop.pending, loop.clock.now

@@ -1,20 +1,23 @@
-"""Property-based lane parity: random schedules, topologies and faults.
+"""Property-based oracle for the event loop: random schedules.
 
-Two generators, two levels:
+:class:`~repro.sim.lanes.LanedEventLoop` stores events as objects in
+per-lane queues and merges lane heads; :class:`EventLoop` keeps
+``(when, seq, action, arg)`` tuples in one heap and one ready deque.
+Both promise the same ``(time, seq)`` order, so the laned loop is the
+oracle here. Two generators:
 
-* raw event loops — random scripts of timed events that spawn
-  same-instant and future children across lanes and cancel earlier
-  events mid-run, the adversarial surface of the k-way merge; and
-  scripts mixing every scheduling API (cancellable, transient with and
+* scripts of timed events that spawn same-instant and future children
+  and cancel earlier events mid-run;
+* scripts mixing every scheduling API (cancellable, transient with and
   without ``arg``, ``call_soon``) with ``step``, ``peek_next_time``,
-  ``pending`` and partial ``run_until`` calls, where the laned loop's
-  event objects are the oracle for the global loop's tuple entries;
-* whole clusters — random node counts, link latencies, jitter, loss
-  rates and fault scripts replayed through the real injector, compared
-  by fault-trace digest.
+  ``pending`` and partial ``run_until`` calls.
 
-On divergence Hypothesis shrinks to a minimal seed + script — the
-reproduction recipe goes straight into a regression test.
+Each script carries a lane per event. The interpreter hands it to the
+laned loop, spreading the events over three lanes to exercise the
+merge; :class:`EventLoop` takes no lane and gets the same calls without.
+
+On divergence Hypothesis shrinks to a minimal script — the reproduction
+recipe goes straight into a regression test.
 """
 
 from __future__ import annotations
@@ -22,12 +25,19 @@ from __future__ import annotations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import DependableEnvironment
-from repro.faults.campaign import replay_schedule
-from repro.faults.schedule import FaultSchedule
 from repro.sim.clock import Clock
 from repro.sim.eventloop import EventLoop
 from repro.sim.lanes import LanedEventLoop
+
+
+def lane_hints(loop):
+    """``index -> keyword arguments`` routing a script lane (0-2) into
+    the laned loop's lanes; no arguments for :class:`EventLoop`."""
+    if not isinstance(loop, LanedEventLoop):
+        return lambda index: {}
+    lanes = [0, loop.register_lane("n1"), loop.register_lane("n2")]
+    return lambda index: {"lane": lanes[index]}
+
 
 # One script op: (when in centiseconds, lane 0-2, children spawned on
 # fire, cancel code — 0 means none, k>0 cancels handle (k-1) % len).
@@ -45,7 +55,7 @@ OPS = st.lists(
 
 def run_script(loop, ops):
     """Deterministic interpreter for a generated schedule script."""
-    lanes = [0, loop.register_lane("n1"), loop.register_lane("n2")]
+    hint = lane_hints(loop)
     log = []
     handles = []
 
@@ -60,15 +70,15 @@ def run_script(loop, ops):
                 schedule(
                     "%s.%d" % (tag, child),
                     loop.clock.now + 0.01 * child,
-                    lanes[(lane + child + 1) % 3],
+                    (lane + child + 1) % 3,
                     0,
                     0,
                 )
 
-        handles.append(loop.call_at(when, fire, lane=lane, label=tag))
+        handles.append(loop.call_at(when, fire, label=tag, **hint(lane)))
 
-    for index, (when_cs, lane_idx, children, cancel) in enumerate(ops):
-        schedule(str(index), when_cs / 100.0, lanes[lane_idx], children, cancel)
+    for index, (when_cs, lane, children, cancel) in enumerate(ops):
+        schedule(str(index), when_cs / 100.0, lane, children, cancel)
     loop.run_until(2.0)
     return log, loop.fired, loop.scheduled, loop.pending, loop.clock.now
 
@@ -77,7 +87,7 @@ def run_script(loop, ops):
 @given(ops=OPS)
 def test_random_schedules_fire_identically(ops):
     """Any script of events, children and cancellations fires in the
-    same order at the same instants on both schedulers."""
+    same order at the same instants on the loop and on its oracle."""
     assert run_script(EventLoop(Clock()), ops) == run_script(
         LanedEventLoop(Clock()), ops
     )
@@ -107,7 +117,7 @@ MIXED_OPS = st.lists(
 
 def run_mixed_script(loop, ops):
     """Interpreter for scripts mixing every scheduling API with reads."""
-    lanes = [0, loop.register_lane("n1"), loop.register_lane("n2")]
+    hint = lane_hints(loop)
     log = []
     handles = []
     specs = {}  # tag -> (lane, children, cancel)
@@ -126,34 +136,35 @@ def run_mixed_script(loop, ops):
                 "%s.%d" % (tag, child),
                 kind,
                 now + 0.01 * child,
-                lanes[(lane + child + 1) % 3],
+                (lane + child + 1) % 3,
                 0,
                 0,
             )
 
     def schedule(tag, kind, when, lane, children, cancel):
         specs[tag] = (lane, children, cancel)
+        lane_hint = hint(lane)
         if kind == 0:
-            handles.append(loop.call_at(when, lambda: fire(tag), tag, lane))
+            handles.append(loop.call_at(when, lambda: fire(tag), tag, **lane_hint))
         elif kind == 1:
-            loop.call_transient_at(when, fire, tag, lane=lane)
+            loop.call_transient_at(when, fire, tag, **lane_hint)
         elif kind == 2:
-            loop.call_transient_at(when, lambda: fire(tag), lane=lane)
+            loop.call_transient_at(when, lambda: fire(tag), **lane_hint)
         else:
-            handles.append(loop.call_soon(lambda: fire(tag), tag, lane))
+            handles.append(loop.call_soon(lambda: fire(tag), tag, **lane_hint))
 
     for index, op in enumerate(ops):
         tag = str(index)
         now = loop.clock.now
         if op[0] == "at":
             _, when_cs, lane, children, cancel = op
-            schedule(tag, 0, now + when_cs / 100.0, lanes[lane], children, cancel)
+            schedule(tag, 0, now + when_cs / 100.0, lane, children, cancel)
         elif op[0] == "transient":
             _, when_cs, lane, children, with_arg = op
             kind = 1 if with_arg else 2
-            schedule(tag, kind, now + when_cs / 100.0, lanes[lane], children, 0)
+            schedule(tag, kind, now + when_cs / 100.0, lane, children, 0)
         elif op[0] == "soon":
-            schedule(tag, 3, now, lanes[op[1]], op[2], 0)
+            schedule(tag, 3, now, op[1], op[2], 0)
         elif op[0] == "cancel":
             if handles:
                 handles[op[1] % len(handles)].cancel()
@@ -176,81 +187,8 @@ def run_mixed_script(loop, ops):
 def test_mixed_entry_scripts_fire_identically(ops):
     """Cancellable and transient entries (with and without ``arg``),
     ``call_soon``, ``step``, ``peek_next_time`` / ``pending`` reads and a
-    partial ``run_until``: the global loop's tuple entries fire and
-    report exactly what the laned loop's event objects do."""
+    partial ``run_until``: the loop's tuple entries fire and report
+    exactly what the laned oracle's event objects do."""
     assert run_mixed_script(EventLoop(Clock()), ops) == run_mixed_script(
         LanedEventLoop(Clock()), ops
     )
-
-
-# A fault script against nodes n1..n<count>: (kind, centiseconds, node).
-FAULTS = st.lists(
-    st.tuples(
-        st.sampled_from(["crash", "repair", "partition", "heal"]),
-        st.integers(min_value=50, max_value=600),
-        st.integers(min_value=1, max_value=3),
-    ),
-    max_size=4,
-)
-
-
-def _build_schedule(script, node_count):
-    schedule = FaultSchedule()
-    node_ids = ["n%d" % (k + 1) for k in range(node_count)]
-    for kind, when_cs, which in script:
-        at = when_cs / 100.0
-        node = node_ids[which % node_count]
-        if kind == "crash":
-            schedule.crash(at, node)
-        elif kind == "repair":
-            schedule.repair(at, node)
-        elif kind == "partition":
-            rest = [n for n in node_ids if n != node]
-            schedule.partition(at, [node], rest)
-        else:
-            schedule.heal(at)
-    return schedule
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    node_count=st.integers(min_value=3, max_value=4),
-    latency=st.sampled_from([0.001, 0.004]),
-    jitter=st.sampled_from([0.0, 0.0005]),
-    loss_rate=st.sampled_from([0.0, 0.02]),
-    script=FAULTS,
-)
-def test_random_cluster_fault_scripts_reach_identical_digests(
-    seed, node_count, latency, jitter, loss_rate, script
-):
-    """Random topology + link parameters + fault script: the replayed
-    fault trace digest (which folds in every observed view change and
-    redeployment) is scheduler-independent."""
-    from repro.sim.scheduler import use_scheduler
-
-    def scenario(scheduler):
-        with use_scheduler(scheduler):
-            env = DependableEnvironment.build(
-                node_count=node_count,
-                seed=seed,
-                latency=latency,
-                jitter=jitter,
-                loss_rate=loss_rate,
-            )
-            schedule = _build_schedule(script, node_count)
-            trace, violations = replay_schedule(
-                env, schedule, duration=6.0, settle=4.0
-            )
-        # NOTE: loop.fired is deliberately NOT compared — the laned
-        # scheduler keeps Network tick coalescing lane-local, so a
-        # cross-lane burst becomes several smaller delivery events.
-        # Event *order* (hence every digest) is unchanged; raw event
-        # counts are an implementation detail, not an observable.
-        return (
-            trace.digest(),
-            [str(v) for v in violations],
-            round(env.loop.clock.now, 9),
-        )
-
-    assert scenario("global") == scenario("laned")

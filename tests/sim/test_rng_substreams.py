@@ -1,9 +1,9 @@
-"""Named RNG substreams: per-entity draws, invariant to lane layout.
+"""Named RNG substreams: per-entity draws, invariant to interleaving.
 
-Satellite of the lane refactor: span/event ids must be identical
-regardless of lane count, which requires each node's ids to be a pure
-function of ``(root seed, node name, draw index)`` — never of how draws
-from *different* nodes interleave. ``RngStreams.substream`` provides
+A node's span/event ids must not move when other nodes' work is added
+or reordered, which requires each node's ids to be a pure function of
+``(root seed, node name, draw index)`` — never of how draws from
+*different* nodes interleave. ``RngStreams.substream`` provides
 exactly that, and these tests pin it with digests so a future change to
 the derivation (or to stream bookkeeping) cannot silently re-id every
 span in every recorded artifact.
@@ -42,9 +42,9 @@ def test_substream_draws_are_pinned():
 def test_substream_draws_do_not_depend_on_interleaving():
     """Round-robin across nodes vs node-at-a-time: same per-node values.
 
-    This is the lane-count-invariance property in miniature — a laned
-    run interleaves nodes differently than the global run interleaves
-    them, and per-node draw sequences must not care.
+    A change that adds a node or reorders other nodes' events
+    interleaves their draws differently, and per-node draw sequences
+    must not care.
     """
     a = RngStreams(99)
     sequential = {

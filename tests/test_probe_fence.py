@@ -4,7 +4,7 @@ Observers attach per event loop (``loop.probe``), so protocol code needs
 neither a process-global switch nor an import of the observers:
 
 * no ``global`` statement rebinds module state anywhere under
-  ``src/repro`` except the scheduler default in ``sim/scheduler.py``;
+  ``src/repro``;
 * the protocol and platform packages import nothing from
   ``repro.conformance``, and from ``repro.telemetry`` only the two value
   types they annotate with (``tracer.Span``, ``metrics.MetricsRegistry``).
@@ -18,7 +18,6 @@ import pytest
 PACKAGE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "repro"
 )
-GLOBAL_ALLOWED = {os.path.join("sim", "scheduler.py")}
 FENCED = (
     "sim", "gcs", "ipvs", "migration", "cluster", "vosgi", "services", "workloads"
 )
@@ -46,7 +45,6 @@ def test_no_global_statement_outside_the_scheduler():
     found = [
         "%s:%d" % (path, node.lineno)
         for path, tree in modules(PACKAGE)
-        if path not in GLOBAL_ALLOWED
         for node in ast.walk(tree)
         if isinstance(node, ast.Global)
     ]

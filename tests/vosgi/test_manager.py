@@ -134,6 +134,17 @@ def test_listeners_observe_lifecycle(manager):
     ]
 
 
+def test_a_raising_listener_propagates_after_the_step_it_reports(manager):
+    def broken(event, name):
+        raise RuntimeError("listener bug")
+
+    manager.add_listener(broken)
+    with pytest.raises(RuntimeError, match="listener bug"):
+        manager.create_instance("acme")
+    assert manager.names() == ["acme"]
+    assert not manager.require("acme").running
+
+
 def test_count_and_instances_sorted(manager):
     manager.create_instance("zeta")
     manager.create_instance("alpha")

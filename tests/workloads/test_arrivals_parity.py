@@ -8,8 +8,7 @@ accepted, so rejected candidates never reach the loop. On the same seed
 the two must give the same ``(index, time)`` arrivals, the same counters
 and the same final RNG state; with a completion scheduled a service time
 after every arrival, the same interleaved firing log; and the loop fires
-exactly the rejected candidates fewer. Under the global and the laned
-scheduler.
+exactly the rejected candidates fewer.
 """
 
 from __future__ import annotations
@@ -17,16 +16,12 @@ from __future__ import annotations
 from math import log
 from typing import Callable, List, Optional, Tuple
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.eventloop import EventLoop
-from repro.sim.lanes import LanedEventLoop
 from repro.sim.rng import RngStreams
 from repro.workloads.arrivals import DiurnalProfile, OpenLoopArrivals
-
-LOOPS = {"global": EventLoop, "laned": LanedEventLoop}
 
 
 # ----------------------------------------------------------------------
@@ -75,7 +70,6 @@ class Run:
     def __init__(
         self,
         generator: Callable,
-        loop_name: str,
         rng,
         profile: DiurnalProfile,
         duration: float,
@@ -83,8 +77,7 @@ class Run:
         service_time: float,
         stop_early_at: Optional[float] = None,
     ) -> None:
-        loop = LOOPS[loop_name]()
-        server_lane = loop.register_lane("server")
+        loop = EventLoop()
         self.arrived: List[Tuple[int, float]] = []
         self.firing: List[Tuple[float, str]] = []
 
@@ -92,7 +85,7 @@ class Run:
             now = loop.clock.now
             self.arrived.append((index, now))
             self.firing.append((now, "arrival"))
-            loop.call_transient_at(now + service_time, on_complete, lane=server_lane)
+            loop.call_transient_at(now + service_time, on_complete)
 
         def on_complete() -> None:
             self.firing.append((loop.clock.now, "complete"))
@@ -124,13 +117,9 @@ class Run:
         self.now = loop.clock.now
 
 
-def pair(loop_name: str, seed: int, *args, **kwargs) -> Tuple[Run, Run]:
-    reference = Run(
-        ReferenceArrivals, loop_name, RngStreams(seed).stream("a"), *args, **kwargs
-    )
-    changed = Run(
-        OpenLoopArrivals, loop_name, RngStreams(seed).stream("a"), *args, **kwargs
-    )
+def pair(seed: int, *args, **kwargs) -> Tuple[Run, Run]:
+    reference = Run(ReferenceArrivals, RngStreams(seed).stream("a"), *args, **kwargs)
+    changed = Run(OpenLoopArrivals, RngStreams(seed).stream("a"), *args, **kwargs)
     return reference, changed
 
 
@@ -153,7 +142,6 @@ def assert_same_day(reference: Run, changed: Run) -> None:
 SHAPES = {"flat": 1.0, "zero-base": 0.0, "steep": 0.02, "day": 0.25}
 
 
-@pytest.mark.parametrize("loop_name", sorted(LOOPS))
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32),
@@ -165,28 +153,27 @@ SHAPES = {"flat": 1.0, "zero-base": 0.0, "steep": 0.02, "day": 0.25}
     service_time=st.floats(min_value=0.001, max_value=0.5),
 )
 def test_same_arrivals_as_the_reference_generator(
-    loop_name, seed, peak, shape, day_seconds, days, start_at, service_time
+    seed, peak, shape, day_seconds, days, start_at, service_time
 ):
     profile = DiurnalProfile(peak * SHAPES[shape], peak, day_seconds)
     reference, changed = pair(
-        loop_name, seed, profile, day_seconds * days, start_at, service_time
+        seed, profile, day_seconds * days, start_at, service_time
     )
     assert_same_day(reference, changed)
 
 
-@pytest.mark.parametrize("loop_name", sorted(LOOPS))
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32),
     cut=st.floats(min_value=0.05, max_value=0.95),
 )
-def test_a_run_stopped_early_has_seen_the_same_arrivals(loop_name, seed, cut):
+def test_a_run_stopped_early_has_seen_the_same_arrivals(seed, cut):
     """Mid-day the counters run ahead (candidates are counted when
     drawn), but what has reached ``on_arrival`` by any instant has not
     moved."""
     profile = DiurnalProfile(10.0, 120.0, 4.0)
     reference, changed = pair(
-        loop_name, seed, profile, 4.0, 0.0, 0.01, stop_early_at=4.0 * cut
+        seed, profile, 4.0, 0.0, 0.01, stop_early_at=4.0 * cut
     )
     assert changed.arrived == reference.arrived
     assert changed.firing == reference.firing
@@ -194,17 +181,6 @@ def test_a_run_stopped_early_has_seen_the_same_arrivals(loop_name, seed, cut):
     assert changed.candidates >= reference.candidates
     # Exactly one arrival is scheduled ahead, or the day is drawn out.
     assert changed.finished or changed.candidates > reference.candidates
-
-
-def test_schedulers_agree_on_a_multi_day_run():
-    profile = DiurnalProfile(40.0, 400.0, 3.0)
-    runs = [
-        Run(OpenLoopArrivals, name, RngStreams(9).stream("a"), profile, 7.5, 3, 0.02)
-        for name in sorted(LOOPS)
-    ]
-    assert runs[0].arrived == runs[1].arrived
-    assert runs[0].firing == runs[1].firing
-    assert runs[0].fired == runs[1].fired == 2 * runs[0].arrivals > 2000
 
 
 # ----------------------------------------------------------------------
@@ -230,8 +206,7 @@ class ScriptedRng:
         return (tuple(self._draws), self.calls)
 
 
-@pytest.mark.parametrize("loop_name", sorted(LOOPS))
-def test_a_draw_that_lands_on_the_rate_is_rejected(loop_name):
+def test_a_draw_that_lands_on_the_rate_is_rejected():
     """``random() * peak < rate`` is strict: on a zero-base curve a
     candidate exactly at a day boundary (rate 0.0) is rejected even by
     a draw of 0.0."""
@@ -241,12 +216,8 @@ def test_a_draw_that_lands_on_the_rate_is_rejected(loop_name):
     # one: accepted), 2g (the boundary, draw 0.0: rejected), 3g
     # (accepted), then a gap past the end.
     draws = [0.5, 0.5, 0.5, 0.0, 0.5, 0.5, 0.999999]
-    reference = Run(
-        ReferenceArrivals, loop_name, ScriptedRng(draws), profile, 4 * g, 0.0, g / 4
-    )
-    changed = Run(
-        OpenLoopArrivals, loop_name, ScriptedRng(draws), profile, 4 * g, 0.0, g / 4
-    )
+    reference = Run(ReferenceArrivals, ScriptedRng(draws), profile, 4 * g, 0.0, g / 4)
+    changed = Run(OpenLoopArrivals, ScriptedRng(draws), profile, 4 * g, 0.0, g / 4)
     assert reference.arrived == [(1, g), (2, g + g + g)]
     assert reference.candidates == 3
     assert reference.rng_state == ((), 7)
