@@ -8,17 +8,16 @@ Two engines share one diagnostic model (:class:`Diagnostic`):
   environment reads (rules ``DET001``..); one pass per file, each
   source flagged where it is read;
 * the **static bundle verifier** (:mod:`repro.analysis.bundles`) checks
-  bundle metadata before install — unresolvable imports, impossible
-  version ranges, activator class-space violations, lifecycle leaks
-  (rules ``VER001``..).
+  bundle metadata — unresolvable imports, impossible version ranges,
+  activator class-space violations, lifecycle leaks (rules ``VER001``..).
 
-Surfaces: ``python -m repro lint`` (CI), ``Framework.install(...,
-verify=True)`` (install time) and chaos-campaign deployment verdicts
-(:func:`repro.faults.campaign.verify_deployment`). docs/ANALYSIS.md has
-the full rule catalogue and the JSON schema.
+Surfaces: ``python -m repro lint`` (CI) and chaos-campaign deployment
+verdicts (:func:`repro.faults.campaign.verify_deployment`, which runs
+:func:`verify_bundles`). docs/ANALYSIS.md has the full rule catalogue and
+the JSON schema.
 """
 
-from repro.analysis.bundles import VER_RULES, verify_bundles, verify_install
+from repro.analysis.bundles import VER_RULES, verify_bundles
 from repro.analysis.determinism import (
     DET_RULES,
     LintResult,
@@ -46,5 +45,4 @@ __all__ = [
     "severity_counts",
     "sort_diagnostics",
     "verify_bundles",
-    "verify_install",
 ]

@@ -1,9 +1,10 @@
 """Static bundle verifier: the VER rule family.
 
-Checks a set of :class:`~repro.osgi.definition.BundleDefinition` objects
-*before* install, so that what the paper's topmost classloader enforces
-at wire time — explicit export checking — also exists as an install-time
-(and CI-time) diagnostic. Matching semantics deliberately reuse the
+Checks a set of :class:`~repro.osgi.definition.BundleDefinition` objects,
+so that what the paper's topmost classloader enforces at wire time —
+explicit export checking — also exists as a diagnostic (every chaos
+deployment runs it through :func:`repro.faults.campaign.verify_deployment`).
+Matching semantics deliberately reuse the
 resolver's own candidate helpers (:func:`repro.osgi.wiring.
 static_import_candidates`), which is what makes the verifier *sound*
 with respect to :mod:`repro.osgi.wiring`: a set it accepts with no
@@ -74,20 +75,6 @@ def verify_bundles(
         if check_activators:
             out.extend(_verify_activator(definition))
     return sort_diagnostics(out)
-
-
-def verify_install(
-    framework: "object", definition: BundleDefinition
-) -> List[Diagnostic]:
-    """Verify one definition against a framework's installed population.
-
-    The context is every installed bundle's definition plus the system
-    bundle (so ``org.osgi.framework`` imports resolve statically too).
-    Used by ``Framework.install(..., verify=True)``.
-    """
-    context = [b.definition for b in framework.bundles()]
-    context.append(framework.system_bundle.definition)
-    return verify_bundles([definition], context=context)
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Any, Dict, Iterable, List
 
 
 class Severity(enum.Enum):
-    """How bad a finding is; errors gate CI and ``verify=True`` installs."""
+    """How bad a finding is; errors gate CI and chaos deployment verdicts."""
 
     ERROR = "error"
     WARNING = "warning"

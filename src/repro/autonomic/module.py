@@ -27,20 +27,17 @@ from repro.migration.module import MigrationModule
 from repro.monitoring.monitor import UsageReport
 from repro.sim.eventloop import ScheduledEvent
 
+#: Seconds between cluster-policy evaluations.
+CLUSTER_TICK_INTERVAL = 2.0
+
 
 class AutonomicModule:
     """Wires engines, monitoring and migration together on one node."""
 
-    def __init__(
-        self,
-        node: Node,
-        migration: MigrationModule,
-        cluster_tick_interval: float = 2.0,
-    ) -> None:
+    def __init__(self, node: Node, migration: MigrationModule) -> None:
         self.node = node
         self.migration = migration
         self.loop = node.loop
-        self.cluster_tick_interval = cluster_tick_interval
         self.cluster_engine = PolicyEngine(
             "cluster:%s" % node.node_id, executor=self._execute
         )
@@ -119,7 +116,7 @@ class AutonomicModule:
             self._arm_cluster_tick()
 
         self._timer = self.loop.call_after(
-            self.cluster_tick_interval, tick, label="auto-tick:%s" % self.node.node_id
+            CLUSTER_TICK_INTERVAL, tick, label="auto-tick:%s" % self.node.node_id
         )
 
     # ------------------------------------------------------------------

@@ -385,9 +385,7 @@ class Node:
         self.loop.call_after(delay, finish, label="deploy:%s" % name)
         return completion
 
-    def undeploy_instance(
-        self, name: str, wipe_state: bool = False
-    ) -> "Completion[str]":
+    def undeploy_instance(self, name: str) -> "Completion[str]":
         """Stop and remove the instance after the modelled stop latency."""
         if self.state != NodeState.ON or self.instance_manager is None:
             raise RuntimeError("node %s is not running" % self.node_id)
@@ -401,7 +399,7 @@ class Node:
 
         def finish() -> None:
             if self.instance_manager is not None:
-                self.instance_manager.destroy_instance(name, wipe_state=wipe_state)
+                self.instance_manager.destroy_instance(name)
                 if self.monitoring is not None:
                     self.monitoring.forget(name)
             completion.complete(name, at=self.loop.clock.now)

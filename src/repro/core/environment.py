@@ -31,7 +31,6 @@ from repro.cluster.node import Node, NodeState
 from repro.ipvs.addressing import AddressRegistry, IpEndpoint
 from repro.ipvs.server import DirectorCluster
 from repro.migration.module import MigrationModule, MigrationRecord
-from repro.migration.placement import LeastLoadedPlacement, PlacementPolicy
 from repro.migration.registry import CustomerDirectory
 from repro.osgi.definition import BundleDefinition
 from repro.sla.agreement import ServiceLevelAgreement
@@ -62,25 +61,20 @@ class DependableEnvironment:
     def __init__(
         self,
         cluster: Cluster,
-        placement: Optional[PlacementPolicy] = None,
-        coordination: str = "deterministic",
         sla_action: str = "migrate",
         enable_rebalance: bool = True,
         enable_consolidation: bool = False,
-        director_replicas: int = 2,
     ) -> None:
         self.cluster = cluster
         self.loop = cluster.loop
         self.customers_directory = CustomerDirectory(cluster.store, cluster.loop)
         self.sla_tracker = SlaTracker()
         self.addresses = AddressRegistry(cluster.loop)
-        self.director = DirectorCluster(cluster.loop, replicas=director_replicas)
+        self.director = DirectorCluster(cluster.loop)
         self.migration: Dict[str, MigrationModule] = {}
         self.autonomic: Dict[str, AutonomicModule] = {}
         self._customers: Dict[str, Customer] = {}
         self._locations: Dict[str, str] = {}
-        self._placement = placement if placement is not None else LeastLoadedPlacement()
-        self._coordination = coordination
         self._sla_action = sla_action
         self._enable_rebalance = enable_rebalance
         self._enable_consolidation = enable_consolidation
@@ -90,9 +84,7 @@ class DependableEnvironment:
 
     def _wire_node(self, node: Node) -> None:
         """Create and start this environment's modules on ``node``."""
-        migration = MigrationModule(
-            node, placement=self._placement, coordination=self._coordination
-        )
+        migration = MigrationModule(node)
         node.modules["migration"] = migration
         migration.start()
         migration.add_listener(self._on_migration_record)
@@ -129,17 +121,10 @@ class DependableEnvironment:
         """Build and boot a cluster, start all modules, let views settle.
 
         Keyword arguments are split between :class:`Cluster` (seed,
-        latency, loss_rate, monitoring_mode...) and this class (placement,
-        coordination, sla_action, enable_* flags).
+        latency, loss_rate, monitoring_mode...) and this class (sla_action,
+        enable_* flags).
         """
-        env_keys = {
-            "placement",
-            "coordination",
-            "sla_action",
-            "enable_rebalance",
-            "enable_consolidation",
-            "director_replicas",
-        }
+        env_keys = {"sla_action", "enable_rebalance", "enable_consolidation"}
         env_kwargs = {k: v for k, v in kwargs.items() if k in env_keys}
         cluster_kwargs = {k: v for k, v in kwargs.items() if k not in env_keys}
         cluster = Cluster.build(node_count, seed=seed, **cluster_kwargs)

@@ -2,7 +2,7 @@
 
 :class:`ReliableChannel` implements positive acknowledgement with
 retransmission: each outbound message gets a channel-unique id and is
-retransmitted every ``rto`` seconds until the peer acks it or the sender
+retransmitted every :data:`RTO` seconds until the peer acks it or the sender
 cancels (e.g. because a view change removed the peer). Receivers ack every
 copy and deduplicate by id, giving at-least-once transport with
 exactly-once upcall — what the GCS layers its ordering on.
@@ -22,6 +22,9 @@ from repro.sim.network import Endpoint, Message
 #: role a random session id plays in real transports.
 _INCARNATIONS = itertools.count(1)
 
+#: Retransmission timeout: seconds between sends of an unacked message.
+RTO = 0.05
+
 
 class ReliableChannel:
     """Ack/retransmit layer bound to one network endpoint.
@@ -40,7 +43,6 @@ class ReliableChannel:
         endpoint: Endpoint,
         loop: EventLoop,
         on_deliver: Callable[[str, Any], None],
-        rto: float = 0.05,
     ) -> None:
         self.node_id = node_id
         #: Frames go straight to the network: one call each, not two.
@@ -48,7 +50,6 @@ class ReliableChannel:
         self._send_all = endpoint.network.send_all
         self._loop = loop
         self._on_deliver = on_deliver
-        self.rto = rto
         self.incarnation = next(_INCARNATIONS)
         self._next_id = 0
         self._pending: Dict[int, Tuple[str, Any, ScheduledEvent, int]] = {}
@@ -136,7 +137,7 @@ class ReliableChannel:
             self._arm_retry(destination, msg_id, payload, attempt + 1)
 
         loop = self._loop
-        event = loop.call_at(loop.clock.now + self.rto, retry, "rc-retry")
+        event = loop.call_at(loop.clock.now + RTO, retry, "rc-retry")
         self._pending[msg_id] = (destination, payload, event, attempt)
 
     def _on_data(self, source: str, frame: Dict[str, Any]) -> None:

@@ -39,6 +39,11 @@ from repro.sim.network import Message, Network
 ViewListener = Callable[[ViewChange], None]
 MessageListener = Callable[[str, Any], None]
 
+#: Seconds between JOIN resends while a joiner is outside every view.
+JOIN_RETRY = 0.5
+#: The adaptive detector's multiplier on a peer's EWMA heartbeat gap.
+ADAPTIVE_FACTOR = 6.0
+
 
 class GroupMember:
     """One process's attachment to one group."""
@@ -52,9 +57,7 @@ class GroupMember:
         directory: GroupDirectory,
         hb_interval: float = 0.1,
         fd_timeout: float = 1.0,
-        join_retry: float = 0.5,
         adaptive_fd: bool = False,
-        adaptive_factor: float = 6.0,
     ) -> None:
         # fd_timeout defaults to 10x the heartbeat interval: losing ten
         # consecutive heartbeats is vanishingly unlikely even on a lossy
@@ -62,7 +65,7 @@ class GroupMember:
         # (the Migration Module on a quiet LAN) pass a tighter value.
         #
         # adaptive_fd=True switches to an accrual-style detector: the
-        # timeout becomes ``adaptive_factor x EWMA(inter-arrival mean)``
+        # timeout becomes ``ADAPTIVE_FACTOR x EWMA(inter-arrival mean)``
         # (floored at 2 heartbeat intervals, capped at fd_timeout).
         # Multiplicative, not mean+k*deviation: heartbeat gaps under loss
         # are geometric (heavy-tailed), and the mean already stretches by
@@ -75,9 +78,7 @@ class GroupMember:
         self._directory = directory
         self.hb_interval = hb_interval
         self.fd_timeout = fd_timeout
-        self.join_retry = join_retry
         self.adaptive_fd = adaptive_fd
-        self.adaptive_factor = adaptive_factor
         # Per-peer EWMA of heartbeat inter-arrival mean and deviation.
         self._arrival_stats: Dict[str, Tuple[float, float]] = {}
 
@@ -326,13 +327,13 @@ class GroupMember:
             if peers:
                 self._send_join(peers)
                 self._timers["join"] = self._loop.call_after(
-                    self.join_retry, retry, label="gcs-join"
+                    JOIN_RETRY, retry, label="gcs-join"
                 )
             else:
                 self._install(View(1, (self.endpoint_name,)), order_seq=1)
 
         self._timers["join"] = self._loop.call_after(
-            self.join_retry, retry, label="gcs-join"
+            JOIN_RETRY, retry, label="gcs-join"
         )
 
     def _cancel_timers(self) -> None:
@@ -376,7 +377,7 @@ class GroupMember:
         if stats is None:
             return self.fd_timeout  # no samples yet: be conservative
         mean, _deviation = stats
-        adaptive = self.adaptive_factor * mean
+        adaptive = ADAPTIVE_FACTOR * mean
         return min(self.fd_timeout, max(2 * self.hb_interval, adaptive))
 
     def _observe_heartbeat(self, member: str, now: float) -> None:

@@ -59,8 +59,8 @@ class Request:
         self.request_id = request_id
         self.endpoint = endpoint
         self.arrived_at = arrived_at
-        #: Client identity (source address analogue), used by persistent
-        #: (sticky) services to pin a client to one real server.
+        #: Client identity (source address analogue); the director's
+        #: schedulers do not read it.
         self.client = client
         self.completed_at = completed_at
         self.served_by = served_by
@@ -232,10 +232,6 @@ class VirtualServer:
         #: per-node operations (health flips, drains, re-profiles, active
         #: counts) from scanning the whole service table.
         self._node_index: Dict[str, List[RealServer]] = {}
-        #: service key -> persistence window in seconds (0 = stateless).
-        self._persistence: Dict[Tuple[str, int], float] = {}
-        #: (service key, client) -> (node_id, expires_at); LVS "-p" analogue.
-        self._affinity: Dict[Tuple[Tuple[str, int], str], Tuple[str, float]] = {}
         self.routed = 0
         self.drops: Counter = Counter()
 
@@ -244,7 +240,6 @@ class VirtualServer:
         self,
         endpoint: IpEndpoint,
         scheduler: Optional[Scheduler] = None,
-        persistence_seconds: float = 0.0,
     ) -> None:
         key = (endpoint.ip, endpoint.port)
         if key in self._services:
@@ -253,8 +248,6 @@ class VirtualServer:
             scheduler if scheduler is not None else RoundRobinScheduler(),
             [],
         )
-        if persistence_seconds > 0:
-            self._persistence[key] = persistence_seconds
 
     def add_real_server(self, endpoint: IpEndpoint, server: RealServer) -> None:
         key = (endpoint.ip, endpoint.port)
@@ -356,55 +349,13 @@ class VirtualServer:
             self.drops[request.dropped] += 1
             return
         scheduler, servers = entry
-        # Affinity is looked up and remembered only on a director that
-        # has a persistent service; most have none.
-        persistent = self._persistence
-        server = None
-        if persistent:
-            server = self._sticky_server(key, request, servers)
-        if server is None:
-            server = scheduler.pick(servers)
+        server = scheduler.pick(servers)
         if server is None:
             request.dropped = "no-real-server"
             self.drops[request.dropped] += 1
             return
-        if persistent:
-            self._remember_affinity(key, request, server)
         self.routed += 1
         server.admit(request, self._loop)
-
-    def _sticky_server(
-        self,
-        key: Tuple[str, int],
-        request: Request,
-        servers: List[RealServer],
-    ) -> Optional[RealServer]:
-        if request.client is None or key not in self._persistence:
-            return None
-        entry = self._affinity.get((key, request.client))
-        if entry is None:
-            return None
-        node_id, expires_at = entry
-        if self._loop.clock.now > expires_at:
-            del self._affinity[(key, request.client)]
-            return None
-        for server in servers:
-            if server.node_id == node_id and server.available:
-                return server
-        # Pinned server gone/full: fall through to the scheduler, which
-        # will establish a new affinity.
-        return None
-
-    def _remember_affinity(
-        self, key: Tuple[str, int], request: Request, server: RealServer
-    ) -> None:
-        window = self._persistence.get(key)
-        if window is None or request.client is None:
-            return
-        self._affinity[(key, request.client)] = (
-            server.node_id,
-            self._loop.clock.now + window,
-        )
 
     def __repr__(self) -> str:
         return "VirtualServer(%s, %d services, routed=%d, %s)" % (
@@ -457,14 +408,9 @@ class DirectorCluster:
         self,
         endpoint: IpEndpoint,
         scheduler_factory=RoundRobinScheduler,
-        persistence_seconds: float = 0.0,
     ) -> None:
         for director in self.directors:
-            director.add_service(
-                endpoint,
-                scheduler_factory(),
-                persistence_seconds=persistence_seconds,
-            )
+            director.add_service(endpoint, scheduler_factory())
 
     def add_real_server(
         self,

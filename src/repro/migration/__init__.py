@@ -29,8 +29,6 @@ from repro.migration.module import MigrationModule, MigrationRecord
 from repro.migration.placement import (
     LeastLoadedPlacement,
     PackingPlacement,
-    PlacementPolicy,
-    RoundRobinPlacement,
 )
 from repro.migration.registry import CustomerDescriptor, CustomerDirectory
 from repro.migration.standby import PreparedStandby, StandbyManager
@@ -51,11 +49,9 @@ __all__ = [
     "MigrationRecord",
     "NodeInventory",
     "PackingPlacement",
-    "PlacementPolicy",
     "PlainStatefulService",
     "PreparedStandby",
     "RetryingClient",
-    "RoundRobinPlacement",
     "StandbyManager",
     "TransactionalStore",
 ]

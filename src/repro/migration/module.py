@@ -31,12 +31,14 @@ from repro.cluster.node import Node, NodeState
 from repro.gcs.jgcs import GroupConfiguration
 from repro.gcs.view import ViewChange
 from repro.migration.inventory import ClusterInventory, NodeInventory
-from repro.migration.placement import LeastLoadedPlacement, PlacementPolicy
+from repro.migration.placement import LeastLoadedPlacement
 from repro.migration.registry import CustomerDescriptor, CustomerDirectory
 from repro.sim.eventloop import ScheduledEvent
 
 #: GCS group every Migration Module joins.
 PLATFORM_GROUP = "platform.migration"
+#: Seconds between inventory broadcasts (each also runs the orphan sweep).
+INVENTORY_INTERVAL = 0.5
 
 
 @dataclass
@@ -84,9 +86,7 @@ class MigrationModule:
     def __init__(
         self,
         node: Node,
-        placement: Optional[PlacementPolicy] = None,
         coordination: str = "deterministic",
-        inventory_interval: float = 0.5,
         hb_interval: float = 0.1,
         fd_timeout: float = 0.35,
         adaptive_fd: bool = False,
@@ -95,9 +95,8 @@ class MigrationModule:
             raise ValueError("coordination must be deterministic|sequencer")
         self.node = node
         self.loop = node.loop
-        self.placement = placement if placement is not None else LeastLoadedPlacement()
+        self.placement = LeastLoadedPlacement()
         self.coordination = coordination
-        self.inventory_interval = inventory_interval
         self.customers = CustomerDirectory(node.store, node.loop, owner=node.node_id)
         config = GroupConfiguration(
             PLATFORM_GROUP,
@@ -166,7 +165,7 @@ class MigrationModule:
             self._arm_timer()
 
         self._timer = self.loop.call_after(
-            self.inventory_interval, tick, label="mig-inv:%s" % self.node.node_id
+            INVENTORY_INTERVAL, tick, label="mig-inv:%s" % self.node.node_id
         )
 
     def _local_inventory(self) -> NodeInventory:
@@ -438,7 +437,7 @@ class MigrationModule:
         # sweeping now would see phantom orphans and double-deploy them.
         if (
             self.loop.clock.now - self._last_view_change
-            < 4 * self.inventory_interval
+            < 4 * INVENTORY_INTERVAL
         ):
             strikes.clear()
             return

@@ -1,8 +1,10 @@
 """Placement policies: where does an instance go?
 
-The paper defers placement to "policies in the Autonomic Module"; the
-Migration Module therefore takes a pluggable :class:`PlacementPolicy`.
-All built-in policies are **deterministic functions of their inputs** —
+The paper defers placement to "policies in the Autonomic Module". The
+Migration Module places with :class:`LeastLoadedPlacement`; the
+Autonomic Module's consolidation policy plans with
+:class:`PackingPlacement`. Both map instance name → node id, omit what
+they cannot place, and are **deterministic functions of their inputs** —
 every survivor computes the same answer from the same view + inventories,
 which is what makes decentralized failure redeployment safe without an
 extra agreement round.
@@ -16,44 +18,7 @@ from repro.migration.inventory import ClusterInventory
 from repro.migration.registry import CustomerDescriptor
 
 
-class PlacementPolicy:
-    """Chooses a target node for each instance needing (re)deployment."""
-
-    def assign(
-        self,
-        instances: Sequence[CustomerDescriptor],
-        candidate_nodes: Sequence[str],
-        inventory: ClusterInventory,
-    ) -> Dict[str, str]:
-        """Map instance name → node id. Unplaceable instances are omitted."""
-        raise NotImplementedError
-
-
-class RoundRobinPlacement(PlacementPolicy):
-    """Spread instances over candidates in sorted order.
-
-    The starting offset is derived from the instance name so repeated
-    single-instance placements do not all land on the first node.
-    """
-
-    def assign(
-        self,
-        instances: Sequence[CustomerDescriptor],
-        candidate_nodes: Sequence[str],
-        inventory: ClusterInventory,
-    ) -> Dict[str, str]:
-        nodes = sorted(candidate_nodes)
-        if not nodes:
-            return {}
-        assignment: Dict[str, str] = {}
-        ordered = sorted(instances, key=lambda d: (-d.priority, d.name))
-        for i, descriptor in enumerate(ordered):
-            offset = _stable_hash(descriptor.name)
-            assignment[descriptor.name] = nodes[(offset + i) % len(nodes)]
-        return assignment
-
-
-class LeastLoadedPlacement(PlacementPolicy):
+class LeastLoadedPlacement:
     """Greedy best-fit by reported free CPU, respecting memory headroom.
 
     Instances are placed in priority order onto the candidate with the
@@ -106,7 +71,7 @@ class LeastLoadedPlacement(PlacementPolicy):
         return assignment
 
 
-class PackingPlacement(PlacementPolicy):
+class PackingPlacement:
     """First-fit-decreasing consolidation: fill the fewest nodes possible.
 
     Used by the Autonomic Module's consolidation policy (§4: concentrate
@@ -135,9 +100,3 @@ class PackingPlacement(PlacementPolicy):
                     break
         return assignment
 
-
-def _stable_hash(text: str) -> int:
-    value = 0
-    for ch in text:
-        value = (value * 131 + ord(ch)) % 1_000_003
-    return value

@@ -32,6 +32,9 @@ from repro.cluster.node import Node, NodeState
 from repro.migration.registry import CustomerDescriptor, CustomerDirectory
 from repro.sim.eventloop import ScheduledEvent
 
+#: Seconds between re-syncs of the prepared standbys.
+SYNC_INTERVAL = 1.0
+
 
 @dataclass
 class PreparedStandby:
@@ -50,10 +53,9 @@ class PreparedStandby:
 class StandbyManager:
     """Keeps warm standbys of selected customers on this node."""
 
-    def __init__(self, node: Node, sync_interval: float = 1.0) -> None:
+    def __init__(self, node: Node) -> None:
         self.node = node
         self.loop = node.loop
-        self.sync_interval = sync_interval
         self.customers = CustomerDirectory(node.store, node.loop)
         self._prepared: Dict[str, PreparedStandby] = {}
         self.running = False
@@ -155,7 +157,7 @@ class StandbyManager:
             self._arm()
 
         self._timer = self.loop.call_after(
-            self.sync_interval, tick, label="standby-sync:%s" % self.node.node_id
+            SYNC_INTERVAL, tick, label="standby-sync:%s" % self.node.node_id
         )
 
     def _resync(self) -> None:

@@ -44,6 +44,9 @@ class RetryingClient:
     ``issue`` hands a request to a send callable that may fail (service
     mid-migration); :meth:`retry_pending` re-drives incomplete requests —
     "it is common practice to resend the request until it is addressed".
+    A send reports "not addressed" by returning ``False`` or raising
+    :class:`ConnectionError`; any other exception is a fault in the send
+    itself and propagates.
     """
 
     def __init__(self, send: Callable[[Request], bool]) -> None:
@@ -71,7 +74,7 @@ class RetryingClient:
         request.attempts += 1
         try:
             ok = self._send(request)
-        except Exception:
+        except ConnectionError:
             ok = False
         if ok:
             request.completed = True

@@ -294,12 +294,10 @@ class BundleContext:
         self,
         definition: BundleDefinition,
         location: Optional[str] = None,
-        verify: bool = False,
     ) -> Bundle:
-        """Install through this context; ``verify=True`` runs the static
-        bundle verifier first (see :meth:`Framework.install`)."""
+        """Install through this context (see :meth:`Framework.install`)."""
         self._check_valid()
-        return self._bundle.framework.install(definition, location, verify=verify)
+        return self._bundle.framework.install(definition, location)
 
     # -- services ---------------------------------------------------------
     def register_service(

@@ -30,30 +30,6 @@ class BundleException(OSGiError):
         self.type = type
 
 
-class VerificationError(BundleException):
-    """Static bundle verification rejected an install (``verify=True``).
-
-    Carries the full diagnostic list from
-    :func:`repro.analysis.bundles.verify_install` as ``diagnostics`` so
-    callers (and tests) see the same ``VER...`` codes the CLI reports.
-    """
-
-    VERIFY_ERROR = 11
-
-    def __init__(self, symbolic_name: str, diagnostics: "list") -> None:
-        self.diagnostics = list(diagnostics)
-        errors = [
-            d
-            for d in self.diagnostics
-            if getattr(getattr(d, "severity", None), "value", "") == "error"
-        ]
-        summary = "; ".join("%s %s" % (d.code, d.message) for d in errors)
-        super().__init__(
-            "static verification rejected %s: %s" % (symbolic_name, summary),
-            self.VERIFY_ERROR,
-        )
-
-
 class ResolutionError(BundleException):
     """The resolver could not satisfy a bundle's imports."""
 

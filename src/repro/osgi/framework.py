@@ -247,19 +247,8 @@ class Framework:
         self,
         definition: BundleDefinition,
         location: Optional[str] = None,
-        verify: bool = False,
     ) -> Bundle:
-        """Install a bundle; same location returns the existing bundle.
-
-        With ``verify=True`` the static bundle verifier
-        (:func:`repro.analysis.bundles.verify_install`) checks the
-        definition against the installed population first and any
-        error-severity diagnostic rejects the install with a
-        :class:`~repro.osgi.errors.VerificationError` carrying the full
-        diagnostic list — the paper's "explicit export checking" applied
-        before a single lifecycle event fires. Reinstalling an existing
-        location returns the live bundle without re-verification.
-        """
+        """Install a bundle; same location returns the existing bundle."""
         if not self.active:
             raise FrameworkError(
                 "framework %s is not active; cannot install" % self.instance_id
@@ -272,16 +261,6 @@ class Framework:
         existing = self._by_location.get(location)
         if existing is not None:
             return existing
-        if verify:
-            # Imported here so repro.osgi stays importable without the
-            # analysis package (strict downward layering otherwise).
-            from repro.analysis.bundles import verify_install
-
-            diagnostics = verify_install(self, definition)
-            if any(d.severity.value == "error" for d in diagnostics):
-                from repro.osgi.errors import VerificationError
-
-                raise VerificationError(definition.symbolic_name, diagnostics)
         bundle = Bundle(self, self._next_bundle_id, definition, location)
         bundle.namespace.fallback = self.class_fallback
         self._next_bundle_id += 1

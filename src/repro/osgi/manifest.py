@@ -2,19 +2,16 @@
 
 A manifest carries the headers the resolver consumes — ``Bundle-
 SymbolicName``, ``Bundle-Version``, ``Import-Package``, ``Export-Package``
-— plus free-form headers. Two construction paths are supported:
-
-* programmatic (:meth:`Manifest.build`) for bundles defined in Python, and
-* textual (:meth:`Manifest.parse`) accepting the MANIFEST.MF syntax with
-  72-byte continuation lines and the OSGi clause grammar
-  (``pkg.a;pkg.b;version="[1,2)";resolution:=optional, pkg.c``), so fixtures
-  can be written exactly like real bundle manifests.
+and ``Bundle-Activator``. Every bundle is defined in Python, so
+:meth:`Manifest.build` is the one construction path; its import and export
+strings use the OSGi clause grammar
+(``pkg.a;version="[1,2)";resolution:=optional``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.osgi.errors import BundleException
 from repro.osgi.version import ANY_VERSION, EMPTY_VERSION, Version, VersionRange
@@ -64,7 +61,6 @@ class Manifest:
         imports: Sequence[ImportedPackage] = (),
         exports: Sequence[ExportedPackage] = (),
         activator: str = "",
-        headers: Optional[Mapping[str, str]] = None,
     ) -> None:
         if not symbolic_name:
             raise BundleException("Bundle-SymbolicName is mandatory")
@@ -73,7 +69,6 @@ class Manifest:
         self.imports = tuple(imports)
         self.exports = tuple(exports)
         self.activator = activator
-        self.headers: Dict[str, str] = dict(headers or {})
         names = [e.name for e in self.exports]
         if len(set(names)) != len(names):
             raise BundleException(
@@ -96,12 +91,12 @@ class Manifest:
         imports: Iterable[str] = (),
         exports: Iterable[str] = (),
         activator: str = "",
-        headers: Optional[Mapping[str, str]] = None,
     ) -> "Manifest":
         """Build a manifest from compact clause strings.
 
-        ``imports``/``exports`` elements use the same clause syntax as the
-        textual headers, e.g. ``'log;version="[1.0,2.0)"'``.
+        ``imports``/``exports`` elements use the OSGi clause syntax of
+        the ``Import-Package`` / ``Export-Package`` headers, e.g.
+        ``'log;version="[1.0,2.0)"'``.
         """
         return cls(
             symbolic_name=symbolic_name,
@@ -109,63 +104,7 @@ class Manifest:
             imports=[_parse_import(c) for c in imports],
             exports=[_parse_export(c) for c in exports],
             activator=activator,
-            headers=headers,
         )
-
-    @classmethod
-    def parse(cls, text: str) -> "Manifest":
-        """Parse MANIFEST.MF-style text into a :class:`Manifest`.
-
-        ``Require-Bundle`` and ``DynamicImport-Package`` are refused with a
-        :class:`BundleException` naming the header: the resolver wires
-        packages only, and a bundle silently resolved without the wiring
-        it asked for would fail later and further from the cause.
-        """
-        headers = parse_headers(text)
-        for header in _UNSUPPORTED_HEADERS:
-            if header in headers:
-                raise BundleException("%s is not supported" % header)
-        symbolic_name = headers.get("Bundle-SymbolicName", "").split(";")[0].strip()
-        if not symbolic_name:
-            raise BundleException("manifest missing Bundle-SymbolicName")
-        version = Version.parse(headers.get("Bundle-Version", "0.0.0"))
-        imports = [
-            _parse_import(c) for c in split_clauses(headers.get("Import-Package", ""))
-        ]
-        exports = [
-            _parse_export(c) for c in split_clauses(headers.get("Export-Package", ""))
-        ]
-        return cls(
-            symbolic_name=symbolic_name,
-            version=version,
-            imports=imports,
-            exports=exports,
-            activator=headers.get("Bundle-Activator", "").strip(),
-            headers=headers,
-        )
-
-    def to_text(self) -> str:
-        """Render back to MANIFEST.MF-style text (unwrapped lines)."""
-        lines = [
-            "Bundle-ManifestVersion: 2",
-            "Bundle-SymbolicName: %s" % self.symbolic_name,
-            "Bundle-Version: %s" % self.version,
-        ]
-        if self.activator:
-            lines.append("Bundle-Activator: %s" % self.activator)
-        if self.imports:
-            lines.append(
-                "Import-Package: %s" % ", ".join(str(i) for i in self.imports)
-            )
-        if self.exports:
-            lines.append(
-                "Export-Package: %s" % ", ".join(str(e) for e in self.exports)
-            )
-        for key, value in sorted(self.headers.items()):
-            if key in _CORE_HEADERS:
-                continue
-            lines.append("%s: %s" % (key, value))
-        return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:
         return "Manifest(%s %s, %d imports, %d exports)" % (
@@ -176,71 +115,9 @@ class Manifest:
         )
 
 
-_CORE_HEADERS = {
-    "Bundle-ManifestVersion",
-    "Bundle-SymbolicName",
-    "Bundle-Version",
-    "Bundle-Activator",
-    "Import-Package",
-    "Export-Package",
-}
-
-#: Headers of R4 wiring modes the resolver does not implement.
-_UNSUPPORTED_HEADERS = ("Require-Bundle", "DynamicImport-Package")
-
-
 # ----------------------------------------------------------------------
-# Header-level parsing
+# Clause grammar
 # ----------------------------------------------------------------------
-def parse_headers(text: str) -> Dict[str, str]:
-    """Parse ``Name: value`` headers with MANIFEST.MF continuation lines.
-
-    A line starting with a single space continues the previous header's
-    value (the space is stripped), per the JAR file specification.
-    """
-    headers: Dict[str, str] = {}
-    current: Optional[str] = None
-    for raw_line in text.splitlines():
-        if not raw_line.strip():
-            current = None
-            continue
-        if raw_line.startswith(" "):
-            if current is None:
-                raise BundleException(
-                    "continuation line without header: %r" % raw_line
-                )
-            headers[current] += raw_line[1:]
-            continue
-        if ":" not in raw_line:
-            raise BundleException("malformed manifest line: %r" % raw_line)
-        name, _, value = raw_line.partition(":")
-        current = name.strip()
-        headers[current] = value.strip()
-    return headers
-
-
-def split_clauses(header_value: str) -> List[str]:
-    """Split a header value on commas that are outside quoted strings."""
-    clauses: List[str] = []
-    depth_quote = False
-    current: List[str] = []
-    for ch in header_value:
-        if ch == '"':
-            depth_quote = not depth_quote
-            current.append(ch)
-        elif ch == "," and not depth_quote:
-            clause = "".join(current).strip()
-            if clause:
-                clauses.append(clause)
-            current = []
-        else:
-            current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        clauses.append(tail)
-    return clauses
-
-
 def parse_clause(clause: str) -> Tuple[List[str], Dict[str, str], Dict[str, str]]:
     """Parse one clause into (paths, attributes, directives).
 

@@ -107,9 +107,6 @@ class FrameworkStorage:
     def load_state(self, instance_id: str) -> Optional[FrameworkState]:
         raise NotImplementedError
 
-    def delete_state(self, instance_id: str) -> None:
-        raise NotImplementedError
-
     def bundle_data(
         self, instance_id: str, symbolic_name: str
     ) -> MutableMapping[str, Any]:

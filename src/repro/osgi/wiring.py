@@ -10,8 +10,9 @@ together, as the spec allows).
 ``uses:`` constraint checking is not implemented; this reproduction never
 creates the split-package situations it guards against, and DESIGN.md
 records the omission. Require-Bundle and DynamicImport-Package are not
-implemented either (:meth:`~repro.osgi.manifest.Manifest.parse` refuses
-both headers): packages are the only unit of wiring.
+implemented either: a :class:`~repro.osgi.manifest.Manifest` carries
+only Import-Package and Export-Package clauses, so packages are the only
+unit of wiring.
 """
 
 from __future__ import annotations

@@ -138,8 +138,8 @@ SCENARIOS: Dict[str, Callable[[], FaultSchedule]] = {
     .heal(9.0),
     # The deadline fires in the final soak: an incomplete rollout.
     "deadline": lambda: FaultSchedule(),
-    # The canary's node dies while the rollback drains it, so the live
-    # rollback fails and the engine converges through the SAN instead.
+    # The canary's node dies while the rollback drains it; the engine
+    # swaps the member back on the node failover moves it to.
     "crash-during-rollback": lambda: FaultSchedule()
     .crash(7.0, "n1")
     .repair(14.0, "n1"),

@@ -77,12 +77,6 @@ class SharedStore:
             return None
         return FrameworkState.from_dict(copy.deepcopy(payload))
 
-    def delete_state(self, instance_id: str) -> None:
-        self._states.pop(instance_id, None)
-        prefix = instance_id + "/"
-        for key in [k for k in self._data if k.startswith(prefix)]:
-            del self._data[key]
-
     def has_state(self, instance_id: str) -> bool:
         return instance_id in self._states
 
@@ -218,10 +212,6 @@ class SanFrameworkStorage(FrameworkStorage):
     def load_state(self, instance_id: str) -> Optional[FrameworkState]:
         self._mount._check()
         return self._mount.store.load_state(instance_id)
-
-    def delete_state(self, instance_id: str) -> None:
-        self._mount._check()
-        self._mount.store.delete_state(instance_id)
 
     def bundle_data(
         self, instance_id: str, symbolic_name: str

@@ -53,10 +53,6 @@ class ExportPolicy:
         return any(c in self._service_classes for c in classes)
 
     @property
-    def packages(self) -> FrozenSet[str]:
-        return self._packages
-
-    @property
     def service_classes(self) -> FrozenSet[str]:
         return self._service_classes
 
@@ -159,10 +155,6 @@ class ServiceMirror:
         self._host.dispatcher.remove_service_listener(self._on_host_event)
         for host_service_id in list(self._mirrors):
             self._release(host_service_id)
-
-    @property
-    def mirrored_count(self) -> int:
-        return len(self._mirrors)
 
     # ------------------------------------------------------------------
     def _on_host_event(self, event: ServiceEvent) -> None:

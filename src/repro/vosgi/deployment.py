@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Sequence
 
 #: Baseline resident bytes for one JVM process (heap + permgen + mapped).
 JVM_BASELINE_BYTES = 40 * 1024 * 1024
@@ -57,15 +56,6 @@ class DeploymentCosts:
     memory_bytes: int
     startup_seconds: float
     management_op_seconds: float
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "model": self.model.value,
-            "instances": self.instances,
-            "memory_bytes": self.memory_bytes,
-            "startup_seconds": self.startup_seconds,
-            "management_op_seconds": self.management_op_seconds,
-        }
 
 
 def estimate_costs(
@@ -125,22 +115,3 @@ def estimate_costs(
         management_op_seconds=op,
     )
 
-
-def compare_models(
-    instances: int,
-    bundles_per_instance: int = 5,
-    bundle_bytes: int = 64 * 1024,
-    shared_bundles: int = 2,
-) -> Dict[str, DeploymentCosts]:
-    """All three layouts side by side, keyed by model value."""
-    out: Dict[str, DeploymentCosts] = {}
-    for model in DeploymentModel:
-        shared = shared_bundles if model == DeploymentModel.STACKED_VOSGI else 0
-        out[model.value] = estimate_costs(
-            model,
-            instances,
-            bundles_per_instance=bundles_per_instance,
-            bundle_bytes=bundle_bytes,
-            shared_bundles=shared,
-        )
-    return out

@@ -145,36 +145,6 @@ class VirtualInstance:
         """Notional resident size of the instance (see Framework method)."""
         return self.framework.memory_footprint()
 
-    def describe(self) -> Dict[str, Any]:
-        """Inventory used by the Migration Module's membership gossip."""
-        return {
-            "name": self.name,
-            "running": self.running,
-            "bundles": [
-                {
-                    "symbolic_name": b.symbolic_name,
-                    "version": str(b.version),
-                    "state": b.state.value,
-                    "location": b.location,
-                }
-                for b in self.framework.bundles()
-            ],
-            "usage": self.usage(),
-            "quota": {
-                "cpu_share": self.quota.cpu_share,
-                "memory_bytes": self.quota.memory_bytes,
-                "disk_bytes": self.quota.disk_bytes,
-            },
-            "exports": {
-                "packages": sorted(self.policy.packages),
-                "services": sorted(self.policy.service_classes),
-            },
-            "mirror": {
-                "mirrored": self.mirror.mirrored_count,
-                "release_errors": self.mirror.release_errors,
-            },
-        }
-
     def __repr__(self) -> str:
         return "VirtualInstance(%s, %s, %d bundles)" % (
             self.name,

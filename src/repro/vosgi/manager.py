@@ -100,28 +100,15 @@ class InstanceManager:
             instance.stop()
             self._notify("stopped", name)
 
-    def destroy_instance(self, name: str, wipe_state: bool = False) -> None:
-        """Stop and forget an instance; optionally delete persisted state.
-
-        ``wipe_state=False`` (the default) keeps the SAN state so the
-        instance can be re-created elsewhere — the migration path.
-        """
+    def destroy_instance(self, name: str) -> None:
+        """Stop and forget an instance. Its SAN state stays, so the
+        instance can be re-created elsewhere — the migration path."""
         instance = self._instances.pop(name, None)
         if instance is None:
             return
         if instance.running:
             instance.stop()
-        if wipe_state:
-            instance.framework.storage.delete_state(instance.framework.instance_id)
         self._notify("destroyed", name)
-
-    def release_instance(self, name: str) -> Optional[VirtualInstance]:
-        """Drop an instance entry without touching the (possibly dead)
-        child framework — used when the hosting node crashed under us."""
-        instance = self._instances.pop(name, None)
-        if instance is not None:
-            self._notify("released", name)
-        return instance
 
     # ------------------------------------------------------------------
     # Lookup

@@ -6,6 +6,7 @@ import functools
 
 from repro.analysis import VER_RULES, Severity, verify_bundles
 from repro.osgi.definition import BundleActivator, BundleDefinition, simple_bundle
+from repro.osgi.framework import Framework
 from repro.osgi.manifest import Manifest
 
 
@@ -27,6 +28,14 @@ def test_ver001_missing_exporter():
     assert codes(diags) == ["VER001"]
     assert diags[0].severity is Severity.ERROR
     assert "no exporter" in diags[0].message
+
+
+def test_ver001_diagnostic_serialises_like_the_cli():
+    importer = simple_bundle("imp", imports=("missing.pkg",))
+    payload = [d.to_dict() for d in verify_bundles([importer])]
+    assert payload[0]["code"] == "VER001"
+    assert payload[0]["severity"] == "error"
+    assert payload[0]["source"] == "imp"
 
 
 def test_ver001_version_mismatch_names_offered_versions():
@@ -86,6 +95,16 @@ def test_context_satisfies_imports_but_is_not_verified():
     )
     # ctx satisfies the import; its own dangling import is not our problem.
     assert verify_bundles([importer], context=[broken_context]) == []
+
+
+def test_system_bundle_exports_satisfy_framework_imports():
+    # The context a chaos deployment verdict passes: the system bundle
+    # exports org.osgi.framework, so importing it is clean.
+    framework = Framework("verify-test")
+    consumer = simple_bundle("fw-user", imports=("org.osgi.framework",))
+    assert verify_bundles([consumer]) != []
+    context = [framework.system_bundle.definition]
+    assert verify_bundles([consumer], context=context) == []
 
 
 # ----------------------------------------------------------------------

@@ -75,7 +75,8 @@ def test_single_primary_detects_duplicate_instance(env):
 def test_committed_state_detects_vanished_state(env):
     checker = InvariantChecker(env)
     assert checker.check_now(mode=ALWAYS) == []  # memorise the commits
-    env.cluster.store.delete_state("vosgi:acme")
+    # Sabotage: drop the SAN record behind the platform's back.
+    del env.cluster.store._states["vosgi:acme"]
     found = checker.check_now(mode=ALWAYS)
     assert any(
         v.invariant == "committed-state-durable" and "vosgi:acme" in v.detail
@@ -137,10 +138,10 @@ def test_customers_placed_detects_lost_customer(env):
     name = "acme"
     host = env.locate(name)
     node = env.cluster.node(host)
-    undeploy = node.undeploy_instance(name, wipe_state=True)
+    undeploy = node.undeploy_instance(name)
     env.cluster.run_until_settled([undeploy])
-    # Also clear the descriptor so the recovery sweep will not redeploy it
-    # before the check runs.
+    # The descriptor stays active; the check runs at once, before the
+    # recovery sweep's strikes could redeploy the customer.
     registry = InvariantRegistry(
         [i for i in default_invariants() if i.name == "customers-placed"]
     )

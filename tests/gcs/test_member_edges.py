@@ -5,7 +5,7 @@ retry give-up) that the mainline suites don't reach.
 
 import pytest
 
-from repro.gcs.channel import ReliableChannel
+from repro.gcs.channel import RTO, ReliableChannel
 from repro.gcs.directory import GroupDirectory
 from repro.gcs.member import GroupMember
 from repro.sim.eventloop import EventLoop
@@ -173,10 +173,9 @@ class TestChannelEdges:
     def test_retries_give_up_after_max_attempts(self, loop):
         network = Network(loop, RngStreams(1), loss_rate=0.0)
         channel = self.make_channel(loop, network, "a", [])
-        channel.rto = 0.01
         # Destination never attached: every transmit is dropped silently.
         channel.send("ghost", "x")
-        loop.run_for(ReliableChannel.MAX_RETRIES * 0.01 + 1.0)
+        loop.run_for(ReliableChannel.MAX_RETRIES * RTO + 1.0)
         assert channel.pending_count == 0
         assert channel.retransmits == ReliableChannel.MAX_RETRIES - 1
 

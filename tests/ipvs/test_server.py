@@ -139,24 +139,16 @@ class TestVirtualServer:
         assert not request.ok
         assert request.dropped == "server-died"
 
-    def test_stateless_route_never_enters_the_affinity_helpers(
-        self, loop, director, monkeypatch
-    ):
-        def entered(*_args):
-            raise AssertionError("affinity helper entered without a persistent service")
-
-        monkeypatch.setattr(VirtualServer, "_sticky_server", entered)
-        monkeypatch.setattr(VirtualServer, "_remember_affinity", entered)
-        director.add_real_server(VIP, RealServer("n1", 80, service_time=0.01))
-        requests = [
-            Request(i, VIP, loop.clock.now, client)
-            for i, client in enumerate([None, "alice", "alice"])
-        ]
-        for request in requests:
+    def test_client_does_not_pin_a_server(self, loop, director):
+        director.add_real_server(VIP, RealServer("n1", 80, service_time=0.001))
+        director.add_real_server(VIP, RealServer("n2", 80, service_time=0.001))
+        served = []
+        for i in range(4):
+            request = Request(i, VIP, loop.clock.now, "alice")
             director.route(request)
-        loop.run_for(1.0)
-        assert all(request.ok for request in requests)
-        assert director.routed == 3
+            loop.run_for(1.0)
+            served.append(request.served_by)
+        assert served == ["n1", "n2", "n1", "n2"]
 
     def test_custom_scheduler(self, loop):
         director = VirtualServer("d", loop)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.migration.module import MigrationModule, PLATFORM_GROUP
-from repro.migration.placement import RoundRobinPlacement
 from repro.migration.registry import CustomerDescriptor, CustomerDirectory
 
 

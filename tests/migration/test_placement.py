@@ -6,7 +6,6 @@ from repro.migration.inventory import ClusterInventory, NodeInventory
 from repro.migration.placement import (
     LeastLoadedPlacement,
     PackingPlacement,
-    RoundRobinPlacement,
 )
 from repro.migration.registry import CustomerDescriptor
 
@@ -37,27 +36,6 @@ def descriptors(*specs):
 
 
 GIB = 1024**3
-
-
-class TestRoundRobin:
-    def test_spreads_across_nodes(self):
-        policy = RoundRobinPlacement()
-        instances = descriptors(("a", 0.1, 1), ("b", 0.1, 1), ("c", 0.1, 1))
-        assignment = policy.assign(instances, ["n1", "n2", "n3"], ClusterInventory())
-        assert set(assignment) == {"a", "b", "c"}
-        assert len(set(assignment.values())) == 3
-
-    def test_empty_candidates_yields_nothing(self):
-        assert RoundRobinPlacement().assign(
-            descriptors(("a", 0.1, 1)), [], ClusterInventory()
-        ) == {}
-
-    def test_priority_placed_first(self):
-        low = CustomerDescriptor(name="low", priority=0)
-        high = CustomerDescriptor(name="high", priority=5)
-        policy = RoundRobinPlacement()
-        assignment = policy.assign([low, high], ["n1"], ClusterInventory())
-        assert set(assignment) == {"low", "high"}
 
 
 class TestLeastLoaded:
@@ -160,7 +138,7 @@ def test_property_policies_are_deterministic(nodes, instances):
         CustomerDescriptor(name=n, cpu_share=c) for n, c in instances
     ]
     inventory = make_inventory({n: (1.0, 4 * GIB) for n in nodes})
-    for policy_factory in (RoundRobinPlacement, LeastLoadedPlacement, PackingPlacement):
+    for policy_factory in (LeastLoadedPlacement, PackingPlacement):
         first = policy_factory().assign(list(described), list(nodes), inventory)
         second = policy_factory().assign(list(described), list(nodes), inventory)
         assert first == second

@@ -37,8 +37,7 @@ def test_sweep_recovers_instance_dropped_outside_the_protocol():
     # migration layer: deploy then silently destroy behind its back.
     deploy = cluster.node("n2").deploy_instance("lost")
     cluster.run_until_settled([deploy])
-    cluster.node("n2").instance_manager.release_instance("lost")
-    deploy.result().stop()
+    cluster.node("n2").instance_manager.destroy_instance("lost")
     cluster.run_for(8.0)
     assert host_of(cluster, "lost") is not None
     recovery_records = [

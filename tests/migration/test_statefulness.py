@@ -47,6 +47,17 @@ class TestRetryingClient:
         request = client.issue("x")
         assert not request.completed
 
+    def test_other_exceptions_propagate(self):
+        def broken(request):
+            raise KeyError("bug in the send callable")
+
+        client = RetryingClient(broken)
+        with pytest.raises(KeyError):
+            client.issue("x")
+        request = client.requests[0]
+        assert request.attempts == 1
+        assert client.pending == [request]
+
     def test_attempts_counted_across_retries(self):
         client = RetryingClient(lambda request: False)
         request = client.issue("x")

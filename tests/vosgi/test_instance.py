@@ -136,18 +136,6 @@ def test_usage_aggregates_bundle_ledgers(host):
     assert usage["disk_bytes"] == 10
 
 
-def test_describe_reports_inventory(host):
-    instance = VirtualInstance("acme", host)
-    instance.start()
-    instance.install(simple_bundle("app")).start()
-    info = instance.describe()
-    assert info["name"] == "acme"
-    assert info["running"] is True
-    assert info["bundles"][0]["symbolic_name"] == "app"
-    assert info["bundles"][0]["state"] == "ACTIVE"
-    assert info["mirror"] == {"mirrored": 0, "release_errors": 0}
-
-
 def test_same_identity_restores_across_hosts():
     """The migration property: same instance id + same SAN = same env."""
     store = SharedStore()
