@@ -11,8 +11,7 @@ report lists, per file, the functions tier 1 calls and no production
 surface does, with their line spans (decorators included), and the
 totals::
 
-    python -m benchmarks.ledger.census                 # report on stdout
-    python -m benchmarks.ledger.census --json out.json
+    python -m benchmarks.ledger.census
 
 The census informs; it gates nothing. Its numbers are exact for one
 Python version. A process that installs a profiler of its own
@@ -182,9 +181,9 @@ def render(report: Dict[str, List[Tuple[int, str, int]]]) -> str:
 
 
 def main(argv: Sequence[str] = ()) -> int:
-    parser = argparse.ArgumentParser(prog="python -m benchmarks.ledger.census")
-    parser.add_argument("--json", help="also write the report as JSON to this path")
-    args = parser.parse_args(list(argv) or None)
+    argparse.ArgumentParser(prog="python -m benchmarks.ledger.census").parse_args(
+        list(argv) or None
+    )
     with tempfile.TemporaryDirectory(prefix="census-") as workdir:
         print("production surfaces:", file=sys.stderr)
         production = called(production_commands(workdir), workdir)
@@ -192,10 +191,6 @@ def main(argv: Sequence[str] = ()) -> int:
         tests = called(tier1_commands(), workdir)
     report = only_tests(functions(), production, tests)
     print(render(report))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=1, sort_keys=True)
-            handle.write("\n")
     return 0
 
 

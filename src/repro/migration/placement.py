@@ -99,4 +99,3 @@ class PackingPlacement:
                     free_cpu[node_id] -= descriptor.cpu_share
                     break
         return assignment
-

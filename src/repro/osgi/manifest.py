@@ -188,4 +188,3 @@ def _parse_export(clause: str) -> ExportedPackage:
         sorted((k, v) for k, v in attributes.items() if k != "version")
     )
     return ExportedPackage(paths[0], version, extra)
-

@@ -114,4 +114,3 @@ def estimate_costs(
         startup_seconds=startup,
         management_op_seconds=op,
     )
-

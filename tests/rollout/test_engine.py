@@ -103,17 +103,20 @@ def test_deadline_during_rollback_ends_incomplete():
     assert report.mixed_version
 
 
-@pytest.mark.parametrize(
+SECOND_CRASHES = pytest.mark.parametrize(
     "second_crash",
     [7.45, 7.75],
     ids=["before-failover-activates", "while-replica-down"],
 )
-def test_rollback_abandoned_when_the_new_node_dies_too(second_crash):
-    # The bad release trips the canary gate and the rollback starts
-    # draining svc-1 on n1; n1 dies (t=7), failover moves svc-1 to n4,
-    # and n4 dies during the retried swap. With both swaps failed the
-    # engine republishes the pinned definitions to the SAN and restores
-    # the member's pinned ipvs profile instead of swapping live.
+
+
+def abandoned_rollback(second_crash):
+    """The bad release trips the canary gate and the rollback starts
+    draining svc-1 on n1; n1 dies (t=7), failover moves svc-1 to n4, and
+    n4 dies at ``second_crash`` during the retried swap. With both swaps
+    failed the engine republishes the pinned definitions to the SAN and
+    puts svc-1's pinned profile back in the environment's endpoint table
+    instead of swapping live."""
     env = rollout_scenario(0, bad_release=True)
     endpoints = dict(env.customer("svc-1").endpoints)
     schedule = (
@@ -131,6 +134,12 @@ def test_rollback_abandoned_when_the_new_node_dies_too(second_crash):
             _trace, violations = replay_schedule(env, schedule, duration=18.0)
         finally:
             telemetry.close_root()
+    return env, endpoints, violations, recorder
+
+
+@SECOND_CRASHES
+def test_rollback_abandoned_when_the_new_node_dies_too(second_crash):
+    env, endpoints, violations, recorder = abandoned_rollback(second_crash)
     report = env.rollout_engine.report
     assert report.outcome == ROLLED_BACK
     assert "latency-p95" in report.reason
@@ -144,3 +153,27 @@ def test_rollback_abandoned_when_the_new_node_dies_too(second_crash):
     assert env.customer("svc-1").endpoints == endpoints
     assert violations == []
     assert check_history(recorder.history) == []
+
+
+@SECOND_CRASHES
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="DependableEnvironment._on_migration_record neither re-profiles "
+    "a real server already on the target node nor drops one left on a node "
+    "the member has left: a real server keeps the bad release's service "
+    "time after the rollback (ROADMAP item 9)",
+)
+def test_abandoned_rollback_leaves_no_real_server_at_the_release_profile(
+    second_crash,
+):
+    env, endpoints, _violations, _recorder = abandoned_rollback(second_crash)
+    assert env.rollout_engine.report.outcome == ROLLED_BACK
+    pinned = {service_time for service_time, _weight in endpoints.values()}
+    served = {
+        server.service_time
+        for director in env.director.directors
+        for endpoint in endpoints
+        for server in director.real_servers(endpoint)
+    }
+    assert served == pinned

@@ -77,4 +77,3 @@ def test_startup_ordering():
     shared = estimate_costs(DeploymentModel.SHARED_JVM, 8)
     vosgi = estimate_costs(DeploymentModel.STACKED_VOSGI, 8)
     assert vosgi.startup_seconds < shared.startup_seconds < separate.startup_seconds
-
