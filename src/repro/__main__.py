@@ -611,15 +611,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_UNWRITABLE
 
 
-def conform_main(argv: Sequence[str] = ()) -> int:
-    """``python -m repro conform`` with ``argv``."""
-    return main(["conform", *argv])
-
-
-def rollout_main(argv: Sequence[str] = ()) -> int:
-    """``python -m repro rollout`` with ``argv``."""
-    return main(["rollout", *argv])
-
-
 if __name__ == "__main__":
     raise SystemExit(main())

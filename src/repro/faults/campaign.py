@@ -209,9 +209,10 @@ class Episode:
     history: Optional[Any] = None
     #: Digest of the recorded history ("" when recording was off).
     history_digest: str = ""
-    #: Staged-rollout summary (upgrade campaigns only) — the scenario's
-    #: ``env.rollout_engine`` report, or ``{"outcome": "incomplete"}``
-    #: when the episode ended before the engine finalised.
+    #: Staged-rollout summary (scenarios that attach an
+    #: ``env.rollout_engine`` only) — the engine's report, or
+    #: ``{"outcome": "incomplete"}`` when the episode ended before the
+    #: engine finalised.
     rollout: Optional[Any] = None
 
     @property
@@ -360,29 +361,9 @@ class ChaosCampaign:
         repair_failed: bool = True,
         telemetry: bool = False,
         conformance: bool = False,
-        upgrade: bool = False,
     ) -> None:
         if episodes < 1:
             raise ValueError("need at least one episode")
-        if upgrade:
-            # Upgrade mode: every episode runs a staged rollout under
-            # fire. The rollout scenario replaces the default one, the
-            # fault schedules aim at the rollout window, and telemetry +
-            # conformance turn on (gates need metrics; the rollout
-            # checkers need a history). Explicit overrides still win.
-            # Imported here: the rollout scenario imports repro.faults.
-            from repro.rollout.scenario import (
-                chaos_upgrade_scenario,
-                upgrade_schedule_factory,
-            )
-
-            if scenario_factory is default_scenario:
-                scenario_factory = chaos_upgrade_scenario
-            if schedule_factory is None:
-                schedule_factory = upgrade_schedule_factory
-            telemetry = True
-            conformance = True
-        self.upgrade = upgrade
         self.scenario_factory = scenario_factory
         self.seed = seed
         self.episodes = episodes

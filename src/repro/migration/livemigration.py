@@ -28,6 +28,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.osgi.bundle import BundleContext, BundleState
 from repro.osgi.definition import BundleActivator
 from repro.sim.eventloop import EventLoop, ScheduledEvent
+from repro.storage.san import StorageError
 from repro.vosgi.instance import VirtualInstance
 
 #: Reserved data-area key holding the latest running-context checkpoint.
@@ -78,12 +79,17 @@ class CheckpointableActivator(BundleActivator):
         self.context = None
 
     def checkpoint(self) -> bool:
-        """Write the current context to the SAN; False when not running."""
+        """Write the current context to the SAN.
+
+        False when not running or when the SAN refuses the write (a
+        crashed node's checkpointer outlives its mount); any other error,
+        a raising :meth:`snapshot` included, propagates.
+        """
         if self.context is None:
             return False
         try:
             self.context.get_data_store()[CHECKPOINT_KEY] = self.snapshot()
-        except Exception:
+        except StorageError:
             return False
         return True
 

@@ -5,28 +5,17 @@ the 2008 JVM had no per-application resource accounting, and JSR-284 (the
 Resource Consumption Management API) had no reference implementation yet.
 This package provides both paths the paper discusses:
 
-* :mod:`~repro.monitoring.jsr284` — the JSR-284 programming model:
-  resource attributes, per-customer :class:`~repro.monitoring.jsr284.ResourceDomain`
-  objects with constraints and usage notifications (the "what we are
-  waiting for" path, implemented);
-* :mod:`~repro.monitoring.sampler` — the interim
-  ThreadMXBean/ThreadGroup sampling approach (Yamasaki [15]): periodic,
-  noisy, CPU-only estimates (the "what was possible in 2008" path), kept
-  as a degraded mode and compared in the ABL benchmarks;
 * :class:`~repro.monitoring.monitor.MonitoringModule` — the host bundle
   that watches every virtual instance, publishes per-customer usage
   reports and node-level availability, and feeds the Autonomic Module.
+  Its ``"jsr284"`` mode is exact per-instance accounting read from the
+  bundle ledgers (the "what we are waiting for" path, implemented);
+* :mod:`~repro.monitoring.sampler` — the interim
+  ThreadMXBean/ThreadGroup sampling approach (Yamasaki [15]): periodic,
+  noisy, CPU-only estimates (the "what was possible in 2008" path), kept
+  as a degraded mode and compared in the ABL benchmarks.
 """
 
-from repro.monitoring.jsr284 import (
-    Constraint,
-    ConstraintViolation,
-    ResourceAttributes,
-    ResourceDomain,
-    CPU_TIME,
-    DISK_SPACE,
-    HEAP_MEMORY,
-)
 from repro.monitoring.monitor import (
     MONITORING_CLASS,
     MonitoringModule,
@@ -37,16 +26,9 @@ from repro.monitoring.monitor import (
 from repro.monitoring.sampler import ThreadSampler
 
 __all__ = [
-    "CPU_TIME",
-    "Constraint",
-    "ConstraintViolation",
-    "DISK_SPACE",
-    "HEAP_MEMORY",
     "MONITORING_CLASS",
     "MonitoringModule",
     "MonitoringModuleActivator",
-    "ResourceAttributes",
-    "ResourceDomain",
     "ThreadSampler",
     "UsageReport",
     "monitoring_bundle",

@@ -3,10 +3,11 @@
 Periodically inspects every virtual instance on the node, computes a
 :class:`UsageReport` per instance (CPU share over the last window, memory
 and disk levels), compares it against the customer's quota, and notifies
-listeners — the Autonomic Module chief among them. Two accounting modes:
+listeners — the Autonomic Module chief among them. It keeps only the
+latest report per instance. Two accounting modes:
 
-* ``"jsr284"`` — exact, from the per-bundle ledgers flowing through the
-  instance's JSR-284 resource domains (the paper's hoped-for future);
+* ``"jsr284"`` — exact per-instance accounting, read from the bundle
+  ledgers (what the paper waited on JSR-284 for);
 * ``"sampling"`` — CPU-only and noisy, through a
   :class:`~repro.monitoring.sampler.ThreadSampler` (the paper's 2008
   reality; memory reads ``None``).
@@ -14,16 +15,9 @@ listeners — the Autonomic Module chief among them. Two accounting modes:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
-from repro.monitoring.jsr284 import (
-    CPU_TIME,
-    DISK_SPACE,
-    DomainRegistry,
-    HEAP_MEMORY,
-)
 from repro.monitoring.sampler import (
     PROBE_CPU_SECONDS,
     PROBE_DISK_BYTES,
@@ -93,7 +87,6 @@ class MonitoringModule:
         interval: float = 1.0,
         mode: str = "jsr284",
         sampler: Optional[ThreadSampler] = None,
-        history_size: int = 128,
     ) -> None:
         if mode not in ("jsr284", "sampling"):
             raise ValueError("mode must be 'jsr284' or 'sampling': %r" % mode)
@@ -107,13 +100,12 @@ class MonitoringModule:
         self.interval = interval
         self.mode = mode
         self.sampler = sampler
-        self.domains = DomainRegistry()
         #: Raw probe readings, one labelled gauge series per instance —
         #: the single sampling path both accounting modes read through.
         self.metrics = MetricsRegistry()
-        self._history: Dict[str, Deque[UsageReport]] = {}
-        self._history_size = history_size
-        self._last_cpu: Dict[str, float] = {}
+        #: The last report per instance; the next window's CPU delta
+        #: starts from its ``cpu_seconds_total``.
+        self._latest: Dict[str, UsageReport] = {}
         self._listeners: List[ReportListener] = []
         self._timer: Optional[ScheduledEvent] = None
         self.running = False
@@ -144,9 +136,7 @@ class MonitoringModule:
         now = self._loop.clock.now
         for instance in self.manager.instances():
             report = self._measure(instance, now)
-            self._history.setdefault(
-                instance.name, deque(maxlen=self._history_size)
-            ).append(report)
+            self._latest[instance.name] = report
             # A raising listener stops the run (it is a platform bug).
             for listener in list(self._listeners):
                 listener(report)
@@ -180,9 +170,8 @@ class MonitoringModule:
             cpu_total = self.metrics.gauge(PROBE_CPU_SECONDS, instance=name).value
             memory = int(self.metrics.gauge(PROBE_MEMORY_BYTES, instance=name).value)
             disk = int(self.metrics.gauge(PROBE_DISK_BYTES, instance=name).value)
-            self._sync_domains(name, cpu_total, memory, disk)
-        previous = self._last_cpu.get(instance.name, cpu_total)
-        self._last_cpu[instance.name] = cpu_total
+        last = self._latest.get(name)
+        previous = cpu_total if last is None else last.cpu_seconds_total
         delta = max(0.0, cpu_total - previous)
         share = delta / (self.interval * self.cpu_capacity)
         return UsageReport(
@@ -198,30 +187,11 @@ class MonitoringModule:
             quota_disk_bytes=instance.quota.disk_bytes,
         )
 
-    def _sync_domains(self, owner: str, cpu: float, memory: int, disk: int) -> None:
-        cpu_domain = self.domains.domain(owner, CPU_TIME)
-        if cpu > cpu_domain.usage:
-            cpu_domain.consume(cpu - cpu_domain.usage)
-        mem_domain = self.domains.domain(owner, HEAP_MEMORY)
-        if memory > mem_domain.usage:
-            mem_domain.consume(memory - mem_domain.usage)
-        elif memory < mem_domain.usage:
-            mem_domain.release(mem_domain.usage - memory)
-        disk_domain = self.domains.domain(owner, DISK_SPACE)
-        if disk > disk_domain.usage:
-            disk_domain.consume(disk - disk_domain.usage)
-        elif disk < disk_domain.usage:
-            disk_domain.release(disk_domain.usage - disk)
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def latest(self, instance_name: str) -> Optional[UsageReport]:
-        history = self._history.get(instance_name)
-        return history[-1] if history else None
-
-    def history(self, instance_name: str) -> List[UsageReport]:
-        return list(self._history.get(instance_name, ()))
+        return self._latest.get(instance_name)
 
     def node_summary(self) -> Dict[str, float]:
         """Whole-node view: used and available capacity right now."""
@@ -254,10 +224,8 @@ class MonitoringModule:
             self._listeners.remove(listener)
 
     def forget(self, instance_name: str) -> None:
-        """Drop history and probe gauges for a departed instance."""
-        self._history.pop(instance_name, None)
-        self._last_cpu.pop(instance_name, None)
-        self.domains.drop_owner(instance_name)
+        """Drop the latest report and probe gauges for a departed instance."""
+        self._latest.pop(instance_name, None)
         for gauge_name in (PROBE_CPU_SECONDS, PROBE_MEMORY_BYTES, PROBE_DISK_BYTES):
             self.metrics.remove(gauge_name, instance=instance_name)
 

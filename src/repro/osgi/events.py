@@ -97,9 +97,9 @@ class EventDispatcher:
     other listeners). Service listeners may carry an LDAP filter that is
     evaluated against the service properties before delivery.
 
-    Service listeners are indexed by objectClass: a listener whose filter
-    (or explicit ``classes`` hint) pins the object classes it can match
-    is only visited for events on those classes, so a service event costs
+    Service listeners are indexed by objectClass: a listener registered
+    with a ``classes`` hint is only visited for events on those classes,
+    so a service event costs
     O(interested listeners) rather than a broadcast over every listener.
     Entries are keyed by the listener itself (equality, so a bound method
     finds the entry an earlier ``obj.method`` created) and buckets are
@@ -138,18 +138,11 @@ class EventDispatcher:
 
         ``classes`` is an optional iterable of objectClass names the
         listener cares about (an indexing hint, e.g. a mirror's exported
-        classes).
-        When omitted it is derived from the filter where possible;
-        otherwise the listener receives every service event.
+        classes). When omitted the listener is visited for every service
+        event, and its filter, if any, decides delivery.
         """
         self.remove_service_listener(listener)
-        if classes is not None:
-            interest = frozenset(classes)
-        elif filter is not None:
-            derive = getattr(filter, "objectclass_candidates", None)
-            interest = derive() if derive is not None else None
-        else:
-            interest = None
+        interest = None if classes is None else frozenset(classes)
         entry = _ServiceListenerEntry(listener, filter, interest, self._listener_seq)
         self._listener_seq += 1
         self._service_entries[listener] = entry

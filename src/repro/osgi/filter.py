@@ -27,7 +27,7 @@ as immutable.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Callable, FrozenSet, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, List, Mapping, Optional, Tuple, Union
 
 from repro.osgi.errors import InvalidSyntaxError
 from repro.osgi.version import Version
@@ -84,37 +84,6 @@ class Filter:
         mutated.
         """
         return self._match(properties)
-
-    def objectclass_candidates(self) -> Optional[FrozenSet[str]]:
-        """Object classes this filter could possibly match, or ``None``.
-
-        ``None`` means "unconstrained" — the filter may match a service
-        of any class. A frozenset means the filter can only ever match a
-        service registered under at least one of those classes; event
-        dispatch uses this to index listeners by objectClass.
-        """
-        if self.kind == Filter.EQUAL:
-            if self.attribute.lower() == "objectclass":
-                return frozenset((str(self.value),))
-            return None
-        if self.kind == Filter.AND:
-            out: Optional[FrozenSet[str]] = None
-            for child in self.children:
-                candidates = child.objectclass_candidates()
-                if candidates is None:
-                    continue
-                out = candidates if out is None else (out & candidates)
-            return out
-        if self.kind == Filter.OR:
-            union: FrozenSet[str] = frozenset()
-            for child in self.children:
-                candidates = child.objectclass_candidates()
-                if candidates is None:
-                    return None
-                union |= candidates
-            return union
-        # NOT / substring / presence / ordered nodes cannot constrain.
-        return None
 
     def __str__(self) -> str:
         return self._text or self._render()

@@ -283,16 +283,6 @@ class ServiceRegistry:
             return [r._reference for r in bucket if match(r._properties)]
         pool: Iterable[ServiceRegistration] = self._registrations.values()
         if parsed is not None:
-            candidates = parsed.objectclass_candidates()
-            if candidates is not None:
-                # The filter pins the objectClass: merge the candidate
-                # buckets (a service under several of them counts once,
-                # keyed by service.id) instead of scanning every service.
-                pool = {
-                    r._properties[SERVICE_ID]: r
-                    for name in candidates
-                    for r in self._by_class.get(name, ())
-                }.values()
             match = parsed._match
             pool = [r for r in pool if match(r._properties)]
         return [r._reference for r in sorted(pool, key=_ORDER_KEY)]

@@ -17,16 +17,10 @@ threshold, so the rollout deterministically rolls back.
 :data:`SCENARIOS` are the pinned fault patterns ``python -m repro
 rollout`` runs against that engine, and :func:`rollout_verdict` is the
 self-digested JSON document it emits.
-
-:func:`chaos_upgrade_scenario` is the ``seed -> env`` factory
-:class:`~repro.faults.campaign.ChaosCampaign` uses in upgrade mode, and
-:func:`upgrade_schedule_factory` draws fault schedules timed to land
-*inside* the rollout window (crash or partition while waves are moving).
 """
 
 from __future__ import annotations
 
-import random
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.conformance.axioms import ConformanceViolation
@@ -47,8 +41,6 @@ __all__ = [
     "SCENARIO_OPTIONS",
     "rollout_scenario",
     "rollout_verdict",
-    "chaos_upgrade_scenario",
-    "upgrade_schedule_factory",
 ]
 
 FLEET_BUNDLE = "fleet.app"
@@ -199,53 +191,3 @@ def rollout_verdict(
         and not conformance
     )
     return self_digested(document)
-
-
-def chaos_upgrade_scenario(seed: int) -> Any:
-    """The ChaosCampaign upgrade-mode scenario: clean release under fire.
-
-    The release itself is healthy; whatever goes wrong comes from the
-    injected faults. The campaign then asserts the engine still ends in
-    a terminal, uniform-version state with no rollout-attributed drops.
-    """
-    return rollout_scenario(seed, fleet_size=3, node_count=4)
-
-
-def upgrade_schedule_factory(
-    rng: random.Random, node_ids: Sequence[str], duration: float
-) -> FaultSchedule:
-    """Faults aimed at the rollout window (engine starts at t=2).
-
-    Draws one of three attack shapes — crash a fleet node mid-rollout,
-    crash two nodes staggered, or partition one fleet node from the rest
-    — with jittered times, always repairing/healing before the episode's
-    settle phase so quiescent invariants get a fair final check.
-    """
-    nodes = sorted(node_ids)
-    window_start = 2.5
-    window_end = max(window_start + 1.0, duration * 0.6)
-
-    def at(fraction: float) -> float:
-        span = window_end - window_start
-        return round(window_start + span * fraction, 3)
-
-    shape = rng.randrange(3)
-    victim = nodes[rng.randrange(len(nodes))]
-    schedule = FaultSchedule()
-    if shape == 0:
-        schedule = schedule.crash(at(rng.uniform(0.0, 0.6)), victim)
-        schedule = schedule.repair(at(0.8), victim)
-    elif shape == 1:
-        second = nodes[rng.randrange(len(nodes))]
-        schedule = schedule.crash(at(rng.uniform(0.0, 0.3)), victim)
-        schedule = schedule.repair(at(0.6), victim)
-        if second != victim:
-            schedule = schedule.crash(at(rng.uniform(0.3, 0.6)), second)
-            schedule = schedule.repair(at(0.9), second)
-    else:
-        others = [n for n in nodes if n != victim]
-        schedule = schedule.partition(
-            at(rng.uniform(0.0, 0.5)), [victim], others
-        )
-        schedule = schedule.heal(at(0.85))
-    return schedule

@@ -160,11 +160,10 @@ class Network:
         self.stats = NetworkStats()
         self._endpoints: Dict[str, Endpoint] = {}
         self._links: Dict[Tuple[str, str], _Link] = {}
-        #: endpoint name -> group index / node id -> group index while a
-        #: partition of that kind is installed, else ``None``. Built by
-        #: the partition setters only; the message path just reads them.
-        self._group_of: Optional[Dict[str, int]] = None
-        self._node_group_of: Optional[Dict[str, int]] = None
+        #: node id -> group index while a partition is installed, else
+        #: ``None``. Built by :meth:`partition_nodes` only; the message
+        #: path just reads it.
+        self._side_of: Optional[Dict[str, int]] = None
         #: node id -> extra one-way latency applied to its traffic.
         self._node_latency: Dict[str, float] = {}
         #: Open delivery tick: link batches sharing one scheduled event.
@@ -198,36 +197,27 @@ class Network:
     # ------------------------------------------------------------------
     # Partitions
     # ------------------------------------------------------------------
-    def partition(self, *groups: Set[str]) -> None:
-        """Split the network: traffic may only flow within each group.
-
-        Endpoints not named in any group can talk to each other but to no
-        partitioned endpoint. Replaces any previous partition layout.
-        """
-        self._group_of = self._index(groups)
-
     def partition_nodes(self, *groups: Set[str]) -> None:
-        """Split the network by *node id* rather than endpoint name.
+        """Split the network by node id: traffic may only flow within each group.
 
         Endpoint names follow the ``prefix/.../node_id`` convention (the
         last ``/``-separated segment names the owning node; a bare name is
-        its own node id). Node partitions survive endpoint churn: an
-        endpoint attached *after* the partition — e.g. the fresh GCS
-        identity of a repaired node — is still confined to its node's
-        side. Replaces any previous node-partition layout; coexists with
-        endpoint-level :meth:`partition`.
+        its own node id). Nodes not named in any group can talk to each
+        other but to no partitioned node. Node partitions survive endpoint
+        churn: an endpoint attached *after* the partition — e.g. the fresh
+        GCS identity of a repaired node — is still confined to its node's
+        side. Replaces any previous partition layout.
         """
-        self._node_group_of = self._index(groups)
+        self._side_of = self._index(groups)
 
     @property
     def partitioned(self) -> bool:
-        """True while any partition (endpoint- or node-level) is active."""
-        return self._group_of is not None or self._node_group_of is not None
+        """True while a partition is active."""
+        return self._side_of is not None
 
     def heal(self) -> None:
-        """Remove all partitions (endpoint- and node-level)."""
-        self._group_of = None
-        self._node_group_of = None
+        """Remove the partition."""
+        self._side_of = None
 
     @staticmethod
     def node_of(endpoint_name: str) -> str:
@@ -244,10 +234,7 @@ class Network:
     def _partitioned(self, a: str, b: str) -> bool:
         # Members of no group read as ``None``: they reach each other
         # and nobody inside a group.
-        group_of = self._group_of
-        if group_of is not None and group_of.get(a) != group_of.get(b):
-            return True
-        group_of = self._node_group_of
+        group_of = self._side_of
         if group_of is None:
             return False
         node_of = self.node_of
@@ -379,9 +366,9 @@ class Network:
             for message in batch:
                 # A partition raised while the message was in flight
                 # also kills it, like a dropped TCP link.
-                if (
-                    self._group_of is not None or self._node_group_of is not None
-                ) and self._partitioned(message.source, message.destination):
+                if self._side_of is not None and self._partitioned(
+                    message.source, message.destination
+                ):
                     stats.dropped_partition += 1
                     continue
                 endpoint = endpoints.get(message.destination)

@@ -13,9 +13,10 @@ so a gate only sees what happened inside its own soak window:
   ``threshold`` during the window;
 * ``histogram-quantile-max`` — the ``quantile`` of the observations added
   to the histogram during the window must stay <= ``threshold``. The
-  quantile is computed from per-bucket count deltas with the same
-  upper-bound semantics as :meth:`~repro.telemetry.metrics.Histogram.
-  quantile`; an empty window passes (no evidence of regression).
+  quantile is :func:`~repro.telemetry.metrics.bucket_quantile` over the
+  per-bucket count deltas, the function
+  :meth:`~repro.telemetry.metrics.Histogram.quantile` uses; an empty
+  window passes (no evidence of regression).
 
 Everything reads existing instruments; opening and evaluating a window
 schedules nothing and draws no randomness, so gate evaluation never
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry, bucket_quantile
 
 __all__ = ["GateSpec", "GateResult", "GateWindow", "default_rollout_gates"]
 
@@ -167,9 +168,8 @@ class GateWindow:
                 deltas = [c - b for c, b in zip(counts, base_counts)]
             else:  # histogram created after the window opened
                 deltas = list(counts)
-            observed, samples = _windowed_quantile(
-                buckets, deltas, gate.quantile
-            )
+            samples = max(0, sum(deltas))
+            observed = bucket_quantile(buckets, deltas, samples, gate.quantile)
             results.append(
                 GateResult(
                     name=gate.name,
@@ -189,22 +189,6 @@ class GateWindow:
 
     def __repr__(self) -> str:
         return "GateWindow(%d gates)" % len(self.gates)
-
-
-def _windowed_quantile(
-    buckets: Tuple[float, ...], deltas: Sequence[int], fraction: float
-) -> Tuple[float, int]:
-    """Bucket-upper-bound quantile over a window's count deltas."""
-    total = sum(deltas)
-    if total <= 0:
-        return 0.0, 0
-    rank = max(1, int(fraction * total + 0.999999))
-    seen = 0
-    for i, count in enumerate(deltas):
-        seen += count
-        if seen >= rank:
-            return buckets[min(i, len(buckets) - 1)], total
-    return buckets[-1], total
 
 
 def default_rollout_gates(

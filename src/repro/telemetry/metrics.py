@@ -33,6 +33,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
+    "bucket_quantile",
 ]
 
 #: Default histogram upper bounds, in seconds (latency-shaped).
@@ -127,20 +128,29 @@ class Histogram:
         self.count += 1
 
     def quantile(self, fraction: float) -> float:
-        """Bucket-upper-bound estimate of the ``fraction`` quantile.
+        """Bucket-upper-bound estimate of the ``fraction`` quantile."""
+        return bucket_quantile(self.buckets, self.counts, self.count, fraction)
 
-        Returns the upper bound of the bucket the quantile falls in (the
-        last finite bound for the overflow bucket), 0.0 when empty.
-        """
-        if self.count == 0:
-            return 0.0
-        rank = max(1, int(fraction * self.count + 0.999999))
-        seen = 0
-        for i, bucket_count in enumerate(self.counts):
-            seen += bucket_count
-            if seen >= rank:
-                return self.buckets[min(i, len(self.buckets) - 1)]
-        return self.buckets[-1]
+
+def bucket_quantile(
+    buckets: Sequence[float], counts: Sequence[int], total: int, fraction: float
+) -> float:
+    """Bucket-upper-bound estimate of the ``fraction`` quantile.
+
+    ``counts`` holds one slot per bound plus the overflow slot and sums
+    to ``total``. Returns the upper bound of the bucket the quantile
+    falls in (the last finite bound for the overflow bucket), 0.0 when
+    ``total`` is not positive.
+    """
+    if total <= 0:
+        return 0.0
+    rank = max(1, int(fraction * total + 0.999999))
+    seen = 0
+    for i, count in enumerate(counts):
+        seen += count
+        if seen >= rank:
+            return buckets[min(i, len(buckets) - 1)]
+    return buckets[-1]
 
 
 def _label_items(labels: Dict[str, Any]) -> LabelItems:

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.conformance import CHECKER_NAMES, campaign_verdict, verdict_json
-from repro.__main__ import conform_main
+from repro.__main__ import main
 from repro.conformance.report import SCENARIOS
 from repro.faults import ChaosCampaign, EpisodeVerdict
 from repro.faults.campaign import (
@@ -177,8 +177,8 @@ class TestConformCli:
         out1 = tmp_path / "v1.json"
         out2 = tmp_path / "v2.json"
         base = ["--seed", "1", "--episodes", "2", "--duration", "15"]
-        assert conform_main(base + ["--out", str(out1)]) == 0
-        assert conform_main(base + ["--out", str(out2)]) == 0
+        assert main(["conform", *base, "--out", str(out1)]) == 0
+        assert main(["conform", *base, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         document = json.loads(out1.read_text())
         assert document["ok"] is True
@@ -186,7 +186,7 @@ class TestConformCli:
 
     def test_rejects_zero_episodes(self, capsys):
         with pytest.raises(SystemExit):
-            conform_main(["--episodes", "0"])
+            main(["conform", "--episodes", "0"])
 
 
 @pytest.mark.chaos

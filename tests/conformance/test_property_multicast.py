@@ -63,8 +63,8 @@ def run_script(script, seed):
                 if len(alive) > 1:
                     alive[arg % len(alive)].crash()
             elif action == "partition":
-                names = [m.endpoint_name for m in members]
-                network.partition(set(names[:arg]), set(names[arg:]))
+                nodes = [m.node_id for m in members]
+                network.partition_nodes(set(nodes[:arg]), set(nodes[arg:]))
             elif action == "heal":
                 network.heal()
                 network.loss_rate = 0.0

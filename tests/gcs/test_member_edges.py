@@ -38,7 +38,7 @@ class TestJoinRetryDuringPartition:
         self, loop, network, directory
     ):
         members = form_group(loop, network, directory, ["n1", "n2"])
-        network.partition({"gcs/g/n1", "gcs/g/n2"}, {"gcs/g/n3"})
+        network.partition_nodes({"n1", "n2"}, {"n3"})
         joiner = make_member("n3", loop, network, directory)
         joiner.join()
         loop.run_for(5.0)
@@ -55,7 +55,7 @@ class TestJoinRetryDuringPartition:
         self, loop, network, directory
     ):
         members = form_group(loop, network, directory, ["n1", "n2"])
-        network.partition({"gcs/g/n1", "gcs/g/n2"}, {"gcs/g/n3"})
+        network.partition_nodes({"n1", "n2"}, {"n3"})
         joiner = make_member("n3", loop, network, directory)
         joiner.join()
         loop.run_for(1.0)
@@ -72,7 +72,7 @@ class TestJoinRetryDuringPartition:
         self, loop, network, directory
     ):
         form_group(loop, network, directory, ["n1"])
-        network.partition({"gcs/g/n1"}, {"gcs/g/n2"})
+        network.partition_nodes({"n1"}, {"n2"})
         joiner = make_member("n2", loop, network, directory)
         joiner.join()
         loop.run_for(1.0)
@@ -219,7 +219,7 @@ class TestTimerHandles:
         self, loop, network, directory
     ):
         form_group(loop, network, directory, ["n1"])
-        network.partition({"gcs/g/n1"}, {"gcs/g/n2"})
+        network.partition_nodes({"n1"}, {"n2"})
         joiner = make_member("n2", loop, network, directory)
         joiner.join()
         loop.run_for(0.75)  # one retry has fired and re-armed

@@ -165,10 +165,7 @@ def test_partition_shrinks_both_sides(loop, network, directory):
     for m in members:
         m.join()
         converge(loop, 0.5)
-    network.partition(
-        {"gcs/g/n1", "gcs/g/n2"},
-        {"gcs/g/n3"},
-    )
+    network.partition_nodes({"n1", "n2"}, {"n3"})
     converge(loop, 3.0)
     assert members[0].view.members == ("gcs/g/n1", "gcs/g/n2")
     assert members[2].view.members == ("gcs/g/n3",)

@@ -3,12 +3,8 @@
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.migration.module import MigrationModule, PLATFORM_GROUP
+from repro.migration.module import MigrationModule
 from repro.migration.registry import CustomerDescriptor, CustomerDirectory
-
-
-def gcs_endpoint(node_id):
-    return "gcs/%s/%s" % (PLATFORM_GROUP, node_id)
 
 
 def build_platform(node_count=4, seed=19):
@@ -24,11 +20,7 @@ def build_platform(node_count=4, seed=19):
 
 
 def partition(cluster, side_a, side_b):
-    groups = (
-        {gcs_endpoint(n) for n in side_a},
-        {gcs_endpoint(n) for n in side_b},
-    )
-    cluster.network.partition(*groups)
+    cluster.network.partition_nodes(set(side_a), set(side_b))
 
 
 def test_partition_splits_views_and_heal_merges():

@@ -8,13 +8,13 @@ import json
 
 import pytest
 
-from repro.__main__ import rollout_main
+from repro.__main__ import main
 from repro.rollout.scenario import SCENARIOS
 
 
 def run(tmp_path, label, args):
     out = tmp_path / ("%s.json" % label)
-    code = rollout_main(args + ["--out", str(out)])
+    code = main(["rollout", *args, "--out", str(out)])
     return code, out.read_bytes()
 
 

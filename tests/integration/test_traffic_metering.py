@@ -38,6 +38,10 @@ def test_served_requests_charge_instance_cpu(env):
 
 def test_monitoring_sees_traffic_load(env):
     # 0.01s per request at 20 req/s => 0.2 CPU share.
+    history = []
+    env.cluster.node("n1").monitoring.add_listener(
+        lambda report: report.instance == "api" and history.append(report)
+    )
     end = env.loop.clock.now + 5.0
 
     def submit():
@@ -48,7 +52,6 @@ def test_monitoring_sees_traffic_load(env):
 
     env.loop.call_after(0.05, submit)
     env.run_for(6.0)
-    history = env.cluster.node("n1").monitoring.history("api")
     # Steady-state windows (the last one is partial: traffic stopped).
     steady = [r.cpu_share for r in history[-4:-1]]
     assert max(steady) == pytest.approx(0.2, abs=0.05)

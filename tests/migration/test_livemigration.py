@@ -116,6 +116,39 @@ def test_checkpoint_returns_false_when_not_running():
     assert activator.checkpoint() is False
 
 
+def test_checkpoint_returns_false_when_the_san_mount_is_lost():
+    """A crashed node's checkpointer keeps ticking against a lost mount."""
+    store = SharedStore()
+    mount = store.mount("n1")
+    host = Framework("host")
+    host.start()
+    instance = VirtualInstance(
+        "acme", host, storage=mount.framework_storage(), repository=store
+    )
+    instance.start()
+    activator = CounterActivator()
+    instance.install(
+        simple_bundle("counter", activator_factory=lambda: activator)
+    ).start()
+    mount.unmount()
+    assert activator.checkpoint() is False
+
+
+def test_a_raising_snapshot_propagates():
+    class BrokenActivator(CounterActivator):
+        def snapshot(self):
+            raise ZeroDivisionError("broken snapshot")
+
+    store = SharedStore()
+    host, instance = build_instance(store)
+    activator = BrokenActivator()
+    instance.install(
+        simple_bundle("counter", activator_factory=lambda: activator)
+    ).start()
+    with pytest.raises(ZeroDivisionError, match="broken snapshot"):
+        activator.checkpoint()
+
+
 class TestContextCheckpointer:
     def test_periodic_checkpointing(self):
         store = SharedStore()

@@ -54,10 +54,12 @@ def make_worker(instance, cpu_per_call=0.0, memory=0):
 def test_reports_produced_each_interval(loop, manager):
     manager.create_instance("acme")
     module = MonitoringModule(loop, manager, interval=1.0)
+    reports = []
+    module.add_listener(reports.append)
     module.start()
     loop.run_for(3.5)
     assert module.ticks == 3
-    assert len(module.history("acme")) == 3
+    assert [r.instance for r in reports] == ["acme"] * 3
 
 
 def test_cpu_share_computed_from_window_delta(loop, manager):
@@ -125,22 +127,6 @@ def test_invalid_mode_rejected(loop, manager):
         MonitoringModule(loop, manager, mode="psychic")
 
 
-def test_jsr284_domains_synced(loop, manager):
-    from repro.monitoring.jsr284 import CPU_TIME, HEAP_MEMORY
-
-    instance = manager.create_instance("acme")
-    worker = make_worker(instance)
-    worker.context.account(cpu=1.5, memory_delta=100)
-    module = MonitoringModule(loop, manager, interval=1.0)
-    module.start()
-    loop.run_for(1.0)
-    assert module.domains.domain("acme", CPU_TIME).usage == pytest.approx(1.5)
-    assert module.domains.domain("acme", HEAP_MEMORY).usage == 100
-    worker.context.account(memory_delta=-40)
-    loop.run_for(1.0)
-    assert module.domains.domain("acme", HEAP_MEMORY).usage == 60
-
-
 def test_listeners_receive_reports(loop, manager):
     manager.create_instance("acme")
     module = MonitoringModule(loop, manager, interval=1.0)
@@ -187,14 +173,6 @@ def test_forget_drops_history(loop, manager):
     loop.run_for(1.0)
     module.forget("acme")
     assert module.latest("acme") is None
-
-
-def test_history_bounded(loop, manager):
-    manager.create_instance("acme")
-    module = MonitoringModule(loop, manager, interval=0.1, history_size=5)
-    module.start()
-    loop.run_for(2.0)
-    assert len(module.history("acme")) == 5
 
 
 def test_bundle_packaging_finds_instance_manager(loop, host):

@@ -74,16 +74,3 @@ def test_compiled_coercions_decided_per_node():
     assert flt.matches({"level": 9}) is False
     # Text values fall back to lexicographic comparison ('9' > '1').
     assert flt.matches({"level": "9"}) is True
-
-
-def test_objectclass_candidates_derivation():
-    assert parse_filter("(objectClass=a.B)").objectclass_candidates() == {"a.B"}
-    assert parse_filter(
-        "(&(objectClass=a.B)(x=1))"
-    ).objectclass_candidates() == {"a.B"}
-    assert parse_filter(
-        "(|(objectClass=a)(objectClass=b))"
-    ).objectclass_candidates() == {"a", "b"}
-    assert parse_filter("(|(objectClass=a)(x=1))").objectclass_candidates() is None
-    assert parse_filter("(!(objectClass=a))").objectclass_candidates() is None
-    assert parse_filter("(objectClass=a.*)").objectclass_candidates() is None

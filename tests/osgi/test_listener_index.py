@@ -28,14 +28,17 @@ def test_class_scoped_listener_only_sees_its_class():
 
 
 def test_interest_set_derived_from_filter():
+    """A filter without ``classes=`` makes a wildcard entry; the filter
+    still decides delivery."""
     dispatcher, registry = make()
     seen = []
     dispatcher.add_service_listener(
         seen.append, parse_filter("(&(objectClass=wanted)(grade>=3))")
     )
+    assert dispatcher._service_index == {}
     registry.register(object(), "other", object(), {"grade": 9})
     registry.register(object(), "wanted", object(), {"grade": 1})
-    assert seen == []  # right class, filter rejects
+    assert seen == []  # the filter rejects both
     registry.register(object(), "wanted", object(), {"grade": 5})
     assert len(seen) == 1
 

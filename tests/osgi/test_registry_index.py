@@ -138,14 +138,10 @@ def test_randomized_ops_match_linear_model(registry):
 
 
 def test_candidate_merge_dedup_is_keyed_by_service_id(registry):
-    """Regression for the ``id(r)``-keyed seen-set in the filter-driven
-    candidate merge: dedup must key on ``service.id`` so results are
-    stable facts about the registration, not about interpreter object
-    identity (which CPython reuses across the lifetime of a process).
-
-    A service registered under several classes matched by one OR filter
-    is the merge path's worst case: it appears in every candidate
-    bucket and must come back exactly once, best-first.
+    """A service registered under several classes matched by one OR
+    filter comes back exactly once, best-first, also across churn that
+    recycles interpreter object identities (an ``id(r)``-keyed dedup
+    once got this wrong).
     """
     tri = registry.register(
         object(), ("a", "b", "c"), object(), {"service.ranking": 1}

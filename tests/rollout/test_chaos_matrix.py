@@ -5,15 +5,19 @@ canary's node mid-soak, crash a wave member's node mid-deploy, partition
 the canary from the directors — and must still end in a terminal,
 uniform-version state with zero rollout-attributed request drops: the
 engine either finishes the upgrade or rolls everything back, never
-leaves the fleet mixed. The randomized upgrade-mode campaign then sweeps
-the same claim across many seeds (the 25-episode sweep is ``chaos``-
-marked for the nightly run).
+leaves the fleet mixed. A randomized campaign of rollouts under fire
+then sweeps the same claim across many seeds (the 25-episode sweep is
+``chaos``-marked for the nightly run).
 """
+
+import random
+from typing import Sequence
 
 import pytest
 
 from repro.conformance import HistoryRecorder, check_history
 from repro.faults.campaign import ChaosCampaign, replay_schedule
+from repro.faults.schedule import FaultSchedule
 from repro.rollout.scenario import SCENARIOS
 from repro.rollout.engine import COMPLETED, ROLLED_BACK
 from repro.rollout.scenario import (
@@ -63,13 +67,70 @@ def test_fault_mid_rollout_never_ends_mixed_version(name):
     assert check_history(recorder.history) == []
 
 
+def chaos_upgrade_scenario(seed: int):
+    """Chaos-during-upgrade scenario: a clean release under fire.
+
+    The release itself is healthy; whatever goes wrong comes from the
+    injected faults. The campaign then asserts the engine still ends in
+    a terminal, uniform-version state with no rollout-attributed drops.
+    """
+    return rollout_scenario(seed, fleet_size=3, node_count=4)
+
+
+def upgrade_schedule_factory(
+    rng: random.Random, node_ids: Sequence[str], duration: float
+) -> FaultSchedule:
+    """Faults aimed at the rollout window (engine starts at t=2).
+
+    Draws one of three attack shapes — crash a fleet node mid-rollout,
+    crash two nodes staggered, or partition one fleet node from the rest
+    — with jittered times, always repairing/healing before the episode's
+    settle phase so quiescent invariants get a fair final check.
+    """
+    nodes = sorted(node_ids)
+    window_start = 2.5
+    window_end = max(window_start + 1.0, duration * 0.6)
+
+    def at(fraction: float) -> float:
+        span = window_end - window_start
+        return round(window_start + span * fraction, 3)
+
+    shape = rng.randrange(3)
+    victim = nodes[rng.randrange(len(nodes))]
+    schedule = FaultSchedule()
+    if shape == 0:
+        schedule = schedule.crash(at(rng.uniform(0.0, 0.6)), victim)
+        schedule = schedule.repair(at(0.8), victim)
+    elif shape == 1:
+        second = nodes[rng.randrange(len(nodes))]
+        schedule = schedule.crash(at(rng.uniform(0.0, 0.3)), victim)
+        schedule = schedule.repair(at(0.6), victim)
+        if second != victim:
+            schedule = schedule.crash(at(rng.uniform(0.3, 0.6)), second)
+            schedule = schedule.repair(at(0.9), second)
+    else:
+        others = [n for n in nodes if n != victim]
+        schedule = schedule.partition(
+            at(rng.uniform(0.0, 0.5)), [victim], others
+        )
+        schedule = schedule.heal(at(0.85))
+    return schedule
+
+
 def upgrade_campaign(seed, episodes):
+    """Every episode runs a staged rollout under fire: the rollout
+    scenario, faults aimed at the rollout window, and telemetry plus
+    conformance on (gates need metrics; the rollout checkers need a
+    history)."""
     return ChaosCampaign(
+        scenario_factory=chaos_upgrade_scenario,
         seed=seed,
         episodes=episodes,
         episode_duration=18.0,
         settle=12.0,
-        upgrade=True,
+        schedule_factory=upgrade_schedule_factory,
+        telemetry=True,
+        conformance=True,
     )
 
 

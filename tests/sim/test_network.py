@@ -83,7 +83,7 @@ def test_invalid_loss_rate_rejected(loop):
 
 def test_partition_blocks_cross_group_traffic(loop, network):
     a, b, inbox_a, inbox_b = make_pair(network)
-    network.partition({"a"}, {"b"})
+    network.partition_nodes({"a"}, {"b"})
     a.send("b", "blocked")
     loop.run_for(1.0)
     assert inbox_b == []
@@ -92,7 +92,7 @@ def test_partition_blocks_cross_group_traffic(loop, network):
 
 def test_partition_allows_same_group_traffic(loop, network):
     a, b, _, inbox_b = make_pair(network)
-    network.partition({"a", "b"}, {"c"})
+    network.partition_nodes({"a", "b"}, {"c"})
     a.send("b", "ok")
     loop.run_for(1.0)
     assert len(inbox_b) == 1
@@ -100,7 +100,7 @@ def test_partition_allows_same_group_traffic(loop, network):
 
 def test_heal_restores_traffic(loop, network):
     a, b, _, inbox_b = make_pair(network)
-    network.partition({"a"}, {"b"})
+    network.partition_nodes({"a"}, {"b"})
     network.heal()
     a.send("b", "ok")
     loop.run_for(1.0)
@@ -112,7 +112,7 @@ def test_partition_raised_mid_flight_kills_message(loop):
     a, b, _, inbox_b = make_pair(network)
     a.send("b", "in-flight")
     loop.run_for(0.5)
-    network.partition({"a"}, {"b"})
+    network.partition_nodes({"a"}, {"b"})
     loop.run_for(1.0)
     assert inbox_b == []
 
@@ -121,7 +121,7 @@ def test_unpartitioned_endpoints_can_still_talk(loop, network):
     a, b, _, inbox_b = make_pair(network)
     inbox_c = []
     c = network.attach("c", inbox_c.append)
-    network.partition({"a"})  # only a isolated; b and c unlisted
+    network.partition_nodes({"a"})  # only a isolated; b and c unlisted
     b.send("c", "hi")
     loop.run_for(1.0)
     assert len(inbox_c) == 1

@@ -79,7 +79,7 @@ def test_partition_checked_at_delivery_even_when_coalesced():
     net.attach("c", lambda m: seen.append(m.payload))
     net.send("a", "b", 1)
     net.send("a", "c", 2)
-    net.partition({"a", "b"}, {"c"})
+    net.partition_nodes({"a", "b"}, {"c"})
     loop.run_for(1.0)
     assert seen == [1]
     assert net.stats.dropped_partition == 1

@@ -55,7 +55,6 @@ class ReferenceNetwork:
         self.stats = NetworkStats()
         self._endpoints: Dict[str, Endpoint] = {}
         self._links: Dict[Tuple[str, str], _RefLink] = {}
-        self._partitions: List[FrozenSet[str]] = []
         self._node_partitions: List[FrozenSet[str]] = []
         self._node_latency: Dict[str, float] = {}
         self._tick_entries: Optional[List[Tuple[_RefLink, List[Message]]]] = None
@@ -74,37 +73,24 @@ class ReferenceNetwork:
         if endpoint is not None:
             endpoint.alive = False
 
-    def partition(self, *groups: Set[str]) -> None:
-        self._partitions = [frozenset(g) for g in groups]
-
     def partition_nodes(self, *groups: Set[str]) -> None:
         self._node_partitions = [frozenset(g) for g in groups]
 
     @property
     def partitioned(self) -> bool:
-        return bool(self._partitions or self._node_partitions)
+        return bool(self._node_partitions)
 
     def heal(self) -> None:
-        self._partitions = []
         self._node_partitions = []
 
     node_of = staticmethod(Network.node_of)
 
     def _partitioned(self, a: str, b: str) -> bool:
-        if self._split_by(self._partitions, a, b):
-            return True
-        if self._node_partitions and self._split_by(
-            self._node_partitions, self.node_of(a), self.node_of(b)
-        ):
-            return True
-        return False
-
-    @staticmethod
-    def _split_by(partitions: List[FrozenSet[str]], a: str, b: str) -> bool:
-        if not partitions:
+        if not self._node_partitions:
             return False
+        a, b = self.node_of(a), self.node_of(b)
         group_of: Dict[str, int] = {}
-        for i, group in enumerate(partitions):
+        for i, group in enumerate(self._node_partitions):
             for member in group:
                 group_of[member] = i
         ga = group_of.get(a)
@@ -246,7 +232,6 @@ OP = st.one_of(
     SEND_ALL,
     SEND_ALL,
     SEND_ALL,
-    st.tuples(st.just("partition"), _groups(NAMES)),
     st.tuples(st.just("partition_nodes"), _groups(NODES)),
     st.tuples(st.just("heal")),
     st.tuples(st.just("set_node_latency"), node, st.sampled_from([0.0, 0.002, 0.03])),
@@ -328,8 +313,6 @@ def run_script(factory, script, seed, jitter, expand_fanout=False):
                         net.send(op[1], destination, _payload(op[3]))
                 else:
                     net.send_all(op[1], op[2], _payload(op[3]))
-            elif kind == "partition":
-                net.partition(*op[1])
             elif kind == "partition_nodes":
                 net.partition_nodes(*op[1])
             elif kind == "heal":
@@ -439,7 +422,7 @@ def test_one_link_object_per_ordered_pair_used(monkeypatch, loop):
     net = Network(loop, RngStreams(3), latency=0.001, jitter=0.0005, loss_rate=0.3)
     for endpoint_name in NAMES:
         net.attach(endpoint_name, lambda message: None)
-    net.partition({"a/n1", "b/n1"}, {"a/n2", "a/n3", "solo"})
+    net.partition_nodes({"n1"}, {"n2", "n3", "solo"})
     for round_index in range(200):
         net.send_all(NAMES[round_index % 5], NAMES, round_index)
         net.send(NAMES[(round_index + 1) % 5], NAMES[round_index % 5], round_index)
@@ -474,16 +457,14 @@ def test_partition_maps_are_built_by_the_setters_only(monkeypatch, loop):
             loop.run_for(0.0007)
 
     traffic()
-    assert builds == [] and net._group_of is None and net._node_group_of is None
-    net.partition({"a/n1"}, {"a/n2", "solo"})
+    assert builds == [] and net._side_of is None
     net.partition_nodes({"n1", "n2"}, {"n3"})
-    by_endpoint, by_node = net._group_of, net._node_group_of
-    assert by_endpoint == {"a/n1": 0, "a/n2": 1, "solo": 1}
+    by_node = net._side_of
     assert by_node == {"n1": 0, "n2": 0, "n3": 1}
     traffic()
-    assert len(builds) == 2
-    assert net._group_of is by_endpoint and net._node_group_of is by_node
+    assert len(builds) == 1
+    assert net._side_of is by_node
     assert net.stats.dropped_partition > 0
     net.heal()
     traffic()
-    assert len(builds) == 2 and net._group_of is None and net._node_group_of is None
+    assert len(builds) == 1 and net._side_of is None

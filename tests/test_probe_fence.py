@@ -7,7 +7,10 @@ neither a process-global switch nor an import of the observers:
   ``src/repro``;
 * the protocol and platform packages import nothing from
   ``repro.conformance``, and from ``repro.telemetry`` only the two value
-  types they annotate with (``tracer.Span``, ``metrics.MetricsRegistry``).
+  types they annotate with (``tracer.Span``, ``metrics.MetricsRegistry``);
+* every handler that catches ``Exception``, ``BaseException`` or
+  everything (a bare ``except:``) sits in a function named in
+  ``BROAD_CATCH_SITES``, and every entry there names one such handler.
 """
 
 import ast
@@ -74,3 +77,84 @@ def test_protocol_packages_import_no_observer(package):
         for name in observer_imports(tree)
     ]
     assert found == []
+
+
+#: ``path::qualname`` of every broad exception handler under
+#: ``src/repro``, one entry per handler. Each one either isolates
+#: callers the OSGi spec or the GCS contract says must keep running, or
+#: reports the failure where it happens; a new one needs a reason here.
+BROAD_CATCH_SITES = (
+    "autonomic/scripting.py::scripted_policy.action",
+    "autonomic/scripting.py::scripted_policy.condition",
+    "gcs/member.py::GroupMember._deliver",
+    "gcs/member.py::GroupMember._install",
+    "osgi/bundle.py::Bundle._do_start",
+    "osgi/bundle.py::Bundle._do_stop",
+    "osgi/events.py::EventDispatcher._safely",
+    "osgi/events.py::EventDispatcher.fire_framework_event",
+    "vosgi/delegation.py::ServiceMirror._release",
+    "vosgi/delegation.py::ServiceMirror._release",
+    "vosgi/remote.py::RemoteInstanceHost._on_message",
+    "workloads/webservice.py::HostHttpService.dispatch",
+)
+BROAD = {"Exception", "BaseException"}
+
+
+def catches_broadly(handler):
+    kind = handler.type
+    if kind is None:
+        return True
+    kinds = kind.elts if isinstance(kind, ast.Tuple) else [kind]
+    return any(
+        (isinstance(k, ast.Name) and k.id in BROAD)
+        or (isinstance(k, ast.Attribute) and k.attr in BROAD)
+        for k in kinds
+    )
+
+
+def broad_handlers(node, scope=()):
+    """``(qualname, line)`` of every broad handler under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from broad_handlers(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.ExceptHandler) and catches_broadly(child):
+            yield ".".join(scope) or "<module>", child.lineno
+        yield from broad_handlers(child, scope)
+
+
+def test_broad_catch_sites_match_the_allow_list():
+    found = sorted(
+        ("%s::%s" % (path, qualname), line)
+        for path, tree in modules(PACKAGE)
+        for qualname, line in broad_handlers(tree)
+    )
+    allowed = list(BROAD_CATCH_SITES)
+    new = []
+    for site, line in found:
+        if site in allowed:
+            allowed.remove(site)
+        else:
+            new.append("%s (line %d)" % (site, line))
+    assert new == [], "broad handlers not in BROAD_CATCH_SITES"
+    assert allowed == [], "BROAD_CATCH_SITES entries with no handler left"
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("try:\n    pass\nexcept:\n    pass\n", [("<module>", 3)]),
+        (
+            "class C:\n    def f(self):\n        try:\n            pass\n"
+            "        except (ValueError, BaseException):\n            raise\n",
+            [("C.f", 5)],
+        ),
+        (
+            "def g():\n    try:\n        pass\n    except builtins.Exception:\n"
+            "        pass\n    except OSError:\n        pass\n",
+            [("g", 4)],
+        ),
+    ],
+)
+def test_broad_handlers_are_found_with_their_qualname(source, expected):
+    assert list(broad_handlers(ast.parse(source))) == expected
