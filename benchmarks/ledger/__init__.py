@@ -20,13 +20,15 @@ a re-pinned digest is declared.
 
 The committed ledger is recorded with the Python the CI ``suite`` job
 pins (3.12); another version calls other standard-library code and may
-differ.
+differ, so the check reports a version mismatch.
 
 ``chaos_seeds.json``, the red-seed ledger, is the same kind of record
 for correctness: per fleet size and seed, the sorted names of the
 invariant and conformance checks one chaos episode violated (empty for
 a green seed). A seed that turns red, or green, fails the check until
-it is re-recorded and the change is declared in CHANGES.md::
+it is re-recorded and the change is declared in CHANGES.md. Its check
+runs on any Python: the version it was recorded with is kept but not
+compared::
 
     python -m benchmarks.ledger --chaos 3 8           # check (every push)
     python -m benchmarks.ledger --chaos 16            # check (nightly)
@@ -111,7 +113,14 @@ def differences(recorded: Dict[str, Any], measured: Dict[str, Any]) -> List[str]
     """One line per (workload, field, or key of a column such as a layer,
     a counter or a seed) that does not match."""
     lines = []
-    if recorded["python"] != measured["python"]:
+    # Call counts depend on the standard library the Python ships; chaos
+    # verdicts were measured equal under 3.11 and 3.12.
+    counts_calls = any(
+        "calls_in" in row
+        for ledger in (recorded, measured)
+        for row in ledger["workloads"].values()
+    )
+    if counts_calls and recorded["python"] != measured["python"]:
         lines.append(
             "recorded with Python %s, measured with %s"
             % (recorded["python"], measured["python"])

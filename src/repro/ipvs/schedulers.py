@@ -10,7 +10,7 @@ servers and at 96.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import List, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ipvs.server import RealServer
@@ -104,13 +104,15 @@ class LeastConnectionScheduler(Scheduler):
     Servers are ranked once by ``node_id``; ``_masks[count]`` is an int
     whose bit ``rank`` is set when that server has ``count`` connections
     in flight. The lowest set bit of the lowest non-empty count is the
-    minimum; the walk continues past servers that fail the availability
-    test, which reads ``alive``, ``weight`` and ``queue_limit`` off the
-    server at pick time, so health flips, drains and re-weights need no
-    notification. Counts reach the index through the servers'
-    active-connection watchers (two integer operations per admit or
-    finish), so they must move through ``admit`` once the index is
-    built. Pool membership changes (the director calls
+    minimum; the walk starts at count 0 and continues past servers that
+    fail the availability test, which reads ``alive``, ``weight`` and
+    ``queue_limit`` off the server at pick time, so health flips, drains
+    and re-weights need no notification. Each indexed server holds a
+    slot (``_masks`` and its bit) and moves its bit itself in ``admit``
+    and ``_finish``, so counts must move through those once the index is
+    built. :meth:`topology_changed` releases this scheduler's slots, and
+    a rebuild refuses (``ValueError``) a server whose slot another
+    scheduler still holds. Pool membership changes (the director calls
     :meth:`topology_changed`; another list object or length is also
     detected) rebuild the index on the next pick, from the counts the
     servers hold at that moment.
@@ -123,14 +125,12 @@ class LeastConnectionScheduler(Scheduler):
         self._servers_ref: Optional[Sequence["RealServer"]] = None
         self._count = 0
         self._ranked: List["RealServer"] = []
-        self._bits: Dict["RealServer", int] = {}
         self._masks: List[int] = [0]
-        #: No mask below this count has a bit set.
-        self._floor = 0
 
     def topology_changed(self) -> None:
-        # Until the next pick rebuilds it the old index keeps following
-        # the servers it watches, which is harmless.
+        # Released servers stop moving their bits; the next pick rebuilds
+        # from the counts they hold then.
+        self._release()
         self._servers_ref = None
 
     def pick(self, servers: Sequence["RealServer"]) -> Optional["RealServer"]:
@@ -138,12 +138,10 @@ class LeastConnectionScheduler(Scheduler):
             self._rebuild(servers)
         masks = self._masks
         ranked = self._ranked
-        count = self._floor
+        count = 0
         counts = len(masks)
         while count < counts:
             mask = masks[count]
-            if not mask and count == self._floor:
-                self._floor = count + 1
             while mask:
                 low = mask & -mask
                 server = ranked[low.bit_length() - 1]
@@ -160,41 +158,34 @@ class LeastConnectionScheduler(Scheduler):
         return None
 
     # -- index maintenance -------------------------------------------------
+    def _release(self) -> None:
+        """Drop the slots of the servers this index still holds."""
+        masks = self._masks
+        for server in self._ranked:
+            if server._masks is masks:
+                server._masks = None
+
     def _rebuild(self, servers: Sequence["RealServer"]) -> None:
-        on_active = self._on_active
+        own = self._masks
+        for server in servers:
+            if server._masks is not None and server._masks is not own:
+                raise ValueError(
+                    "%r is indexed by another least-connection scheduler" % server
+                )
+        self._release()
         ranked = sorted(servers, key=_NODE_ID)
         highest = max([s.active_connections for s in ranked], default=0)
         masks = [0] * (highest + 1)
-        bits: Dict["RealServer", int] = {}
         bit = 1
         for server in ranked:
-            server.add_active_watcher(on_active)
-            bits[server] = bit
+            server._masks = masks
+            server._bit = bit
             masks[server.active_connections] |= bit
             bit <<= 1
-        for server in self._ranked:
-            if server not in bits:
-                server.remove_active_watcher(on_active)
         self._ranked = ranked
-        self._bits = bits
         self._masks = masks
-        self._floor = 0
         self._servers_ref = servers
         self._count = len(servers)
-
-    def _on_active(self, server: "RealServer", delta: int) -> None:
-        """Watcher: ``server.active_connections`` just moved by ``delta``."""
-        bit = self._bits[server]
-        masks = self._masks
-        new = server.active_connections
-        masks[new - delta] ^= bit
-        try:
-            masks[new] |= bit
-        except IndexError:
-            masks.extend([0] * (new + 1 - len(masks)))
-            masks[new] = bit
-        if new < self._floor:
-            self._floor = new
 
 
 #: The former list-bucket variant, now the same class. The name stays

@@ -105,7 +105,12 @@ class Request:
 
 
 class RealServer:
-    """One replica of a service on one node."""
+    """One replica of a service on one node.
+
+    While a least-connection scheduler indexes the server, the server
+    holds a slot in that index (one scheduler's at a time) and
+    :meth:`admit` / :meth:`_finish` move its bit between count masks.
+    """
 
     def __init__(
         self,
@@ -140,11 +145,10 @@ class RealServer:
         #: charges the serving customer's resource ledger. It runs after
         #: the completion is counted; what it raises propagates.
         self.on_served = on_served
-        #: Observers of :attr:`active_connections` changes, called as
-        #: ``watcher(server, delta)`` with ``delta`` in {+1, -1} *after*
-        #: the counter moved. Keeps the least-connection scheduler's
-        #: count index exact without scans.
-        self._watchers: List = []
+        #: The slot: the indexing scheduler's count masks (``None`` while
+        #: no scheduler holds it) and this server's bit in them.
+        self._masks: Optional[List[int]] = None
+        self._bit = 0
 
     @property
     def available(self) -> bool:
@@ -152,21 +156,18 @@ class RealServer:
             self.active_connections < self.queue_limit
         )
 
-    def add_active_watcher(self, watcher) -> None:
-        """Subscribe to ``(server, ±1)`` active-connection updates."""
-        if watcher not in self._watchers:
-            self._watchers.append(watcher)
-
-    def remove_active_watcher(self, watcher) -> None:
-        if watcher in self._watchers:
-            self._watchers.remove(watcher)
-
     def admit(self, request: Request, loop: EventLoop) -> None:
         """Queue the request; completion fires after queueing + service."""
-        self.active_connections += 1
-        if self._watchers:
-            for watcher in self._watchers:
-                watcher(self, 1)
+        active = self.active_connections
+        self.active_connections = active + 1
+        masks = self._masks
+        if masks is not None:
+            bit = self._bit
+            masks[active] ^= bit
+            if active + 1 == len(masks):
+                masks.append(bit)
+            else:
+                masks[active + 1] |= bit
         clock = self._clock
         if clock is None:
             self._loop = loop
@@ -188,10 +189,13 @@ class RealServer:
     def _finish(self, request: Request) -> None:
         """Completion of an admitted request: a transient event with the
         request as its argument."""
-        self.active_connections -= 1
-        if self._watchers:
-            for watcher in self._watchers:
-                watcher(self, -1)
+        active = self.active_connections
+        self.active_connections = active - 1
+        masks = self._masks
+        if masks is not None:
+            bit = self._bit
+            masks[active] ^= bit
+            masks[active - 1] |= bit
         now = self._clock.now
         if not self.alive:
             request.dropped = "server-died"

@@ -4,6 +4,7 @@ of the pool: same server, every time, under any workload history.
 The O(pool) scan it replaced lives on here as the oracle.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ipvs import schedulers
@@ -136,7 +137,7 @@ def test_counts_tracked_through_completions():
     loop = EventLoop()
     servers = make_pool(2, queue_limit=8)
     sched = LeastConnectionScheduler()
-    sched.pick(servers)  # builds index + subscribes watchers
+    sched.pick(servers)  # builds the index and hands out the slots
     for i in range(4):
         servers[0].admit(_req(i), loop)
     assert sched.pick(servers) is servers[1]
@@ -161,22 +162,70 @@ def test_count_above_every_indexed_count_grows_the_index():
 
 
 def test_one_server_indexed_by_two_schedulers():
-    loop = EventLoop()
+    # No production path shares a real server between two least-connection
+    # pools: DirectorCluster builds one RealServer per director and service.
     shared = RealServer("a", 80, queue_limit=8)
     pool_one = [shared, RealServer("b", 80, queue_limit=8)]
     pool_two = [RealServer("0", 80, queue_limit=8), shared]
     one, two = LeastConnectionScheduler(), LeastConnectionScheduler()
     assert one.pick(pool_one) is shared
-    assert two.pick(pool_two) is pool_two[0]
-    shared.admit(_req(1), loop)
-    pool_two[0].admit(_req(2), loop)
-    pool_two[0].admit(_req(3), loop)
-    # Both indexes saw the shared server move to one connection.
-    assert one.pick(pool_one) is pool_one[1]
-    assert two.pick(pool_two) is shared
-    loop.run_for(1.0)
+    with pytest.raises(ValueError, match="another least-connection scheduler"):
+        two.pick(pool_two)
+    # The refused rebuild took no slot, and the first index is intact.
+    assert pool_two[0]._masks is None
+    assert shared._masks is one._masks
     assert one.pick(pool_one) is shared
+    # Once the first scheduler lets go, the second may index the server.
+    one.topology_changed()
+    assert shared._masks is None
     assert two.pick(pool_two) is pool_two[0]
+    assert shared._masks is two._masks
+
+
+def test_completion_between_topology_change_and_pick_is_indexed():
+    loop = EventLoop()
+    director = VirtualServer("d1", loop)
+    sched = LeastConnectionScheduler()
+    director.add_service(VIP, sched)
+    fast = RealServer("n00", 80, service_time=0.1, queue_limit=8)
+    slow = RealServer("n01", 80, service_time=1.0, queue_limit=8)
+    director.add_real_server(VIP, fast)
+    director.add_real_server(VIP, slow)
+    for i in range(3):
+        director.route(_req(i))  # n00, n01, n00
+    assert (fast.active_connections, slow.active_connections) == (2, 1)
+    director.add_real_server(VIP, RealServer("n02", 80, queue_limit=8))
+    # Both of n00's completions fire while the index is stale.
+    loop.run_until(0.2)
+    assert (fast.active_connections, slow.active_connections) == (0, 1)
+    servers = director._services[(VIP.ip, VIP.port)][1]
+    assert sched.pick(servers) is fast
+    # The rebuilt index is exact: every server's bit sits at its count.
+    for server in servers:
+        assert server._masks is sched._masks
+        holders = [c for c, mask in enumerate(sched._masks) if mask & server._bit]
+        assert holders == [server.active_connections]
+
+
+def test_every_server_near_its_queue_limit_picks_like_the_scan():
+    # The walk starts at count 0 with every low count empty, and passes
+    # full servers at queue_limit.
+    loop = EventLoop()
+    servers = make_pool(6, queue_limit=5, service_time=1.0)
+    sched = LeastConnectionScheduler()
+    sched.pick(servers)
+    for index, server in enumerate(servers):
+        for i in range(4 + index % 2):  # counts 4, 5, 4, 5, 4, 5
+            server.admit(_req(100 * index + i), loop)
+    expected = reference_scan(servers)
+    assert expected is servers[0]
+    assert sched.pick(servers) is expected
+    servers[0].alive = False
+    servers[2].weight = 0
+    assert sched.pick(servers) is reference_scan(servers) is servers[4]
+    servers[4].admit(_req(999), loop)  # now every available server is full
+    assert reference_scan(servers) is None
+    assert sched.pick(servers) is None
 
 
 def test_resync_on_topology_change_via_director():
@@ -209,15 +258,16 @@ def test_remove_real_server_with_requests_in_flight():
     director.route(first)  # n00
     director.route(second)  # n01
     director.remove_real_server(VIP, "n00")
-    # Completing on the removed server reaches a stale index: harmless.
+    # The removal released every slot; the completion moves no bit.
+    assert removed._masks is None and kept._masks is None
     loop.run_until(loop.peek_next_time())
     assert first.served_by == "n00" and removed.active_connections == 0
     third = _req(3)
     director.route(third)
     assert kept.active_connections == 2
-    # The rebuilt index no longer watches the removed server.
-    assert removed._watchers == []
-    assert len(kept._watchers) == 1
+    # The rebuilt index holds the kept server's slot only.
+    assert removed._masks is None
+    assert kept._masks is sched._masks
     loop.run_for(5.0)
     assert second.served_by == third.served_by == "n01"
     assert sched.pick([kept]) is kept
@@ -230,7 +280,8 @@ def test_resync_on_list_identity_change():
     pool_b = make_pool(3)
     # Fresh list object: index must rebuild, not reuse pool_a's masks.
     assert sched.pick(pool_b) is pool_b[0]
-    assert pool_a[0]._watchers == []
+    assert all(server._masks is None for server in pool_a)
+    assert all(server._masks is sched._masks for server in pool_b)
 
 
 def test_rebuild_only_on_membership_change():

@@ -80,8 +80,8 @@ def test_cluster_sums_replicas_and_services_without_a_watcher():
     cluster.add_real_server(VIP_A, "n1", service_time=1.0)
     cluster.add_real_server(VIP_B, "n1", service_time=1.0)
     cluster.add_real_server(VIP_A, "n2", service_time=1.0)
-    # Round-robin services index nothing, so nobody watches the servers.
-    assert all(server._watchers == [] for _, server in cluster.all_real_servers())
+    # Round-robin services index nothing, so no server holds a slot.
+    assert all(server._masks is None for _, server in cluster.all_real_servers())
     for _ in range(4):
         cluster.submit(VIP_A)  # primary: two each on n1 and n2
     cluster.submit(VIP_B)  # primary: n1's second service

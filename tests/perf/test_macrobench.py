@@ -93,7 +93,9 @@ def test_python_calls_per_request_stay_within_budget():
     """Every Python-level call of a smoke day, stdlib frames included,
     which the layer ledger's ``calls_in`` does not see. 17.8 per request
     while ``randrange`` / ``expovariate`` were called per draw; 13.2 with
-    those bodies in line on CPython 3.10 to 3.13."""
+    those bodies in line; 11.2 once real servers move their own
+    least-connection index bits instead of calling a watcher, on CPython
+    3.10 to 3.13."""
     scenario = MacroScenario(MacroConfig.smoke(day_seconds=5.0))
     calls = 0
 
@@ -108,7 +110,7 @@ def test_python_calls_per_request_stay_within_budget():
     finally:
         sys.setprofile(None)
     assert result.submitted == 4936
-    assert calls / result.submitted <= 13.5
+    assert calls / result.submitted <= 11.5
 
 
 def test_no_rejected_candidate_reaches_the_loop():

@@ -78,6 +78,21 @@ def test_another_python_is_reported():
     )
 
 
+def test_another_python_is_reported_for_the_call_ledger_alone():
+    recorded = ledger_of(trace_document())
+    recorded["python"] = "3.11"
+    assert differences(recorded, ledger_of(trace_document())) == [
+        "recorded with Python 3.11, measured with 3.12"
+    ]
+
+
+def test_another_python_is_not_reported_for_chaos_verdicts():
+    verdicts = {"fleet_3": {"verdicts": {"12": ["single-primary"], "13": []}}}
+    recorded = {"python": "3.12", "workloads": verdicts}
+    measured = {"python": "3.11", "workloads": verdicts}
+    assert differences(recorded, measured) == []
+
+
 def test_committed_ledger_covers_four_workloads_twenty_layers_seventeen_counters():
     with open(LEDGER, "r", encoding="utf-8") as handle:
         ledger = json.load(handle)
