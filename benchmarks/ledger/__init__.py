@@ -33,12 +33,15 @@ compared::
     python -m benchmarks.ledger --chaos 3 8           # check (every push)
     python -m benchmarks.ledger --chaos 16            # check (nightly)
     python -m benchmarks.ledger --chaos 3 --record    # re-record 3 nodes
+
+A sweep prints each fleet's wall time to stderr.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import time
 from typing import Any, Dict, List
 
 LEDGER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "calls_smoke.json")
@@ -94,19 +97,23 @@ def chaos_verdicts(nodes: int, seed: int) -> List[str]:
 
 
 def chaos_ledger(sizes: List[int]) -> Dict[str, Any]:
-    """The red-seed ledger's fleets of ``sizes`` nodes, every seed swept."""
-    return {
-        "python": "%d.%d" % sys.version_info[:2],
-        "workloads": {
-            "fleet_%d" % nodes: {
-                "verdicts": {
-                    "%02d" % seed: chaos_verdicts(nodes, seed)
-                    for seed in range(1, CHAOS_SEEDS[nodes] + 1)
-                }
-            }
-            for nodes in sorted(sizes)
-        },
-    }
+    """The red-seed ledger's fleets of ``sizes`` nodes, every seed swept.
+
+    Each fleet's sweep prints its wall time to stderr, the budget a wider
+    sweep spends; the ledger itself stays wall-clock free."""
+    fleets = {}
+    for nodes in sorted(sizes):
+        started = time.perf_counter()
+        seeds = range(1, CHAOS_SEEDS[nodes] + 1)
+        fleets["fleet_%d" % nodes] = {
+            "verdicts": {"%02d" % seed: chaos_verdicts(nodes, seed) for seed in seeds}
+        }
+        print(
+            "fleet_%d: %d seeds in %.1f s wall"
+            % (nodes, len(seeds), time.perf_counter() - started),
+            file=sys.stderr,
+        )
+    return {"python": "%d.%d" % sys.version_info[:2], "workloads": fleets}
 
 
 def differences(recorded: Dict[str, Any], measured: Dict[str, Any]) -> List[str]:

@@ -253,12 +253,14 @@ class GroupMember:
         # One payload object for every beat and every peer; receivers
         # only read it.
         heartbeat = {"hb": me}
+        # Beats go straight to the network: one call each, not two.
+        send_all = self._endpoint.network.send_all
 
         def beat() -> None:
             if not self.running:
                 return
             if self.view is not None:
-                self._endpoint.send_all(self._peers, heartbeat)
+                send_all(me, self._peers, heartbeat)
             self._check_failures()
             self._beat_count += 1
             if self._beat_count % 10 == 0 and self.is_coordinator:

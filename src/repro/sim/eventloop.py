@@ -108,9 +108,7 @@ class EventLoop:
         #: every entry's ``when`` equals the clock time it was appended
         #: at, and the deque is drained before the clock advances.
         self._ready: "deque[_Entry]" = deque()
-        #: Events ever scheduled: the sequence counter itself. The
-        #: network's tick coalescing reads it to prove that nothing else
-        #: was scheduled in between.
+        #: Events ever scheduled: the sequence counter itself.
         self.scheduled = 0
         self._fired = 0
         self._dropped = 0  # events cancelled while queued; pending is O(1)

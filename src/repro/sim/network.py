@@ -106,23 +106,6 @@ class Endpoint:
         return "Endpoint(%s, %s)" % (self.name, state)
 
 
-class _Link:
-    """Per-ordered-pair FIFO state: earliest allowed delivery time.
-
-    ``batch``/``batch_at`` coalesce same-instant deliveries: when FIFO
-    backpressure collapses several messages onto one delivery timestamp,
-    they share a single scheduled event instead of one each. ``batch``
-    is ``None`` while no delivery event is pending for the link.
-    """
-
-    __slots__ = ("next_free_at", "batch_at", "batch")
-
-    def __init__(self) -> None:
-        self.next_free_at = 0.0
-        self.batch_at = -1.0
-        self.batch: Optional[List[Message]] = None
-
-
 class Network:
     """Latency/loss/partition-aware unicast fabric on a shared event loop.
 
@@ -159,17 +142,15 @@ class Network:
         self.loss_rate = loss_rate
         self.stats = NetworkStats()
         self._endpoints: Dict[str, Endpoint] = {}
-        self._links: Dict[Tuple[str, str], _Link] = {}
+        #: source -> destination -> the link's last delivery instant,
+        #: which a later message on the link may not precede (FIFO).
+        self._next_free: Dict[str, Dict[str, float]] = {}
         #: node id -> group index while a partition is installed, else
         #: ``None``. Built by :meth:`partition_nodes` only; the message
         #: path just reads it.
         self._side_of: Optional[Dict[str, int]] = None
         #: node id -> extra one-way latency applied to its traffic.
         self._node_latency: Dict[str, float] = {}
-        #: Open delivery tick: link batches sharing one scheduled event.
-        self._tick_entries: Optional[List[Tuple[_Link, List[Message]]]] = None
-        self._tick_when: float = -1.0
-        self._tick_guard_seq: int = -1
 
     # ------------------------------------------------------------------
     # Topology
@@ -282,10 +263,12 @@ class Network:
         """Queue the one ``payload`` object for each of ``destinations``.
 
         Exactly ``for d in destinations: send(source, d, payload)``: the
-        same RNG draws (loss before jitter), counters, link FIFO, batch
-        and tick coalescing and event sequence numbers, in that order.
-        Only what cannot change between two of those sends is read once:
-        the clock, the ambient trace context and the fault configuration.
+        same RNG draws (loss before jitter), counters, link FIFO and event
+        sequence numbers, in that order. Each surviving message is one
+        transient event, so messages due at the same instant are
+        delivered in send order. Only what cannot change between two of
+        those sends is read once: the clock, the ambient trace context
+        and the fault configuration.
         """
         stats = self.stats
         loop = self.loop
@@ -298,10 +281,14 @@ class Network:
         random = self._rng.random
         split = self.partitioned
         slow = bool(self._node_latency)
-        links = self._links
+        next_free = self._next_free.get(source)
+        if next_free is None:
+            next_free = self._next_free[source] = {}
+        schedule = loop.call_transient_at
+        deliver = self._deliver
+        count = 0
         for destination in destinations:
-            stats.sent += 1
-            stats.bytes_sent += size_bytes
+            count += 1
             if split and self._partitioned(source, destination):
                 stats.dropped_partition += 1
                 continue
@@ -311,77 +298,39 @@ class Network:
             delay = latency + (random() * jitter if jitter else 0.0)
             if slow:
                 delay += self._extra_latency(source, destination)
-            key = (source, destination)
-            link = links.get(key)
-            if link is None:
-                link = links[key] = _Link()
             deliver_at = now + delay
-            if deliver_at < link.next_free_at:
-                deliver_at = link.next_free_at
-            link.next_free_at = deliver_at
-            message = Message(source, destination, payload, now, size_bytes, trace)
-            if link.batch is not None and link.batch_at == deliver_at:
-                # Piggyback on the delivery event already scheduled for
-                # this instant; FIFO order within the link is preserved.
-                link.batch.append(message)
-                continue
-            batch = [message]
-            link.batch = batch
-            link.batch_at = deliver_at
-            # Per-tick coalescing: links whose batches land on the *same*
-            # delivery instant share one scheduled event, provided no
-            # other event was scheduled since the tick event went in (the
-            # loop's sequence counter is unchanged). The merged firing
-            # order is then provably identical to one-event-per-batch: the
-            # would-be events carry consecutive seqs with nothing in
-            # between, so seq order at the instant equals append order.
-            entries = self._tick_entries
-            if (
-                entries is not None
-                and self._tick_when == deliver_at
-                and loop.scheduled == self._tick_guard_seq
-            ):
-                entries.append((link, batch))
-                continue
-            entries = [(link, batch)]
-            self._tick_entries = entries
-            self._tick_when = deliver_at
-            loop.call_transient_at(deliver_at, self._fire_tick, entries)
-            self._tick_guard_seq = loop.scheduled
+            # FIFO per link: never before the link's last delivery.
+            if deliver_at < next_free.get(destination, 0.0):
+                deliver_at = next_free[destination]
+            next_free[destination] = deliver_at
+            schedule(
+                deliver_at,
+                deliver,
+                Message(source, destination, payload, now, size_bytes, trace),
+            )
+        stats.sent += count
+        stats.bytes_sent += count * size_bytes
 
-    def _fire_tick(self, entries: List[Tuple[_Link, List[Message]]]) -> None:
-        if self._tick_entries is entries:
-            # Later sends at this same timestamp must open a fresh tick.
-            self._tick_entries = None
-            self._tick_when = -1.0
+    def _deliver(self, message: Message) -> None:
         stats = self.stats
-        endpoints = self._endpoints
-        for link, batch in entries:
-            if link.batch is batch:
-                # Later same-instant sends must open a fresh batch once
-                # this event has fired.
-                link.batch = None
-                link.batch_at = -1.0
-            # Delivered in line: this loop runs once per message.
-            for message in batch:
-                # A partition raised while the message was in flight
-                # also kills it, like a dropped TCP link.
-                if self._side_of is not None and self._partitioned(
-                    message.source, message.destination
-                ):
-                    stats.dropped_partition += 1
-                    continue
-                endpoint = endpoints.get(message.destination)
-                if endpoint is None or not endpoint.alive:
-                    stats.dropped_dead += 1
-                    continue
-                stats.delivered += 1
-                trace = message.trace
-                probe = self.loop.probe if trace is not None else None
-                if probe is None:
-                    endpoint._handler(message)
-                else:  # the sender's context is the handler's parent
-                    probe.carry(trace, endpoint._handler, message)
+        # A partition raised while the message was in flight also kills
+        # it, like a dropped TCP link.
+        if self._side_of is not None and self._partitioned(
+            message.source, message.destination
+        ):
+            stats.dropped_partition += 1
+            return
+        endpoint = self._endpoints.get(message.destination)
+        if endpoint is None or not endpoint.alive:
+            stats.dropped_dead += 1
+            return
+        stats.delivered += 1
+        trace = message.trace
+        probe = self.loop.probe if trace is not None else None
+        if probe is None:
+            endpoint._handler(message)
+        else:  # the sender's context is the handler's parent
+            probe.carry(trace, endpoint._handler, message)
 
     def __repr__(self) -> str:
         return "Network(endpoints=%d, latency=%.4fs, loss=%.3f)" % (

@@ -58,10 +58,13 @@ class RemoteInstanceHost:
         )
         with traced:
             reply: Dict[str, Any] = {"reply_to": payload["token"]}
+            # The failures _execute raises by design (no archive, no
+            # bundle, unknown command) become error replies; anything
+            # else is a defect in the host and propagates.
             try:
                 reply["result"] = self._execute(payload["cmd"], payload.get("args", {}))
                 reply["ok"] = True
-            except Exception as exc:
+            except (KeyError, ValueError) as exc:
                 reply["ok"] = False
                 reply["error"] = str(exc)
             self._endpoint.send(message.source, reply)

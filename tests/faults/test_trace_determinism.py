@@ -1,8 +1,8 @@
 """Seed-replay guard for the event-loop/network hot-path changes.
 
 PR 1 promises that a chaos campaign is reproducible from its seed alone:
-the fault trace is byte-identical run to run. The heap-compaction,
-same-instant batching, and network delivery-coalescing optimisations
+the fault trace is byte-identical run to run. The heap compaction, the
+same-instant batching and the network's one event per delivered message
 must not perturb that. The pinned digest below was captured on the
 pre-optimisation linear implementation — if it ever changes, virtual
 time ordering changed, which breaks every recorded reproduction snippet.

@@ -1,33 +1,31 @@
 """The message fast path against the straightforward network it replaced.
 
-``ReferenceNetwork`` below is the per-message ``send`` / ``_deliver`` the
-repo ran before ``Network.send_all`` became the one implementation: one
-``_Link()`` per ``setdefault``, the member-to-group dict rebuilt on every
-partition test, nothing hoisted, and a delivery that always pushes and
-pops the sender's span context around the handler. It is kept here as
-the oracle. A Hypothesis script of sends, fan-outs, partitions, slow
-nodes, endpoint churn, loss changes and span scopes opened and closed
-between sends runs against both on the same seed, with telemetry
-attached. Both must give the same delivery log (time, send time, source,
-destination, payload identity, order, the handler's ambient span context
-and the distinct contexts on the tracer stack), the same
-``NetworkStats``, ``loop.scheduled`` / ``loop.fired`` and the same final
-RNG state.
+``ReferenceNetwork`` below is a per-message ``send`` / ``_deliver``
+written for clarity: the link's last delivery instant kept per
+``(source, destination)`` tuple with ``setdefault``, the member-to-group
+dict rebuilt on every partition test, nothing hoisted, one transient
+event per message, and a delivery that always pushes and pops the
+sender's span context around the handler. It is kept here as the
+oracle. A Hypothesis script of sends, fan-outs, partitions, slow nodes,
+endpoint churn, loss changes and span scopes opened and closed between
+sends runs against both on the same seed, with telemetry attached. Both
+must give the same delivery log (time, send time, source, destination,
+payload identity, order, the handler's ambient span context and the
+distinct contexts on the tracer stack), the same ``NetworkStats``,
+``loop.scheduled`` / ``loop.fired`` and the same final RNG state.
 
-The count guards at the end pin what the fast path is allowed to
-allocate and rebuild: one ``_Link`` per ordered pair that carried a
+The count guards at the end pin what the fast path is allowed to keep
+and rebuild: a link's delivery instant only for a pair that carried a
 message, and partition maps built by the partition setters only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import network as network_module
 from repro.sim.clock import Clock
 from repro.sim.eventloop import EventLoop
 from repro.sim.network import Endpoint, Message, Network, NetworkStats
@@ -36,15 +34,8 @@ from repro.telemetry.runtime import Telemetry, attach
 
 
 # ----------------------------------------------------------------------
-# The oracle: the parent commit's Network, transfer path verbatim.
+# The oracle: one event per message, written for clarity.
 # ----------------------------------------------------------------------
-@dataclass
-class _RefLink:
-    next_free_at: float = 0.0
-    batch_at: float = -1.0
-    batch: List[Message] = field(default_factory=list)
-
-
 class ReferenceNetwork:
     def __init__(self, loop, rng, latency, jitter, loss_rate) -> None:
         self.loop = loop
@@ -54,12 +45,9 @@ class ReferenceNetwork:
         self.loss_rate = loss_rate
         self.stats = NetworkStats()
         self._endpoints: Dict[str, Endpoint] = {}
-        self._links: Dict[Tuple[str, str], _RefLink] = {}
+        self._next_free: Dict[Tuple[str, str], float] = {}
         self._node_partitions: List[FrozenSet[str]] = []
         self._node_latency: Dict[str, float] = {}
-        self._tick_entries: Optional[List[Tuple[_RefLink, List[Message]]]] = None
-        self._tick_when = -1.0
-        self._tick_guard_seq = -1
 
     def attach(self, name: str, handler: Callable[[Message], None]) -> Endpoint:
         if name in self._endpoints:
@@ -136,39 +124,10 @@ class ReferenceNetwork:
             return
         delay = self.latency + (self._rng.random() * self.jitter if self.jitter else 0.0)
         delay += self._extra_latency(source, destination)
-        link = self._links.setdefault((source, destination), _RefLink())
-        deliver_at = max(self.loop.clock.now + delay, link.next_free_at)
-        link.next_free_at = deliver_at
-        if link.batch and link.batch_at == deliver_at:
-            link.batch.append(message)
-            return
-        batch = [message]
-        link.batch = batch
-        link.batch_at = deliver_at
-        entries = self._tick_entries
-        if (
-            entries is not None
-            and self._tick_when == deliver_at
-            and self.loop.scheduled == self._tick_guard_seq
-        ):
-            entries.append((link, batch))
-            return
-        entries = [(link, batch)]
-        self._tick_entries = entries
-        self._tick_when = deliver_at
-        self.loop.call_transient_at(deliver_at, self._fire_tick, entries)
-        self._tick_guard_seq = self.loop.scheduled
-
-    def _fire_tick(self, entries: List[Tuple[_RefLink, List[Message]]]) -> None:
-        if self._tick_entries is entries:
-            self._tick_entries = None
-            self._tick_when = -1.0
-        for link, batch in entries:
-            if link.batch is batch:
-                link.batch = []
-                link.batch_at = -1.0
-            for message in batch:
-                self._deliver(message)
+        key = (source, destination)
+        deliver_at = max(self.loop.clock.now + delay, self._next_free.setdefault(key, 0.0))
+        self._next_free[key] = deliver_at
+        self.loop.call_transient_at(deliver_at, self._deliver, message)
 
     def _deliver(self, message: Message) -> None:
         if self._partitioned(message.source, message.destination):
@@ -408,17 +367,7 @@ def test_fast_path_matches_the_reference_on_a_busy_script():
 # ----------------------------------------------------------------------
 # Count guards
 # ----------------------------------------------------------------------
-def test_one_link_object_per_ordered_pair_used(monkeypatch, loop):
-    created = []
-
-    class CountingLink(network_module._Link):
-        __slots__ = ()
-
-        def __init__(self) -> None:
-            super().__init__()
-            created.append(self)
-
-    monkeypatch.setattr(network_module, "_Link", CountingLink)
+def test_link_instants_kept_only_for_pairs_that_carried_a_message(loop):
     net = Network(loop, RngStreams(3), latency=0.001, jitter=0.0005, loss_rate=0.3)
     for endpoint_name in NAMES:
         net.attach(endpoint_name, lambda message: None)
@@ -428,14 +377,16 @@ def test_one_link_object_per_ordered_pair_used(monkeypatch, loop):
         net.send(NAMES[(round_index + 1) % 5], NAMES[round_index % 5], round_index)
         loop.run_for(0.0007)
     # Partition and loss drops happen before the link lookup: only pairs
-    # that carried a message own a link, and each owns exactly one.
-    used = set(net._links)
+    # that carried a message hold a delivery instant.
+    used = {
+        (source, destination)
+        for source, instants in net._next_free.items()
+        for destination in instants
+    }
     assert 0 < len(used) < len(NAMES) ** 2
     assert all(
         not net._partitioned(source, destination) for source, destination in used
     )
-    assert len(created) == len(used)
-    assert {id(link) for link in created} == {id(link) for link in net._links.values()}
 
 
 def test_partition_maps_are_built_by_the_setters_only(monkeypatch, loop):

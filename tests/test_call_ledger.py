@@ -6,10 +6,12 @@ import json
 
 import pytest
 
+import benchmarks.ledger
 from benchmarks.ledger import (
     CHAOS_LEDGER,
     CHAOS_SEEDS,
     LEDGER,
+    chaos_ledger,
     chaos_verdicts,
     differences,
     ledger_of,
@@ -156,3 +158,18 @@ def test_a_swept_seed_matches_the_committed_ledger(seed):
     with open(CHAOS_LEDGER, "r", encoding="utf-8") as handle:
         verdicts = json.load(handle)["workloads"]["fleet_3"]["verdicts"]
     assert chaos_verdicts(3, seed) == verdicts["%02d" % seed]
+
+
+def test_a_sweep_logs_each_fleets_wall_time_and_records_none(monkeypatch, capsys):
+    monkeypatch.setattr(benchmarks.ledger, "chaos_verdicts", lambda nodes, seed: [])
+    swept = chaos_ledger([8, 3])
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(" in ")[0] for line in lines] == [
+        "fleet_3: 60 seeds",
+        "fleet_8: 60 seeds",
+    ]
+    assert all(line.endswith(" s wall") for line in lines)
+    assert sorted(swept["workloads"]) == ["fleet_3", "fleet_8"]
+    assert swept["workloads"]["fleet_3"] == {
+        "verdicts": {"%02d" % seed: [] for seed in range(1, 61)}
+    }

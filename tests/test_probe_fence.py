@@ -94,7 +94,6 @@ BROAD_CATCH_SITES = (
     "osgi/events.py::EventDispatcher.fire_framework_event",
     "vosgi/delegation.py::ServiceMirror._release",
     "vosgi/delegation.py::ServiceMirror._release",
-    "vosgi/remote.py::RemoteInstanceHost._on_message",
     "workloads/webservice.py::HostHttpService.dispatch",
 )
 BROAD = {"Exception", "BaseException"}

@@ -84,3 +84,13 @@ def test_hosts_are_fully_isolated_processes(setup):
     status = settle(loop, manager.status("globex"))
     assert status["bundles"] == {}  # nothing leaked between "JVMs"
     assert manager.names() == ["acme", "globex"]
+
+
+def test_a_defect_in_the_host_propagates(setup):
+    """Only the failures ``_execute`` raises by design become error
+    replies; a programming error escapes the delivery."""
+    loop, network, manager, host = setup
+    host.framework = None  # every command now hits an AttributeError
+    manager.start_framework("acme")
+    with pytest.raises(AttributeError):
+        loop.run_for(2.0)
