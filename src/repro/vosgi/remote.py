@@ -20,6 +20,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.cluster.future import Completion
 from repro.osgi.bundle import BundleState
 from repro.osgi.definition import BundleDefinition
+from repro.osgi.errors import OSGiError
 from repro.osgi.framework import Framework
 from repro.sim.eventloop import EventLoop
 from repro.sim.network import Message, Network
@@ -59,12 +60,14 @@ class RemoteInstanceHost:
         with traced:
             reply: Dict[str, Any] = {"reply_to": payload["token"]}
             # The failures _execute raises by design (no archive, no
-            # bundle, unknown command) become error replies; anything
-            # else is a defect in the host and propagates.
+            # bundle, unknown command) and the documented errors of the
+            # framework it drives (an inactive framework, a failing
+            # activator, an unresolved import) become error replies;
+            # anything else is a defect in the host and propagates.
             try:
                 reply["result"] = self._execute(payload["cmd"], payload.get("args", {}))
                 reply["ok"] = True
-            except (KeyError, ValueError) as exc:
+            except (KeyError, ValueError, OSGiError) as exc:
                 reply["ok"] = False
                 reply["error"] = str(exc)
             self._endpoint.send(message.source, reply)

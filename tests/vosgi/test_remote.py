@@ -7,7 +7,9 @@ from repro.sim.network import Network
 from repro.sim.rng import RngStreams
 from repro.vosgi.remote import RemoteInstanceHost, RemoteInstanceManager
 
-from tests.conftest import library_bundle
+from repro.osgi.definition import simple_bundle
+
+from tests.conftest import FailingStartActivator, library_bundle
 
 
 @pytest.fixture
@@ -84,6 +86,38 @@ def test_hosts_are_fully_isolated_processes(setup):
     status = settle(loop, manager.status("globex"))
     assert status["bundles"] == {}  # nothing leaked between "JVMs"
     assert manager.names() == ["acme", "globex"]
+
+
+def test_install_on_a_stopped_framework_fails_the_call(setup):
+    """A FrameworkError from the framework is an error reply; the
+    simulation keeps running."""
+    loop, network, manager, host = setup
+    host.provision("loc://lib", library_bundle("lib", "1.0.0"))
+    settle(loop, manager.start_framework("acme"))
+    settle(loop, manager.stop_framework("acme"))
+    completion = manager.install("acme", "loc://lib")
+    loop.run_for(2.0)
+    assert completion.done and not completion.ok
+    with pytest.raises(RuntimeError, match="not active"):
+        completion.result()
+    assert settle(loop, manager.status("acme"))["active"] is False
+
+
+def test_failing_activator_fails_the_call(setup):
+    """A BundleException from an activator is an error reply; the
+    simulation keeps running."""
+    loop, network, manager, host = setup
+    host.provision(
+        "loc://bad", simple_bundle("bad", activator_factory=FailingStartActivator)
+    )
+    settle(loop, manager.start_framework("acme"))
+    settle(loop, manager.install("acme", "loc://bad"))
+    completion = manager.start_bundle("acme", "bad")
+    loop.run_for(2.0)
+    assert completion.done and not completion.ok
+    with pytest.raises(RuntimeError, match="failed to start"):
+        completion.result()
+    assert settle(loop, manager.status("acme"))["bundles"] == {"bad": "RESOLVED"}
 
 
 def test_a_defect_in_the_host_propagates(setup):
