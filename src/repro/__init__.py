@@ -6,8 +6,9 @@ The package implements, from scratch and in pure Python:
 * virtual OSGi instances stacked on a host framework (:mod:`repro.vosgi`),
 * a SecurityManager-style isolation layer (:mod:`repro.isolation`),
 * a JSR-284-style resource monitoring module (:mod:`repro.monitoring`),
-* a jGCS-style group communication system (:mod:`repro.gcs`) over a
-  deterministic discrete-event simulation substrate (:mod:`repro.sim`),
+* a group communication system (:mod:`repro.gcs`), the role jGCS plays
+  in the paper, over a deterministic discrete-event simulation substrate
+  (:mod:`repro.sim`),
 * a SAN-style shared store (:mod:`repro.storage`),
 * the Migration Module (:mod:`repro.migration`),
 * an ipvs-style IP virtual server (:mod:`repro.ipvs`),

@@ -106,7 +106,7 @@ class AutonomicModule:
         def tick() -> None:
             if not self.running:
                 return
-            if self.migration.control.is_coordinator:
+            if self.migration.member.is_coordinator:
                 event = Event(
                     "cluster-tick",
                     at=self.loop.clock.now,

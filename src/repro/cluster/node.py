@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.cluster.future import Completion
 from repro.cluster.spec import DEFAULT_COSTS, CostModel, NodeSpec
 from repro.gcs.directory import GroupDirectory
-from repro.gcs.jgcs import Protocol
+from repro.gcs.member import GroupMember
 from repro.isolation.policy import SecurityManager
 from repro.isolation.quotas import ResourceQuota
 from repro.monitoring.monitor import (
@@ -92,7 +92,8 @@ class Node:
         self.instance_manager: Optional[InstanceManager] = None
         self.monitoring: Optional[MonitoringModule] = None
         self.security = SecurityManager()
-        self.protocol = Protocol(node_id, loop, network, directory)
+        #: group -> this process's member of it (see group_member).
+        self._members: Dict[str, GroupMember] = {}
         #: Arbitrary per-node attachments (migration module, autonomic...).
         self.modules: Dict[str, Any] = {}
         self._state_listeners: List[Callable[["Node", NodeState], None]] = []
@@ -128,6 +129,35 @@ class Node:
         return (
             self.spec.power_idle_watts + cpu_share * self.spec.power_dynamic_watts
         )
+
+    def group_member(self, group: str, fd_timeout: float) -> GroupMember:
+        """This node's member of ``group``, built on first use.
+
+        A member that has joined and then left or crashed cannot be
+        revived (its channel and endpoint are gone), so it is crashed to
+        release its endpoint name and a fresh member takes its place: a
+        rejoin is a new incarnation. A member that has not joined yet is
+        handed out again.
+        """
+        member = self._members.get(group)
+        if member is not None and member.ever_joined and not member.running:
+            member.crash()
+            member = None
+        if member is None:
+            member = GroupMember(
+                self.node_id,
+                group,
+                self.loop,
+                self.network,
+                self.directory,
+                fd_timeout=fd_timeout,
+            )
+            self._members[group] = member
+        return member
+
+    def group_members(self) -> List[GroupMember]:
+        """This node's group members, sorted by group name."""
+        return [self._members[g] for g in sorted(self._members)]
 
     # ------------------------------------------------------------------
     # Lifecycle transitions
@@ -210,7 +240,8 @@ class Node:
         if self.state in (NodeState.OFF, NodeState.FAILED):
             return
         self._set_state(NodeState.FAILED)
-        self.protocol.crash()
+        for member in self._members.values():
+            member.crash()
         for module in self.modules.values():
             crash = getattr(module, "crash", None)
             if callable(crash):
@@ -220,15 +251,13 @@ class Node:
         if self.mount is not None:
             self.mount.unmount()
         # The frameworks simply cease to exist; their last incremental
-        # persist on the SAN is all that survives. The GCS protocol dies
-        # with the process — a later reboot gets a fresh one.
+        # persist on the SAN is all that survives. The group members die
+        # with the process — a later reboot builds fresh ones.
         self.framework = None
         self.instance_manager = None
         self.monitoring = None
         self.modules = {}
-        self.protocol = Protocol(
-            self.node_id, self.loop, self.network, self.directory
-        )
+        self._members = {}
 
     def shutdown(self) -> "Completion[Node]":
         """Graceful power-off of an (already evacuated) node."""

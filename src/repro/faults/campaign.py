@@ -5,7 +5,7 @@ fresh scenario (a :class:`~repro.core.environment.DependableEnvironment`)
 for it, draws a random :class:`~repro.faults.schedule.FaultSchedule` from
 the cluster's dedicated ``"faults"`` RNG stream, and runs the episode with
 ``always`` invariants checked at a fixed sim-time interval. After the
-episode the injector quiesces, failed nodes are (optionally) repaired, the
+episode the injector quiesces, failed nodes are repaired, the
 cluster settles, and the *full* invariant catalog — including the
 ``quiescent`` convergence checks — gets a final evaluation.
 
@@ -117,7 +117,6 @@ def replay_schedule(
     settle: float = 10.0,
     check_interval: float = 0.5,
     registry: Optional[InvariantRegistry] = None,
-    repair: bool = True,
 ) -> Tuple[FaultTrace, List[Violation]]:
     """Run ``schedule`` against ``env`` exactly as a campaign episode does.
 
@@ -130,9 +129,8 @@ def replay_schedule(
     checker.arm(check_interval)
     env.run_for(duration)
     injector.quiesce()
-    if repair:
-        for node in env.cluster.failed_nodes():
-            env.repair_node(node.node_id)
+    for node in env.cluster.failed_nodes():
+        env.repair_node(node.node_id)
     env.run_for(settle)
     checker.check_now(mode=None)
     checker.stop()
@@ -146,7 +144,6 @@ def replay_and_check(
     settle: float = 10.0,
     check_interval: float = 0.5,
     registry: Optional[InvariantRegistry] = None,
-    repair: bool = True,
 ) -> Tuple[FaultTrace, List[Violation], History, List[ConformanceViolation]]:
     """:func:`replay_schedule` with a history recorder attached, then checked.
 
@@ -163,7 +160,6 @@ def replay_and_check(
             settle=settle,
             check_interval=check_interval,
             registry=registry,
-            repair=repair,
         )
     return trace, violations, recorder.history, check_history(recorder.history)
 
@@ -358,7 +354,6 @@ class ChaosCampaign:
         kinds: Optional[Sequence[str]] = None,
         registry_factory: Callable[[], InvariantRegistry] = default_invariants,
         schedule_factory: Optional[ScheduleFactory] = None,
-        repair_failed: bool = True,
         telemetry: bool = False,
         conformance: bool = False,
     ) -> None:
@@ -374,7 +369,6 @@ class ChaosCampaign:
         self.kinds = kinds
         self.registry_factory = registry_factory
         self.schedule_factory = schedule_factory
-        self.repair_failed = repair_failed
         #: Capture one end-to-end trace + failover latencies per episode.
         #: Telemetry draws ids from its own RNG stream and schedules
         #: nothing, so fault trace digests are identical either way.
@@ -434,7 +428,6 @@ class ChaosCampaign:
                     settle=self.settle,
                     check_interval=self.check_interval,
                     registry=registry,
-                    repair=self.repair_failed,
                 )
             finally:
                 if telemetry_handle is not None:
@@ -522,9 +515,8 @@ class ChaosCampaign:
                     "schedule = %s" % episode.schedule.to_snippet(),
                     "env = scenario(%d)" % episode.seed,
                     "trace, violations, history, conformance = replay_and_check(",
-                    "    env, schedule, duration=%r, settle=%r, check_interval=%r,"
+                    "    env, schedule, duration=%r, settle=%r, check_interval=%r)"
                     % (self.episode_duration, self.settle, self.check_interval),
-                    "    repair=%r)" % self.repair_failed,
                     "assert not conformance, conformance",
                     "assert not violations, violations",
                     "",
@@ -539,9 +531,8 @@ class ChaosCampaign:
                 "schedule = %s" % episode.schedule.to_snippet(),
                 "env = scenario(%d)" % episode.seed,
                 "trace, violations = replay_schedule(",
-                "    env, schedule, duration=%r, settle=%r, check_interval=%r,"
+                "    env, schedule, duration=%r, settle=%r, check_interval=%r)"
                 % (self.episode_duration, self.settle, self.check_interval),
-                "    repair=%r)" % self.repair_failed,
                 "assert not violations, violations",
                 "",
             ]

@@ -214,7 +214,7 @@ class FaultInjector:
         factor = float(action.arg("factor"))
         duration = float(action.arg("duration"))
         skewed = []
-        for member in node.protocol.members():
+        for member in node.group_members():
             skewed.append((member, member.hb_interval))
             member.hb_interval = member.hb_interval * factor
         self._skews.extend(skewed)

@@ -129,7 +129,7 @@ def _check_view_agreement(env: Any) -> List[str]:
     problems: List[str] = []
     views: Dict[str, Dict[frozenset, List[str]]] = {}
     for node in env.cluster.alive_nodes():
-        for member in node.protocol.members():
+        for member in node.group_members():
             if not member.running or member.view is None:
                 continue
             views.setdefault(member.group, {}).setdefault(

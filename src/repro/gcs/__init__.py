@@ -1,4 +1,4 @@
-"""Group communication system — the jGCS-shaped substrate of §3.2.
+"""Group communication system — the substrate of §3.2.
 
 The Migration Module "clearly need[s] a group communication system (GCS)
 such as jGCS" for membership without a centralized authority. This package
@@ -10,25 +10,21 @@ implements one over the simulated network:
   failure detection, view installation, and reliable FIFO or total-order
   (sequencer-based) multicast;
 * :class:`~repro.gcs.directory.GroupDirectory` — the discovery analogue of
-  IP multicast on a LAN;
-* :mod:`~repro.gcs.jgcs` — a facade mirroring the jGCS API split into
-  ``DataSession`` (messages) and ``ControlSession`` (membership), so code
-  reads like the paper's middleware.
+  IP multicast on a LAN.
+
+A node holds one member per group (:meth:`repro.cluster.node.Node.group_member`);
+the Migration Module multicasts, joins, leaves and listens on its member
+directly, covering what jGCS splits into data and control sessions.
 """
 
 from repro.gcs.channel import ReliableChannel
 from repro.gcs.directory import GroupDirectory
-from repro.gcs.jgcs import ControlSession, DataSession, GroupConfiguration, Protocol
 from repro.gcs.member import GroupMember
 from repro.gcs.view import View, ViewChange
 
 __all__ = [
-    "ControlSession",
-    "DataSession",
-    "GroupConfiguration",
     "GroupDirectory",
     "GroupMember",
-    "Protocol",
     "ReliableChannel",
     "View",
     "ViewChange",

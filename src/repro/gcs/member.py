@@ -93,7 +93,7 @@ class GroupMember:
         self._peers: List[str] = []
         self.running = False
         #: True once join() has ever been called; a not-running member
-        #: that has joined before is dead for good (see Protocol._member).
+        #: that has joined before is dead for good (see Node.group_member).
         self.ever_joined = False
         self._beat_count = 0
         #: Live timer handles only: the pending heartbeat and join retry.

@@ -28,7 +28,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.cluster.future import Completion
 from repro.cluster.node import Node, NodeState
-from repro.gcs.jgcs import GroupConfiguration
 from repro.gcs.view import ViewChange
 from repro.migration.inventory import ClusterInventory, NodeInventory
 from repro.migration.placement import LeastLoadedPlacement
@@ -39,6 +38,9 @@ from repro.sim.eventloop import ScheduledEvent
 PLATFORM_GROUP = "platform.migration"
 #: Seconds between inventory broadcasts (each also runs the orphan sweep).
 INVENTORY_INTERVAL = 0.5
+#: The platform group's failure-detection timeout: tighter than the
+#: member's 1 s default, for prompt redeployment on a quiet LAN.
+FD_TIMEOUT = 0.35
 
 
 @dataclass
@@ -83,14 +85,7 @@ def _endpoint_node(endpoint: str) -> str:
 class MigrationModule:
     """Per-node migration logic over the GCS."""
 
-    def __init__(
-        self,
-        node: Node,
-        coordination: str = "deterministic",
-        hb_interval: float = 0.1,
-        fd_timeout: float = 0.35,
-        adaptive_fd: bool = False,
-    ) -> None:
+    def __init__(self, node: Node, coordination: str = "deterministic") -> None:
         if coordination not in ("deterministic", "sequencer"):
             raise ValueError("coordination must be deterministic|sequencer")
         self.node = node
@@ -98,14 +93,7 @@ class MigrationModule:
         self.placement = LeastLoadedPlacement()
         self.coordination = coordination
         self.customers = CustomerDirectory(node.store, node.loop, owner=node.node_id)
-        config = GroupConfiguration(
-            PLATFORM_GROUP,
-            hb_interval=hb_interval,
-            fd_timeout=fd_timeout,
-            adaptive_fd=adaptive_fd,
-        )
-        self.control = node.protocol.create_control_session(config)
-        self.data = node.protocol.create_data_session(config)
+        self.member = node.group_member(PLATFORM_GROUP, FD_TIMEOUT)
         self.inventory = ClusterInventory()
         self.records: List[MigrationRecord] = []
         self.duplicate_deploys = 0
@@ -131,9 +119,9 @@ class MigrationModule:
         if self.running:
             return
         self.running = True
-        self.data.set_message_listener(self._on_message)
-        self.control.set_membership_listener(self._on_view_change)
-        self.control.join()
+        self.member.message_listeners.append(self._on_message)
+        self.member.view_listeners.append(self._on_view_change)
+        self.member.join()
         self._broadcast_inventory()
         self._arm_timer()
 
@@ -145,7 +133,7 @@ class MigrationModule:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        self.control.leave()
+        self.member.leave()
 
     def crash(self) -> None:
         self.running = False
@@ -197,12 +185,12 @@ class MigrationModule:
         )
 
     def _broadcast_inventory(self) -> None:
-        if not self.control.joined:
+        if not self.member.running:
             return
         inventory = self._local_inventory()
         self.inventory.update(inventory)
         try:
-            self.data.multicast({"mig": "INV", "inv": inventory.to_dict()})
+            self.member.multicast({"mig": "INV", "inv": inventory.to_dict()})
         except RuntimeError:
             pass  # not in a view yet
 
@@ -246,7 +234,7 @@ class MigrationModule:
             if handler is not None:
                 handler(args)
             return
-        self.data.multicast(
+        self.member.multicast(
             {"mig": "CMD", "cmd": cmd, "args": args, "target_node": target_node}
         )
 
@@ -363,7 +351,7 @@ class MigrationModule:
         if not descriptors:
             return
         if self.coordination == "sequencer":
-            if not self.control.is_coordinator:
+            if not self.member.is_coordinator:
                 for descriptor in descriptors:
                     self._mark_redeploying(descriptor.name)
                 return
@@ -377,7 +365,7 @@ class MigrationModule:
                     k: v for k, v in assignment.items() if origin[k] == from_node
                 }
                 if subset:
-                    self.data.multicast(
+                    self.member.multicast(
                         {
                             "mig": "ASSIGN",
                             "assignment": subset,
@@ -426,11 +414,11 @@ class MigrationModule:
         inventory reports — after two consecutive strikes (to let in-
         flight deployments land) it redeploys them via the normal path.
         """
-        if not self.control.is_coordinator:
+        if not self.member.is_coordinator:
             self._orphan_strikes.clear()
             return
         strikes: Dict[str, int] = self._orphan_strikes
-        view = self.control.current_view
+        view = self.member.view
         if view is None:
             return
         # A freshly changed view means inventories are still converging —
@@ -479,7 +467,7 @@ class MigrationModule:
                     name, from_node="?", reason="recovery", down_at=now
                 )
             else:
-                self.data.multicast(
+                self.member.multicast(
                     {
                         "mig": "DEPLOY",
                         "instance": name,
@@ -585,7 +573,7 @@ class MigrationModule:
             self._fire(record)
             self._broadcast_inventory()
             try:
-                self.data.multicast(
+                self.member.multicast(
                     {
                         "mig": "DEPLOYED",
                         "instance": instance,
@@ -639,7 +627,7 @@ class MigrationModule:
                 )
             else:
                 self._open_records[instance] = record
-                self.data.multicast(
+                self.member.multicast(
                     {
                         "mig": "DEPLOY",
                         "instance": instance,
@@ -691,7 +679,7 @@ class MigrationModule:
             self._broadcast_inventory()
             completion.complete([], at=self.loop.clock.now)
             return completion
-        view = self.control.current_view
+        view = self.member.view
         others = sorted(
             _endpoint_node(m)
             for m in (view.members if view else ())

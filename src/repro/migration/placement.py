@@ -26,12 +26,6 @@ class LeastLoadedPlacement:
     running tally makes one call internally consistent.
     """
 
-    def __init__(self, refuse_threshold: float = 0.0) -> None:
-        #: Stop placing once a node's free CPU would drop below this —
-        #: the paper's "refusing to accept more virtual instances past a
-        #: given threshold" degradation knob.
-        self.refuse_threshold = refuse_threshold
-
     def assign(
         self,
         instances: Sequence[CustomerDescriptor],
@@ -59,7 +53,9 @@ class LeastLoadedPlacement:
                 if free_mem[node_id] < descriptor.memory_bytes:
                     continue
                 remaining = free_cpu[node_id] - descriptor.cpu_share
-                if remaining < self.refuse_threshold:
+                # The paper's degradation: refuse past a threshold, here
+                # the node's capacity.
+                if remaining < 0.0:
                     continue
                 if best is None or free_cpu[node_id] > free_cpu[best]:
                     best = node_id

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any, Dict, FrozenSet, Iterable, Optional, Tuple, TYPE_CHECKING
 
 from repro.osgi.bundle import Bundle, BundleState
+from repro.osgi.errors import ServiceException
 from repro.osgi.events import ServiceEvent, ServiceEventType
 from repro.osgi.loader import ClassNotFoundError
 from repro.osgi.registry import OBJECTCLASS, ServiceReference, ServiceRegistration
@@ -197,19 +198,25 @@ class ServiceMirror:
 
     def _release(self, host_service_id: int) -> None:
         """Withdraw one mirror and give back the host use count taken when
-        it was created, or stopped instances pile up phantom uses. A step
-        that raises is counted and the rest of the release still happens."""
+        it was created, or stopped instances pile up phantom uses.
+
+        A step that fails is counted and the rest of the release still
+        happens: ``unregister`` raises ``ServiceException`` for a mirror
+        already withdrawn, and giving back the use count runs a host
+        ``ServiceFactory.unget_service``, which signals failure with
+        ``RuntimeError`` (the registry's rule for ``get_service``). Any
+        other exception is a bug and propagates."""
         mirror = self._mirrors.pop(host_service_id, None)
         if mirror is None:
             return
         reference, registration = mirror
         try:
             registration.unregister()
-        except Exception:
+        except ServiceException:
             self.release_errors += 1
         try:
             self._host.registry.unget_service(self._host.system_bundle, reference)
-        except Exception:
+        except RuntimeError:
             self.release_errors += 1
 
     def __repr__(self) -> str:

@@ -66,32 +66,28 @@ def test_nodes_share_san():
 
 
 def test_gcs_listener_errors_are_summed_across_nodes_rejoins_and_crashes():
-    from repro.gcs.jgcs import GroupConfiguration
-
     cluster = Cluster.build(3, seed=1)
-    config = GroupConfiguration("errors-test")
-    sessions = {}
+    members = {}
     for node in cluster.nodes():
-        sessions[node.node_id] = node.protocol.create_data_session(config)
-        node.protocol.create_control_session(config).join()
+        members[node.node_id] = node.group_member("errors-test", 1.0)
+        members[node.node_id].join()
         cluster.run_for(0.5)
     assert cluster.gcs_listener_errors() == 0
 
     def bad(sender, payload):
         raise RuntimeError("listener bug")
 
-    for session in sessions.values():
-        session.set_message_listener(bad)
-    sessions["n1"].multicast("x")
+    for member in members.values():
+        member.message_listeners.append(bad)
+    members["n1"].multicast("x")
     cluster.run_for(1.0)
     assert cluster.loop.errors == {
         "gcs.listener/n1": 1, "gcs.listener/n2": 1, "gcs.listener/n3": 1
     }
-    # A crash replaces the node's protocol; a rejoin replaces the member.
+    # A crash drops the node's members; a rejoin replaces the member.
     cluster.node("n2").fail()
-    control = cluster.node("n3").protocol.create_control_session(config)
-    control.leave()
+    members["n3"].leave()
     cluster.run_for(3.0)
-    cluster.node("n3").protocol.create_control_session(config).join()
+    cluster.node("n3").group_member("errors-test", 1.0).join()
     cluster.run_for(3.0)
     assert cluster.gcs_listener_errors() == 3

@@ -194,3 +194,49 @@ def test_raising_state_listener_propagates(cluster):
     with pytest.raises(KeyError):
         node.fail()
     assert node.state == NodeState.FAILED
+
+
+def test_a_rejoin_after_leave_is_a_fresh_incarnation(cluster):
+    node = cluster.node("n1")
+    member = node.group_member("g", 1.0)
+    assert node.group_member("g", 1.0) is member  # not joined yet: kept
+    member.join()
+    cluster.run_for(0.5)
+    assert node.group_member("g", 1.0) is member  # running: kept
+    member.leave()
+    fresh = node.group_member("g", 1.0)
+    assert fresh is not member
+    assert node.group_members() == [fresh]
+    # The old incarnation released the endpoint name the fresh one holds.
+    assert cluster.network.endpoint(fresh.endpoint_name) is not None
+    fresh.join()
+    cluster.run_for(0.5)
+    assert fresh.view.members == ("gcs/g/n1",)
+
+
+def test_two_groups_on_one_node_get_two_members(cluster):
+    node = cluster.node("n1")
+    second = node.group_member("g2", 1.0)
+    first = node.group_member("g1", 1.0)
+    second.join()
+    first.join()
+    cluster.run_for(0.5)
+    assert node.group_members() == [first, second]  # sorted by group
+    assert first.view.members == ("gcs/g1/n1",)
+    assert second.view.members == ("gcs/g2/n1",)
+
+
+def test_fail_crashes_and_forgets_every_member(cluster):
+    n1, n2 = cluster.node("n1"), cluster.node("n2")
+    crashed = [n1.group_member(g, 0.5) for g in ("g1", "g2")]
+    survivor = n2.group_member("g1", 0.5)
+    for member in crashed + [survivor]:
+        member.join()
+        cluster.run_for(0.5)
+    cluster.run_for(1.0)
+    assert survivor.view.size == 2
+    n1.fail()
+    assert n1.group_members() == []
+    assert not any(member.running for member in crashed)
+    cluster.run_for(3.0)
+    assert survivor.view.members == ("gcs/g1/n2",)

@@ -107,14 +107,10 @@ def test_slow_node_adds_and_clears_latency(cluster):
 
 
 def test_clock_skew_scales_member_timers_and_restores(cluster):
-    # Give each node a GCS member via a control session.
-    from repro.gcs.jgcs import GroupConfiguration
-
-    config = GroupConfiguration("platform-test")
     for node in cluster.nodes():
-        node.protocol.create_control_session(config).join()
+        node.group_member("platform-test", 1.0).join()
     cluster.run_for(2.0)
-    member = cluster.node("n1").protocol.members()[0]
+    member = cluster.node("n1").group_members()[0]
     original = member.hb_interval
 
     schedule = FaultSchedule().clock_skew(1.0, "n1", 3.0, 2.0)

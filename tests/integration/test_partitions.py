@@ -27,12 +27,12 @@ def test_partition_splits_views_and_heal_merges():
     cluster, modules = build_platform()
     partition(cluster, ("n1", "n2"), ("n3", "n4"))
     cluster.run_for(5.0)
-    assert modules["n1"].control.current_view.size == 2
-    assert modules["n3"].control.current_view.size == 2
+    assert modules["n1"].member.view.size == 2
+    assert modules["n3"].member.view.size == 2
 
     cluster.network.heal()
     cluster.run_for(8.0)
-    views = {m.control.current_view for m in modules.values()}
+    views = {m.member.view for m in modules.values()}
     assert len(views) == 1
     assert list(views)[0].size == 4
 
@@ -65,7 +65,7 @@ def test_partition_both_sides_redeploy_then_merge_dedups():
         n.node_id for n in cluster.alive_nodes() if "acme" in n.instance_names()
     ]
     assert len(hosts) == 1  # dedup rule resolved the brain split
-    views = {m.control.current_view for m in modules.values()}
+    views = {m.member.view for m in modules.values()}
     assert len(views) == 1
 
 

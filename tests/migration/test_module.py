@@ -41,7 +41,7 @@ def host_of(cluster, name):
 class TestGossip:
     def test_all_modules_join_platform_group(self):
         cluster, modules = build_platform()
-        views = {m.control.current_view for m in modules.values()}
+        views = {m.member.view for m in modules.values()}
         assert len(views) == 1
         assert list(views)[0].size == 3
 

@@ -61,12 +61,15 @@ class TestLeastLoaded:
         assert assignment == {}
 
     def test_refuse_threshold_degrades_gracefully(self):
+        # The threshold is the node's capacity: a customer that fills the
+        # rest still lands, the next one past capacity is left down.
         inventory = make_inventory({"n1": (0.5, 4 * GIB)})
-        policy = LeastLoadedPlacement(refuse_threshold=0.3)
-        assignment = policy.assign(
-            descriptors(("a", 0.3, GIB)), ["n1"], inventory
+        assignment = LeastLoadedPlacement().assign(
+            descriptors(("a", 0.25, GIB), ("b", 0.25, GIB), ("c", 0.25, GIB)),
+            ["n1"],
+            inventory,
         )
-        assert assignment == {}  # would leave only 0.2 < threshold
+        assert assignment == {"a": "n1", "b": "n1"}
 
     def test_running_tally_prevents_overcommit(self):
         inventory = make_inventory({"n1": (0.5, 4 * GIB), "n2": (0.5, 4 * GIB)})

@@ -1,4 +1,4 @@
-"""The network does not coalesce: each delivered message is its own event.
+"""Message delivery: each delivered message is its own event.
 
 Every message that survives the send-time partition and loss tests is
 one transient event on the loop, so ordering is the loop's strict
@@ -35,7 +35,7 @@ def test_one_event_per_delivered_message():
     assert loop.fired - fired_before == net.stats.delivered == 5
 
 
-def test_interleaved_scheduling_defeats_merge_but_keeps_order():
+def test_timer_between_two_sends_fires_between_their_deliveries():
     """A timer scheduled between two sends due at its instant fires
     between their deliveries."""
     loop, net = make_net()
@@ -123,7 +123,7 @@ def test_sends_from_handler_at_delivery_instant():
     assert net.stats.delivered == 3
 
 
-def test_partition_checked_at_delivery_even_when_coalesced():
+def test_partition_raised_in_flight_drops_the_message():
     """A partition raised while a message is in flight drops it."""
     loop, net = make_net()
     seen = []

@@ -92,8 +92,6 @@ BROAD_CATCH_SITES = (
     "osgi/bundle.py::Bundle._do_stop",
     "osgi/events.py::EventDispatcher._safely",
     "osgi/events.py::EventDispatcher.fire_framework_event",
-    "vosgi/delegation.py::ServiceMirror._release",
-    "vosgi/delegation.py::ServiceMirror._release",
     "workloads/webservice.py::HostHttpService.dispatch",
 )
 BROAD = {"Exception", "BaseException"}

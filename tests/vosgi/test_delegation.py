@@ -4,6 +4,7 @@ import pytest
 
 from repro.osgi.framework import Framework
 from repro.osgi.loader import ClassNotFoundError
+from repro.osgi.registry import ServiceFactory
 from repro.vosgi.delegation import (
     DelegationLoader,
     ExportPolicy,
@@ -201,3 +202,47 @@ def test_failing_release_is_counted_and_the_rest_still_withdrawn(
         False,
         False,
     ]
+
+
+class FailingUnget(ServiceFactory):
+    """A host service factory whose release raises ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def get_service(self, bundle, registration):
+        return "facade"
+
+    def unget_service(self, bundle, registration, service):
+        raise self.error
+
+
+def test_factory_release_failure_is_counted(host, child):
+    # RuntimeError is how a factory signals failure.
+    mirror = ServiceMirror(host, child, ExportPolicy(service_classes={"x"}))
+    mirror.open()
+    host.system_context.register_service("x", FailingUnget(RuntimeError("busy")))
+    host.system_context.register_service("x", "plain")
+    mirror.close()
+    assert mirror.release_errors == 1
+    assert child.registry.get_references("x") == []
+
+
+def test_factory_release_bug_propagates(host, child):
+    mirror = ServiceMirror(host, child, ExportPolicy(service_classes={"x"}))
+    mirror.open()
+    host.system_context.register_service("x", FailingUnget(KeyError("bug")))
+    with pytest.raises(KeyError):
+        mirror.close()
+    assert mirror.release_errors == 0
+
+
+def test_mirror_withdrawn_inside_the_child_is_counted(host, child):
+    mirror = ServiceMirror(host, child, ExportPolicy(service_classes={"x"}))
+    mirror.open()
+    reference = host.system_context.register_service("x", "svc").reference
+    assert child.registry.unregister_all(child.system_bundle) == 1
+    mirror.close()
+    assert mirror.release_errors == 1  # unregister: already withdrawn
+    assert host.system_bundle not in reference.using_bundles
+
