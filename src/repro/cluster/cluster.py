@@ -123,18 +123,6 @@ class Cluster:
     def total_power_watts(self) -> float:
         return sum(n.power_watts() for n in self.nodes())
 
-    def gcs_listener_errors(self) -> int:
-        """GCS view and message listeners that raised, over all nodes,
-        across crashes and rejoins (``loop.errors`` keys them by node).
-
-        A raising listener is skipped so the others still run; this count
-        is what is left of the exception (0 in a healthy run)."""
-        return sum(
-            count
-            for key, count in self.loop.errors.items()
-            if key.startswith("gcs.listener/")
-        )
-
     def __repr__(self) -> str:
         states = {n.node_id: n.state.value for n in self.nodes()}
         return "Cluster(t=%.2f, %s)" % (self.loop.clock.now, states)

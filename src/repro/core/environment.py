@@ -46,8 +46,8 @@ class Customer:
     packages: Tuple[str, ...] = ()
     services: Tuple[str, ...] = ()
     bundles: List[Tuple[BundleDefinition, bool]] = field(default_factory=list)
-    #: endpoint -> (service_time, weight), so the real server can be
-    #: recreated identically when the customer moves.
+    #: endpoint -> (service_time, weight): the profile of the customer's
+    #: real server wherever it runs (see ``_place_real_servers``).
     endpoints: Dict[IpEndpoint, Tuple[float, int]] = field(default_factory=dict)
 
     @property
@@ -346,18 +346,8 @@ class DependableEnvironment:
         The real server follows the customer: migration and failure
         redeployment re-point it automatically via migration records.
         """
-        host = self.locate(customer)
-        if host is None:
-            raise ValueError("customer %r is not running anywhere" % customer)
         self.director.add_service(endpoint)
-        self.director.add_real_server(
-            endpoint,
-            host,
-            weight=weight,
-            service_time=service_time,
-            on_served=self._meter_request(customer, service_time),
-        )
-        self._customers[customer].endpoints[endpoint] = (service_time, weight)
+        self.join_service(customer, endpoint, service_time, weight)
 
     def join_service(
         self,
@@ -376,14 +366,56 @@ class DependableEnvironment:
         host = self.locate(customer)
         if host is None:
             raise ValueError("customer %r is not running anywhere" % customer)
-        self.director.add_real_server(
-            endpoint,
-            host,
-            weight=weight,
-            service_time=service_time,
-            on_served=self._meter_request(customer, service_time),
-        )
         self._customers[customer].endpoints[endpoint] = (service_time, weight)
+        self._place_real_servers(customer, host)
+
+    def set_service_time(self, name: str, service_time: float) -> None:
+        """Re-profile every endpoint customer ``name`` exposes (a release
+        that serves faster or slower). Its real servers follow at once
+        where it runs, and wherever it is redeployed later."""
+        customer = self._customers[name]
+        for endpoint, (_old, weight) in customer.endpoints.items():
+            customer.endpoints[endpoint] = (service_time, weight)
+        host = self.locate(name)
+        if host is not None:
+            self._place_real_servers(name, host)
+
+    def _place_real_servers(self, name: str, host: str, left: str = "") -> None:
+        """Make the director's real servers agree with customer ``name``
+        running on ``host`` (having left ``left``): the one writer of a
+        customer's real servers and their profile.
+
+        For each endpoint the customer exposes, the server on ``left``
+        goes, so do servers on nodes that run no customer exposing the
+        endpoint, and ``host`` gets a server at the customer's profile
+        (an existing one is re-profiled)."""
+        customer = self._customers[name]
+        for endpoint, (service_time, weight) in customer.endpoints.items():
+            if left:
+                self.director.remove_real_server(endpoint, left)
+            hosts = {host}
+            for other in self._customers.values():
+                if other is not customer and endpoint in other.endpoints:
+                    hosts.add(self._locations.get(other.name, ""))
+            placed = {
+                server.node_id
+                for server in self.director.directors[0].real_servers(endpoint)
+            }
+            for node_id in sorted(placed - hosts):
+                self.director.remove_real_server(endpoint, node_id)
+            if host not in placed:
+                self.director.add_real_server(
+                    endpoint,
+                    host,
+                    weight=weight,
+                    service_time=service_time,
+                    on_served=self._meter_request(name, service_time),
+                )
+                continue
+            for director in self.director.directors:
+                for server in director.real_servers(endpoint):
+                    if server.node_id == host:
+                        server.service_time = service_time
 
     def _meter_request(self, customer: str, service_time: float):
         """Charge each served request's CPU to the hosting instance, so
@@ -404,23 +436,10 @@ class DependableEnvironment:
         if record.up_at is not None:
             self.sla_tracker.mark_up(record.instance, record.up_at)
             self._locations[record.instance] = record.to_node
-        customer = self._customers.get(record.instance)
-        if customer is not None and record.up_at is not None:
-            for endpoint, (service_time, weight) in customer.endpoints.items():
-                self.director.remove_real_server(endpoint, record.from_node)
-                if record.to_node not in [
-                    s.node_id
-                    for s in self.director.directors[0].real_servers(endpoint)
-                ]:
-                    self.director.add_real_server(
-                        endpoint,
-                        record.to_node,
-                        weight=weight,
-                        service_time=service_time,
-                        on_served=self._meter_request(
-                            record.instance, service_time
-                        ),
-                    )
+        if record.up_at is not None and record.instance in self._customers:
+            self._place_real_servers(
+                record.instance, record.to_node, left=record.from_node
+            )
 
     def compliance(self) -> List:
         """Compliance reports for every admitted customer, now."""

@@ -117,9 +117,6 @@ class GroupMember:
         #: (virtual time, suspected member) — consumed by the ABL-DETECT bench.
         self.suspicions: List[Tuple[float, str]] = []
         self.delivered_count = 0
-        #: This node's key in ``loop.errors`` for view and message
-        #: listeners that raised; the others still ran.
-        self._error_key = "gcs.listener/%s" % node_id
 
     # ------------------------------------------------------------------
     # Public API
@@ -346,7 +343,10 @@ class GroupMember:
     def _final_close(self) -> None:
         if not self.running:
             self._channel.close()
-            self._network.detach(self.endpoint_name)
+            # A rejoin within the drain attached a fresh member under the
+            # same name; its endpoint is not this member's to detach.
+            if self._network.endpoint(self.endpoint_name) is self._endpoint:
+                self._network.detach(self.endpoint_name)
 
     # ------------------------------------------------------------------
     # Failure detection
@@ -509,10 +509,7 @@ class GroupMember:
         )
         with traced:
             for listener in list(self.view_listeners):
-                try:
-                    listener(change)
-                except Exception:
-                    self._listener_raised()
+                listener(change)
 
     def _send_join(self, peers: List[str]) -> None:
         for peer in peers:
@@ -683,14 +680,7 @@ class GroupMember:
             )
         self.delivered_count += 1
         for listener in list(self.message_listeners):
-            try:
-                listener(sender, payload)
-            except Exception:
-                self._listener_raised()
-
-    def _listener_raised(self) -> None:
-        errors = self._loop.errors
-        errors[self._error_key] = errors.get(self._error_key, 0) + 1
+            listener(sender, payload)
 
     def __repr__(self) -> str:
         return "GroupMember(%s, %s, %s)" % (

@@ -233,8 +233,8 @@ class VirtualServer:
         self.alive = True
         self._services: Dict[Tuple[str, int], Tuple[Scheduler, List[RealServer]]] = {}
         #: node_id -> its real servers across every service; keeps the
-        #: per-node operations (health flips, drains, re-profiles, active
-        #: counts) from scanning the whole service table.
+        #: per-node operations (health flips, drains, active counts) from
+        #: scanning the whole service table.
         self._node_index: Dict[str, List[RealServer]] = {}
         self.routed = 0
         self.drops: Counter = Counter()
@@ -322,14 +322,6 @@ class VirtualServer:
         touched = 0
         for server in self._node_index.get(node_id, ()):
             server.weight = weight
-            touched += 1
-        return touched
-
-    def set_node_service_time(self, node_id: str, service_time: float) -> int:
-        """Re-profile every real server on ``node_id`` (release change)."""
-        touched = 0
-        for server in self._node_index.get(node_id, ()):
-            server.service_time = service_time
             touched += 1
         return touched
 
@@ -484,11 +476,6 @@ class DirectorCluster:
             director.node_active_connections(node_id)
             for director in self.directors
         )
-
-    def set_node_service_time(self, node_id: str, service_time: float) -> None:
-        """Re-profile ``node_id``'s real servers (new release behaviour)."""
-        for director in self.directors:
-            director.set_node_service_time(node_id, service_time)
 
     def all_real_servers(self) -> List[Tuple[IpEndpoint, RealServer]]:
         """Union of every replica's (endpoint, real server) pairs."""

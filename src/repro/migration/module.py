@@ -217,9 +217,9 @@ class MigrationModule:
     def _on_command(self, payload: Dict) -> None:
         """Cluster-level modules (Autonomic) address commands to one node.
 
-        A handler that raises is not swallowed here: the error reaches
-        the group member delivering the command, which counts it in
-        ``Cluster.gcs_listener_errors``.
+        A handler that raises is not swallowed: the error propagates
+        through the group member delivering the command and out of the
+        event loop's ``run_for``.
         """
         if payload.get("target_node") != self.node.node_id:
             return

@@ -10,9 +10,11 @@ entirely on the sim event loop:
    contract.
 2. **Per-member swap.** Drain the member's node (weight -> 0), wait for
    in-flight requests to finish, take the replica down, atomically
-   ``Bundle.update`` to the release and republish the new definition at
-   the bundle's SAN location (so failover restores the *new* version),
-   then after ``upgrade_seconds`` bring the replica back and undrain.
+   ``Bundle.update`` to the release, republish the new definition at
+   the bundle's SAN location (so failover restores the *new* version)
+   and give the member the release's service time through
+   ``DependableEnvironment.set_service_time``, then after
+   ``upgrade_seconds`` bring the replica back and undrain.
 3. **Soak + gates.** After each wave a
    :class:`~repro.telemetry.gates.GateWindow` opens over the live
    telemetry metrics; ``soak_seconds`` later the gates are judged on the
@@ -142,8 +144,8 @@ class RolloutEngine:
         self.touched: List[str] = []
         self.pinned_version = ""
         self._snapshots: Dict[str, PinnedSnapshot] = {}
-        #: endpoint -> pinned (service_time, weight) per member.
-        self._pinned_profiles: Dict[str, Dict[Any, Tuple[float, int]]] = {}
+        #: Each member's pinned per-request service time.
+        self._pinned_service_times: Dict[str, float] = {}
         self._gate_results: List[Dict[str, Any]] = []
         self._wave_index = 0
         self._queue: List[str] = []
@@ -224,8 +226,9 @@ class RolloutEngine:
                 )
                 return
             self._snapshots[name] = snapshot
-            self._pinned_profiles[name] = dict(
-                self.env.customer(name).endpoints
+            self._pinned_service_times[name] = next(
+                (t for t, _weight in self.env.customer(name).endpoints.values()),
+                self.release.service_time,
             )
             if not self.pinned_version:
                 self.pinned_version = pinned.version
@@ -371,15 +374,9 @@ class RolloutEngine:
     def _abandon_rollback_member(self, name: str) -> None:
         """Live rollback unreachable: converge through the SAN instead."""
         republish_pinned(self._snapshots[name], self.env.cluster.store)
-        self._restore_profile(name)
+        self.env.set_service_time(name, self._pinned_service_times[name])
         self._tap("", "rollback-republish", instance=name)
         self._next_rollback()
-
-    def _restore_profile(self, name: str) -> None:
-        """Put the member's pinned ipvs profile back in the environment."""
-        customer = self.env.customer(name)
-        for endpoint, profile in self._pinned_profiles[name].items():
-            customer.endpoints[endpoint] = profile
 
     # ------------------------------------------------------------------
     # The per-member swap (forward and rollback share it)
@@ -403,10 +400,7 @@ class RolloutEngine:
             from_version = self.release.version
             to_version = self.pinned_version
             new_definition = pinned.definition
-            service_time = next(
-                iter(self._pinned_profiles[name].values()),
-                (self.release.service_time, 1),
-            )[0]
+            service_time = self._pinned_service_times[name]
         deadline = self._loop.clock.now + self.config.relocate_timeout
 
         def locate() -> None:
@@ -477,10 +471,7 @@ class RolloutEngine:
                 else self.env.cluster.store
             )
             repository.put_definition(bundle.location, new_definition)
-            customer = self.env.customer(name)
-            for endpoint in list(customer.endpoints):
-                weight = customer.endpoints[endpoint][1]
-                customer.endpoints[endpoint] = (service_time, weight)
+            self.env.set_service_time(name, service_time)
             self._tap(
                 node,
                 "upgrade-complete",
@@ -503,7 +494,6 @@ class RolloutEngine:
                 return
             self.env.director.mark_node(node, True)
             self.env.director.undrain_node(node)
-            self.env.director.set_node_service_time(node, service_time)
             self._tap(node, "undrain", instance=name)
             on_ok()
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.clock import Clock
 
@@ -117,11 +117,6 @@ class EventLoop:
         #: :class:`repro.telemetry.runtime.Probe`, or ``None`` (unobserved)
         #: unless a driver attached one with :func:`repro.telemetry.attach`.
         self.probe: Any = None
-        #: Callbacks that raised and were counted so their peers still
-        #: ran, by ``"<site>/<node>"`` (``"gcs.listener/n2"``). The loop
-        #: outlives the members and protocols a crash or rejoin replaces,
-        #: so no count has to be carried across.
-        self.errors: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Scheduling

@@ -214,6 +214,26 @@ def test_a_rejoin_after_leave_is_a_fresh_incarnation(cluster):
     assert fresh.view.members == ("gcs/g/n1",)
 
 
+def test_a_rejoin_within_the_leave_drain_keeps_its_endpoint(cluster):
+    """The old incarnation's drain timer fires after the fresh member
+    attached under the same name; it must leave that endpoint alone."""
+    n1, n2 = cluster.node("n1"), cluster.node("n2")
+    old = n1.group_member("g", 1.0)
+    old.join()
+    cluster.run_for(0.5)
+    peer = n2.group_member("g", 1.0)
+    peer.join()
+    cluster.run_for(2.0)
+    old.leave()
+    fresh = n1.group_member("g", 1.0)
+    fresh.join()
+    cluster.run_for(1.5)  # past the old member's drain
+    assert cluster.network.endpoint("gcs/g/n1") is not None
+    cluster.run_for(5.0)
+    assert fresh.view == peer.view
+    assert set(fresh.view.members) == {"gcs/g/n1", "gcs/g/n2"}
+
+
 def test_two_groups_on_one_node_get_two_members(cluster):
     node = cluster.node("n1")
     second = node.group_member("g2", 1.0)

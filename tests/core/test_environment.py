@@ -168,6 +168,19 @@ def test_exposed_service_follows_failover(env):
     assert request.ok and request.served_by == new_host
 
 
+def test_a_customer_restarted_in_place_gets_a_fresh_real_server(env):
+    """The record of a move onto the same node drops the old server (and
+    any backlog it queued) before adding the new instance's."""
+    admit(env, "acme", node_id="n1")
+    vip = IpEndpoint("10.0.0.50", 80)
+    env.expose_service("acme", vip, service_time=0.005)
+    [before] = env.director.directors[0].real_servers(vip)
+    migration = env.migrate_customer("acme", "n1")
+    env.cluster.run_until_settled([migration], timeout=60)
+    [after] = env.director.directors[0].real_servers(vip)
+    assert after.node_id == "n1" and after is not before
+
+
 def test_instance_of_returns_live_instance(env):
     admit(env, "acme")
     instance = env.instance_of("acme")
@@ -204,3 +217,19 @@ def test_repaired_node_feeds_sla_tracker(env):
     env.run_for(3.0)
     # usage reports from the repaired node flow into the tracker
     assert env.cluster.node("n2").monitoring.latest("acme") is not None
+
+
+def test_woken_node_rejoins_the_platform_group():
+    """Waking a node hibernated with its Migration Module running wires
+    a fresh module at once; the old member's drain timer must not detach
+    the fresh member's endpoint."""
+    env = DependableEnvironment.build(node_count=3, seed=7)
+    n3 = env.cluster.node("n3")
+    env.cluster.run_until_settled([n3.hibernate()])
+    env.cluster.run_until_settled([env.wake_node("n3")])
+    env.run_for(3.0)
+    assert env.cluster.network.endpoint("gcs/platform.migration/n3") is not None
+    env.run_for(20.0)
+    views = {node_id: m.member.view for node_id, m in env.migration.items()}
+    assert all(view.size == 3 for view in views.values())
+    assert len({view.members for view in views.values()}) == 1

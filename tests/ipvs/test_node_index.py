@@ -33,15 +33,13 @@ def test_mark_node_touches_every_service():
     assert director.mark_node("ghost", False) == 0
 
 
-def test_set_node_weight_and_service_time():
+def test_set_node_weight():
     loop = EventLoop()
     director = make_director(loop)
     assert director.set_node_weight("x", 0) == 2
-    assert director.set_node_service_time("x", 0.5) == 2
     for _, server in director.all_real_servers():
         if server.node_id == "x":
             assert server.weight == 0
-            assert server.service_time == 0.5
         else:
             assert server.weight == 1
 

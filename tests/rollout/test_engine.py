@@ -10,12 +10,14 @@ import pytest
 from repro.conformance import HistoryRecorder, check_history
 from repro.faults.campaign import replay_schedule
 from repro.faults.schedule import FaultSchedule
+from repro.ipvs.addressing import IpEndpoint
 from repro.rollout.engine import COMPLETED, INCOMPLETE, ROLLED_BACK, RolloutConfig
 from repro.rollout.scenario import (
     PINNED_VERSION,
     TARGET_VERSION,
     rollout_scenario,
 )
+from repro.sla.agreement import ServiceLevelAgreement
 from repro.telemetry import Telemetry, attach
 
 
@@ -156,14 +158,6 @@ def test_rollback_abandoned_when_the_new_node_dies_too(second_crash):
 
 
 @SECOND_CRASHES
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="DependableEnvironment._on_migration_record neither re-profiles "
-    "a real server already on the target node nor drops one left on a node "
-    "the member has left: a real server keeps the bad release's service "
-    "time after the rollback (ROADMAP item 9)",
-)
 def test_abandoned_rollback_leaves_no_real_server_at_the_release_profile(
     second_crash,
 ):
@@ -177,3 +171,44 @@ def test_abandoned_rollback_leaves_no_real_server_at_the_release_profile(
         for server in director.real_servers(endpoint)
     }
     assert served == pinned
+    # Nor is a server left on a node the member left (n4 at 0.2 s).
+    hosts = sorted(env.locate(name) for name in env.rollout_fleet)
+    for director in env.director.directors:
+        for endpoint in endpoints:
+            placed = [server.node_id for server in director.real_servers(endpoint)]
+            assert sorted(placed) == hosts
+
+
+def test_a_bystander_on_the_canary_node_keeps_its_own_profile():
+    """Another customer shares the bad release's canary node and exposes
+    its own endpoint: the canary's swap and rollback re-profile the fleet
+    member's real servers only, never the bystander's."""
+    env = rollout_scenario(0, bad_release=True, start_delay=6.0)
+    admission = env.admit_customer(
+        ServiceLevelAgreement("bystander", cpu_share=0.2),
+        node_id=env.locate("svc-1"),
+    )
+    env.cluster.run_until_settled([admission])
+    vip = IpEndpoint("10.0.0.81", 80)
+    env.expose_service("bystander", vip, service_time=0.005)
+    seen = set()
+
+    def sample():
+        for director in env.director.directors:
+            seen.update(s.service_time for s in director.real_servers(vip))
+        env.loop.call_after(0.05, sample, label="sample")
+
+    sample()
+    telemetry = Telemetry(env.loop.clock, env.cluster.rng, scenario="rollout")
+    with attach(env.loop, telemetry=telemetry):
+        telemetry.open_root("rollout-test")
+        try:
+            env.run_for(20.0)
+        finally:
+            telemetry.close_root()
+    report = env.rollout_engine.report
+    assert report.outcome == ROLLED_BACK
+    assert "svc-1" in report.touched
+    assert env.locate("bystander") == env.locate("svc-1")
+    assert seen == {0.005}
+    assert env.customer("bystander").endpoints == {vip: (0.005, 1)}

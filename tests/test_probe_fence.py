@@ -86,8 +86,6 @@ def test_protocol_packages_import_no_observer(package):
 BROAD_CATCH_SITES = (
     "autonomic/scripting.py::scripted_policy.action",
     "autonomic/scripting.py::scripted_policy.condition",
-    "gcs/member.py::GroupMember._deliver",
-    "gcs/member.py::GroupMember._install",
     "osgi/bundle.py::Bundle._do_start",
     "osgi/bundle.py::Bundle._do_stop",
     "osgi/events.py::EventDispatcher._safely",
