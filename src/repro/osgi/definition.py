@@ -62,6 +62,8 @@ class BundleDefinition:
         }
         self.activator_factory = activator_factory
         self.size_bytes = size_bytes
+        #: The version as persisted records spell it, worked out once.
+        self.version_text = str(manifest.version)
         for export in manifest.exports:
             if export.name not in self.packages:
                 raise BundleException(

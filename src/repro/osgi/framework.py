@@ -198,19 +198,15 @@ class Framework:
     def _write_state(self, start_level: int) -> None:
         records = [
             BundleRecord(
-                location=b.location,
-                symbolic_name=b.symbolic_name,
-                version=str(b.version),
-                autostart=b.autostart,
-                start_level=b.start_level,
+                b.location,
+                b.definition.manifest.symbolic_name,
+                b.definition.version_text,
+                b.autostart,
+                b.start_level,
             )
-            for b in self.bundles()
+            for b in self._bundles.values()
         ]
-        state = FrameworkState(
-            bundles=records,
-            start_level=start_level,
-            properties=self.properties,
-        )
+        state = FrameworkState(records, start_level, self.properties)
         self.storage.save_state(self.instance_id, state)
 
     def _restore_records(self, state: FrameworkState) -> None:

@@ -6,44 +6,30 @@ paper leans on exactly this property to make migration cheap: persist the
 framework state to globally visible storage, then "reboot" the framework on
 another node.
 
-:class:`FrameworkStorage` is the small interface the framework needs;
-:class:`InMemoryFrameworkStorage` suffices for single-process tests, while
-:class:`repro.storage.san.SanFrameworkStorage` adapts the shared store for
-the distributed setting.
+:class:`FrameworkStorage` is the small interface the framework needs. A
+:class:`FrameworkState` is an immutable snapshot, so
+:class:`InMemoryFrameworkStorage` (single-process tests and examples) keeps
+the one it is given, while :class:`repro.storage.san.SanFrameworkStorage`
+adapts the shared store, which serializes it, for the distributed setting.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, MutableMapping, Optional
+from types import MappingProxyType
+from typing import Any, Dict, Iterable, Mapping, MutableMapping, NamedTuple, Optional
 
 
-class BundleRecord:
-    """Serializable record of one installed bundle."""
+class BundleRecord(NamedTuple):
+    """Serializable record of one installed bundle; immutable."""
 
-    __slots__ = ("location", "symbolic_name", "version", "autostart", "start_level")
-
-    def __init__(
-        self,
-        location: str,
-        symbolic_name: str,
-        version: str,
-        autostart: bool,
-        start_level: int,
-    ) -> None:
-        self.location = location
-        self.symbolic_name = symbolic_name
-        self.version = version
-        self.autostart = autostart
-        self.start_level = start_level
+    location: str
+    symbolic_name: str
+    version: str
+    autostart: bool
+    start_level: int
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "location": self.location,
-            "symbolic_name": self.symbolic_name,
-            "version": self.version,
-            "autostart": self.autostart,
-            "start_level": self.start_level,
-        }
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "BundleRecord":
@@ -64,17 +50,29 @@ class BundleRecord:
 
 
 class FrameworkState:
-    """Everything a framework persists between reboots."""
+    """Everything a framework persists between reboots, as one immutable
+    snapshot: a tuple of records and a read-only copy of the properties,
+    so a storage may keep the very object it is given."""
+
+    __slots__ = ("bundles", "start_level", "properties")
 
     def __init__(
         self,
-        bundles: Optional[List[BundleRecord]] = None,
+        bundles: Iterable[BundleRecord] = (),
         start_level: int = 1,
-        properties: Optional[Dict[str, Any]] = None,
+        properties: Optional[Mapping[str, Any]] = None,
     ) -> None:
-        self.bundles = list(bundles or [])
-        self.start_level = start_level
-        self.properties = dict(properties or {})
+        init = object.__setattr__
+        init(self, "bundles", tuple(bundles))
+        init(self, "start_level", start_level)
+        init(self, "properties", MappingProxyType(dict(properties or {})))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("FrameworkState is immutable")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild from plain values: a mappingproxy has neither.
+        return FrameworkState, (self.bundles, self.start_level, dict(self.properties))
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -88,7 +86,7 @@ class FrameworkState:
         return cls(
             bundles=[BundleRecord.from_dict(b) for b in data.get("bundles", [])],
             start_level=int(data.get("start_level", 1)),
-            properties=dict(data.get("properties", {})),
+            properties=data.get("properties"),
         )
 
     def __repr__(self) -> str:
@@ -99,7 +97,11 @@ class FrameworkState:
 
 
 class FrameworkStorage:
-    """Storage interface consumed by :class:`~repro.osgi.framework.Framework`."""
+    """Storage interface consumed by :class:`~repro.osgi.framework.Framework`.
+
+    ``save_state`` may keep the snapshot it is given; ``load_state``
+    returns an immutable snapshot.
+    """
 
     def save_state(self, instance_id: str, state: FrameworkState) -> None:
         raise NotImplementedError
@@ -118,17 +120,14 @@ class InMemoryFrameworkStorage(FrameworkStorage):
     """Process-local storage for tests and single-node examples."""
 
     def __init__(self) -> None:
-        self._states: Dict[str, Dict[str, Any]] = {}
+        self._states: Dict[str, FrameworkState] = {}
         self._data: Dict[str, Dict[str, Any]] = {}
 
     def save_state(self, instance_id: str, state: FrameworkState) -> None:
-        self._states[instance_id] = state.to_dict()
+        self._states[instance_id] = state
 
     def load_state(self, instance_id: str) -> Optional[FrameworkState]:
-        data = self._states.get(instance_id)
-        if data is None:
-            return None
-        return FrameworkState.from_dict(data)
+        return self._states.get(instance_id)
 
     def bundle_data(
         self, instance_id: str, symbolic_name: str

@@ -87,6 +87,35 @@ class TestScriptedPolicy:
         assert actions[0].target == "2"
 
 
+class TestScriptBoundary:
+    """A script is operator-written text: whatever it raises is counted on
+    its policy, and the engine goes on evaluating the other policies."""
+
+    @pytest.mark.parametrize(
+        "condition_script, action_script",
+        [
+            ("event.data['missing'] > 1", "pass"),  # the condition raises
+            ("True", "actions.append(Action('migrate', undefined))"),  # the action
+        ],
+        ids=["condition", "action"],
+    )
+    def test_a_raising_script_is_counted_and_the_engine_runs_on(
+        self, condition_script, action_script
+    ):
+        broken = scripted_policy("broken", condition_script, action_script, 9)
+        healthy = scripted_policy(
+            "healthy", "True", "actions.append(Action('noop', 'ok'))"
+        )
+        engine = PolicyEngine("e")
+        engine.add_policy(broken)
+        engine.add_policy(healthy)
+        for at in (0.0, 1.0, 2.0):
+            actions = engine.handle(usage_event(0.9, at=at), AutonomicContext())
+            assert [a.kind for a in actions] == ["noop"]
+        assert (broken.errors, healthy.errors) == (3, 0)
+        assert (healthy.fired, engine.handled_events) == (3, 3)
+
+
 class TestPolicyFile:
     FILE = """
 # administrator-authored business policy

@@ -4,7 +4,9 @@
 framework, bundle or start-level operation returns. ``Framework.start()``
 and ``Framework.stop()`` are one operation each, so a restart costs two
 writes however many bundles the start-level walk touches, and the stored
-start level is the one the framework ran at.
+start level is the one the framework ran at. Each write builds one record
+per bundle, and the in-memory storage keeps that snapshot as given, so a
+restart builds no other record.
 """
 
 import copy
@@ -15,16 +17,18 @@ from hypothesis import given, settings, strategies as st
 from repro.osgi.bundle import BundleState
 from repro.osgi.definition import simple_bundle
 from repro.osgi.framework import Framework
-from repro.osgi.persistence import InMemoryFrameworkStorage
+from repro.osgi.persistence import BundleRecord, InMemoryFrameworkStorage
 
 
 class CountingStorage(InMemoryFrameworkStorage):
     def __init__(self) -> None:
         super().__init__()
         self.saves = 0
+        self.saved = None
 
     def save_state(self, instance_id, state) -> None:
         self.saves += 1
+        self.saved = state
         super().save_state(instance_id, state)
 
 
@@ -57,6 +61,47 @@ def test_restart_write_count_is_flat_in_history():
     storage = CountingStorage()
     fw = populated(storage, 4)
     assert {restart_writes(fw, storage) for _ in range(1000)} == {2}
+
+
+@pytest.fixture
+def records_made(monkeypatch):
+    """Every ``BundleRecord`` constructed while the test runs."""
+    made = []
+    new = BundleRecord.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(BundleRecord, "__new__", counted)
+    return made
+
+
+def test_in_memory_storage_keeps_the_state_it_is_given():
+    storage = CountingStorage()
+    fw = populated(storage, 4)
+    restart_writes(fw, storage)
+    assert storage.load_state("env") is storage.saved
+
+
+@pytest.mark.parametrize("count", [4, 40])
+def test_restart_builds_each_record_once_per_write(count, records_made):
+    storage = CountingStorage()
+    fw = populated(storage, count)
+    records_made.clear()
+    restart_writes(fw, storage)
+    assert len(records_made) == 2 * count
+
+
+def test_restart_record_count_is_flat_in_history(records_made):
+    storage = CountingStorage()
+    fw = populated(storage, 4)
+    made = set()
+    for _ in range(1000):
+        records_made.clear()
+        restart_writes(fw, storage)
+        made.add(len(records_made))
+    assert made == {8}
 
 
 def test_explicit_operations_still_write_through():

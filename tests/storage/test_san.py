@@ -82,8 +82,10 @@ class TestFrameworkStates:
     def test_loaded_state_is_a_copy(self, store):
         store.save_state("env", sample_state())
         first = store.load_state("env")
-        first.bundles.clear()
+        with pytest.raises(AttributeError):
+            first.bundles.clear()  # a snapshot's records are a tuple
         assert len(store.load_state("env").bundles) == 1
+        assert store.load_state("env") is not first
 
     def test_instance_ids_enumerated(self, store):
         store.save_state("b", sample_state())
