@@ -30,8 +30,7 @@ it is re-recorded and the change is declared in CHANGES.md. Its check
 runs on any Python: the version it was recorded with is kept but not
 compared::
 
-    python -m benchmarks.ledger --chaos 3 8           # check (every push)
-    python -m benchmarks.ledger --chaos 16            # check (nightly)
+    python -m benchmarks.ledger --chaos 3 8 16        # check (every push)
     python -m benchmarks.ledger --chaos 3 --record    # re-record 3 nodes
 
 A sweep prints each fleet's wall time to stderr.

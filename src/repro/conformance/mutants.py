@@ -38,6 +38,9 @@ The catalogue (mutation -> axiom that must catch it):
 ``skip_drain``           the rollout engine takes a replica down without
                          draining it first (in-flight requests die) →
                          ``rollout-no-dropped-request``
+``fifo_cursor_reset``    a member restarts a re-admitted sender's FIFO
+                         cursor at 1 → the ``fifo-delivered`` invariant
+                         (``repro.faults``), the one non-axiom catch
 =====================  ==============================================
 """
 
@@ -58,6 +61,7 @@ MUTANT_NAMES = (
     "skip_view_install",
     "stale_directory_reads",
     "skip_drain",
+    "fifo_cursor_reset",
 )
 
 @contextmanager

@@ -23,6 +23,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.cluster.node import NodeState
 from repro.sim.eventloop import ScheduledEvent
+from repro.sim.network import Network
 
 ALWAYS = "always"
 QUIESCENT = "quiescent"
@@ -249,6 +250,50 @@ def _check_customers_placed(env: Any) -> List[str]:
     return problems
 
 
+def _check_fifo_delivered(env: Any) -> List[str]:
+    """In-view FIFO delivery is total and the inventory gossip reached
+    every member.
+
+    After settle no running member may hold a buffered FIFO frame: a
+    frame still waiting is waiting on a gap nobody will fill. And every
+    alive node's Migration Module must hold an inventory for each member
+    of its platform view, or its redeploy decisions read a hole.
+    """
+    problems: List[str] = []
+    for node in env.cluster.alive_nodes():
+        for member in node.group_members():
+            if not member.running:
+                continue
+            for sender, seqs in member.stranded_frames().items():
+                problems.append(
+                    "%s holds %d fifo frames from %s (seq %d-%d), expects %s"
+                    % (
+                        member.endpoint_name,
+                        len(seqs),
+                        sender,
+                        seqs[0],
+                        seqs[-1],
+                        member.fifo_cursor(sender),
+                    )
+                )
+        migration = env.migration.get(node.node_id)
+        if migration is None or not migration.running:
+            continue
+        view = migration.member.view
+        if view is None:
+            continue
+        missing = [
+            peer
+            for peer in (Network.node_of(m) for m in view.members)
+            if migration.inventory.get(peer) is None
+        ]
+        if missing:
+            problems.append(
+                "%s has no inventory for %s" % (node.node_id, ",".join(missing))
+            )
+    return problems
+
+
 def default_invariants() -> InvariantRegistry:
     """The built-in invariant catalog (see docs/FAULTS.md)."""
     return InvariantRegistry(
@@ -293,6 +338,13 @@ def default_invariants() -> InvariantRegistry:
                 "customers-placed",
                 "every admitted customer is hosted by some alive node",
                 _check_customers_placed,
+                mode=QUIESCENT,
+            ),
+            Invariant(
+                "fifo-delivered",
+                "no member holds an undeliverable FIFO frame, and every "
+                "member holds an inventory for each member of its view",
+                _check_fifo_delivered,
                 mode=QUIESCENT,
             ),
         ]

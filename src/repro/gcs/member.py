@@ -12,6 +12,11 @@ driven and fully deterministic on the simulated network:
   §3.2 requires for node-failure handling.
 * **FIFO multicast** — per-sender sequence numbers over the reliable
   channel, with a SYNC handshake so joiners learn each sender's position.
+  A receiver keys its cursor to the sender's channel incarnation, whose
+  numbering never restarts, and keeps it across view changes: a member it
+  dropped and re-admitted resumes where it left off even when the sender
+  never saw it leave (and so sends no SYNC). Frames from a sender outside
+  the receiver's view are held, in order, until the view admits it.
 * **Total-order multicast** — sender forwards to the coordinator, which
   sequences and reliably disseminates; receivers deliver in sequence. On
   coordinator failover the new coordinator continues from its own delivery
@@ -101,8 +106,10 @@ class GroupMember:
         self._last_heard: Dict[str, float] = {}
         self._suspected: Set[str] = set()
 
-        # FIFO state
+        # FIFO state: per sender, the incarnation the cursor belongs to,
+        # the next seq to deliver, and frames that arrived early.
         self._fifo_seq = 0
+        self._fifo_incarnation: Dict[str, int] = {}
         self._fifo_expected: Dict[str, int] = {}
         self._fifo_buffer: Dict[str, Dict[int, Any]] = {}
 
@@ -129,13 +136,30 @@ class GroupMember:
             and self.view.coordinator == self.endpoint_name
         )
 
+    def stranded_frames(self) -> Dict[str, List[int]]:
+        """View member -> sorted seqs of its FIFO frames buffered here.
+
+        Such a frame waits on a gap; once the network is quiet, on one
+        nobody will fill. Frames from senders outside the view are held by
+        design and not listed.
+        """
+        members = self.view.members if self.view is not None else ()
+        return {
+            sender: sorted(buffered)
+            for sender, buffered in sorted(self._fifo_buffer.items())
+            if buffered and sender in members
+        }
+
+    def fifo_cursor(self, sender: str) -> int:
+        """The next FIFO seq this member would deliver from ``sender``."""
+        return self._fifo_expected.get(sender, 1)
+
     def join(self) -> None:
         """Enter the group, installing a singleton view if it is empty."""
         if self.running:
             return
         self.running = True
         self.ever_joined = True
-        self._fifo_seq = 0
         peers = [
             p for p in self._directory.lookup(self.group) if p != self.endpoint_name
         ]
@@ -220,7 +244,12 @@ class GroupMember:
                     )
             else:
                 self._fifo_seq += 1
-                frame = {"t": "FIFO", "seq": self._fifo_seq, "body": payload}
+                frame = {
+                    "t": "FIFO",
+                    "seq": self._fifo_seq,
+                    "inc": self._channel.incarnation,
+                    "body": payload,
+                }
                 if probe is not None:
                     probe.multicast_send(
                         self.endpoint_name,
@@ -473,8 +502,6 @@ class GroupMember:
         for gone in sorted(change.left):
             self._channel.cancel_to(gone)
             self._last_heard.pop(gone, None)
-            self._fifo_expected.pop(gone, None)
-            self._fifo_buffer.pop(gone, None)
         # Frames sequenced under an older view belong to a sequencer the
         # new view no longer follows (its numbers restart at order_seq).
         for seq in [
@@ -488,14 +515,25 @@ class GroupMember:
                 del self._order_buffer[seq]
             self._drain_order_buffer()
         self._order_next = max(self._order_next, order_seq)
-        # Joiners learn each existing sender's FIFO position; existing
-        # members know joiners start from 1.
-        for joiner in sorted(change.joined):
-            if joiner != self.endpoint_name:
+        # Joiners learn this sender's FIFO position. A joiner's own cursor
+        # stays: a fresh incarnation starts from 1 anyway, and a member
+        # re-admitted here may never have seen this node drop it.
+        joiners = sorted(change.joined - {self.endpoint_name})
+        for joiner in joiners:
+            if probe is not None and probe.mutated(
+                "fifo_cursor_reset", self.endpoint_name
+            ):
+                # Mutant: restart the joiner's cursor at 1 whatever its
+                # incarnation has already sent.
                 self._fifo_expected[joiner] = 1
-                self._channel.send(
-                    joiner, {"t": "SYNC", "fifo_seq": self._fifo_seq}
-                )
+            self._channel.send(
+                joiner,
+                {
+                    "t": "SYNC",
+                    "fifo_seq": self._fifo_seq,
+                    "inc": self._channel.incarnation,
+                },
+            )
         traced = nullcontext() if probe is None else probe.span(
             "gcs.view_change",
             self.node_id,
@@ -510,6 +548,9 @@ class GroupMember:
         with traced:
             for listener in list(self.view_listeners):
                 listener(change)
+        # Frames the joiners sent before this view admitted them.
+        for joiner in joiners:
+            self._drain_fifo(joiner)
 
     def _send_join(self, peers: List[str]) -> None:
         for peer in peers:
@@ -550,10 +591,9 @@ class GroupMember:
                 return
             self._install(View.from_dict(body["view"]), body["order_seq"])
         elif kind == "SYNC":
-            self._fifo_expected[sender] = body["fifo_seq"] + 1
-            self._fifo_buffer.pop(sender, None)
+            self._on_sync(sender, body["inc"], body["fifo_seq"])
         elif kind == "FIFO":
-            self._on_fifo(sender, body["seq"], body["body"])
+            self._on_fifo(sender, body["inc"], body["seq"], body["body"])
         elif kind == "TOSEND":
             if self.is_coordinator:
                 self._sequence(body["origin"], body["body"])
@@ -586,30 +626,61 @@ class GroupMember:
     # ------------------------------------------------------------------
     # FIFO delivery
     # ------------------------------------------------------------------
-    def _on_fifo(self, sender: str, seq: int, payload: Any) -> None:
+    def _current_stream(self, sender: str, incarnation: int) -> bool:
+        """Is ``incarnation`` the sender's live one? A newer incarnation
+        replaces the cursor and everything held from the older one."""
+        known = self._fifo_incarnation.get(sender)
+        if known is not None and incarnation < known:
+            return False  # a previous life's frame, still in flight
+        if incarnation != known:
+            self._fifo_incarnation[sender] = incarnation
+            self._fifo_expected[sender] = 1
+            self._fifo_buffer.pop(sender, None)
+        return True
+
+    def _on_sync(self, sender: str, incarnation: int, fifo_seq: int) -> None:
+        """The sender's frames up to ``fifo_seq`` were not sent to this
+        member: move the cursor past them, keeping anything newer."""
+        if not self._current_stream(sender, incarnation):
+            return
+        if fifo_seq < self._fifo_expected[sender]:
+            return
+        self._fifo_expected[sender] = fifo_seq + 1
+        buffered = self._fifo_buffer.get(sender)
+        if buffered:
+            for seq in [s for s in buffered if s <= fifo_seq]:
+                del buffered[seq]
+        self._drain_fifo(sender)
+
+    def _on_fifo(self, sender: str, incarnation: int, seq: int, payload: Any) -> None:
+        if not self._current_stream(sender, incarnation):
+            return
         probe = self._loop.probe
         if probe is not None and probe.mutated(
             "fifo_eager_delivery", self.endpoint_name
         ):
             # Mutant: deliver on arrival, skipping the reorder buffer.
             self._deliver(sender, payload, kind="fifo", seq=seq)
-            self._fifo_expected[sender] = max(
-                self._fifo_expected.get(sender, 1), seq + 1
-            )
+            self._fifo_expected[sender] = max(self._fifo_expected[sender], seq + 1)
             return
-        expected = self._fifo_expected.get(sender, 1)
-        if seq < expected:
+        if seq < self._fifo_expected[sender]:
             return  # duplicate
-        if seq > expected:
-            self._fifo_buffer.setdefault(sender, {})[seq] = payload
+        self._fifo_buffer.setdefault(sender, {})[seq] = payload
+        self._drain_fifo(sender)
+
+    def _drain_fifo(self, sender: str) -> None:
+        """Deliver ``sender``'s frames in order while it is in the view."""
+        buffered = self._fifo_buffer.get(sender)
+        view = self.view
+        if not buffered or view is None or sender not in view.members:
             return
-        self._deliver(sender, payload, kind="fifo", seq=seq)
-        self._fifo_expected[sender] = expected + 1
-        buffered = self._fifo_buffer.get(sender, {})
-        while self._fifo_expected[sender] in buffered:
-            nxt = self._fifo_expected[sender]
-            self._deliver(sender, buffered.pop(nxt), kind="fifo", seq=nxt)
-            self._fifo_expected[sender] = nxt + 1
+        seq = self._fifo_expected[sender]
+        while seq in buffered:
+            # The cursor moves first: a listener that raises must not
+            # leave the next frame waiting on this one.
+            self._fifo_expected[sender] = seq + 1
+            self._deliver(sender, buffered.pop(seq), kind="fifo", seq=seq)
+            seq += 1
 
     # ------------------------------------------------------------------
     # Total-order delivery

@@ -3,9 +3,10 @@
 Responsibilities, mapped to the paper's four issues:
 
 1. *Knowledge of the available nodes and its resources* — every module
-   periodically multicasts its node's inventory (instances + available
-   resources) over the GCS; :class:`~repro.migration.inventory.ClusterInventory`
-   is each node's resulting view.
+   multicasts its node's inventory (instances + available resources) over
+   the GCS when it changes and after every view install;
+   :class:`~repro.migration.inventory.ClusterInventory` is each node's
+   resulting view.
 2. *Node failures* — the GCS membership service reports a left member; if
    its last inventory still listed instances, the survivors redeploy them
    in a decentralized way (deterministic placement over the shared view,

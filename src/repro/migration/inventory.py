@@ -1,9 +1,10 @@
 """Cluster inventory: what each node knows about every other node.
 
-Inventories arrive as periodic GCS multicasts ("by exchanging messages
-with information about the virtual instances running on each node, we
-reliably address issue number 1"). They are soft state: each entry carries
-the virtual time it was heard, and the view decides which nodes are alive.
+Inventories arrive as GCS multicasts ("by exchanging messages with
+information about the virtual instances running on each node, we
+reliably address issue number 1"), sent when they change and once after
+every view install. They are soft state: each entry carries the virtual
+time its node built it, and the view decides which nodes are alive.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """The Migration Module proper.
 
 One module runs per node. It joins the platform GCS group, gossips its
-node's inventory, and reacts to membership changes:
+node's inventory (when it changes, and once after every view install),
+and reacts to membership changes:
 
 * a member **left with an empty inventory** — graceful shutdown, nothing to
   do (its Migration Module evacuated first, §3.2);
@@ -36,7 +37,8 @@ from repro.sim.eventloop import ScheduledEvent
 
 #: GCS group every Migration Module joins.
 PLATFORM_GROUP = "platform.migration"
-#: Seconds between inventory broadcasts (each also runs the orphan sweep).
+#: Seconds between inventory rounds: each rebuilds the local inventory,
+#: multicasts it if it changed, and runs the orphan sweep.
 INVENTORY_INTERVAL = 0.5
 #: The platform group's failure-detection timeout: tighter than the
 #: member's 1 s default, for prompt redeployment on a quiet LAN.
@@ -111,6 +113,9 @@ class MigrationModule:
         self.command_handlers: Dict[str, Callable[[Dict], None]] = {}
         self._orphan_strikes: Dict[str, int] = {}
         self._last_view_change = 0.0
+        #: (instances, resources, standbys) of the last INV multicast;
+        #: None forces the next round to send.
+        self._sent: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -174,7 +179,10 @@ class MigrationModule:
             ),
         }
         if self.node.monitoring is not None:
-            resources.update(self.node.monitoring.node_summary())
+            # To 1e-9: the summary's float noise is no change a reader
+            # acts on, and must not count as one (see _broadcast_inventory).
+            for key, value in self.node.monitoring.node_summary().items():
+                resources[key] = round(value, 9)
         standby = self.node.modules.get("standby")
         return NodeInventory(
             node_id=self.node.node_id,
@@ -185,14 +193,25 @@ class MigrationModule:
         )
 
     def _broadcast_inventory(self) -> None:
+        """Multicast the local inventory if a field its readers use
+        (instances, resources, standbys; not ``at``) changed since the
+        last send."""
         if not self.member.running:
             return
         inventory = self._local_inventory()
+        content = (inventory.instances, inventory.resources, inventory.standbys)
+        if content == self._sent:
+            return
         self.inventory.update(inventory)
         try:
             self.member.multicast({"mig": "INV", "inv": inventory.to_dict()})
         except RuntimeError:
-            pass  # not in a view yet
+            return  # not in a view yet: the next round sends
+        self._sent = content
+        # A new local instance may duplicate one a smaller node reported
+        # earlier; no INV of that node is due to trigger the resolution.
+        for node_id in self.inventory.node_ids():
+            self._resolve_duplicates(self.inventory.get(node_id))
 
     # ------------------------------------------------------------------
     # Messages
@@ -241,7 +260,7 @@ class MigrationModule:
     def _resolve_duplicates(self, remote: NodeInventory) -> None:
         """Two nodes hosting the same instance: lexicographically smaller
         node id keeps it (same rule as the DEPLOYED handler, but driven by
-        the periodic gossip so missed messages cannot hide a duplicate)."""
+        the inventory gossip so missed messages cannot hide a duplicate)."""
         if remote.node_id >= self.node.node_id or not remote.instances:
             return
         if self.node.instance_manager is None:
@@ -308,6 +327,10 @@ class MigrationModule:
             if hosted:
                 failed_nodes[node_id] = hosted
                 orphans.extend(hosted)
+        # Joiners hold no inventory of this node yet, and a member that
+        # dropped this node and re-admitted it has forgotten it.
+        self._sent = None
+        self._broadcast_inventory()
         if not orphans:
             return
         self._handle_failures(failed_nodes, change)

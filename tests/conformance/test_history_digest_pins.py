@@ -17,9 +17,15 @@ from repro.conformance import recorder as recorder_module
 from repro.faults import campaign as campaign_module
 from tests.conformance.canonical import oracle_digest
 
+# Re-pinned when inventory gossip became change-driven (an INV only when
+# a field changes, plus one per view install) and FIFO cursors were keyed
+# to the sender's incarnation: every history records fewer multicasts and
+# deliveries from then on. The parent literals began b8f8c075, 2dc7bf53,
+# 5fe04155, f4bae04d, 2f3c786f, 09bc880e, 124ae423, 34dd985c, 649e9b51,
+# 60f77e30; the SAN store stats did not move.
 CHAOS_FLEET_SMOKE = [
-    "b8f8c07591d120efec8677be6e4f90e1f54596fdba590b48995fe04b5d046d94",
-    "2dc7bf534ea15b825bf38455efa62d64502151a1decf7bf9e4a6826a301d9593",
+    "9b45737081e8fef1761f8c39afe4727f57c166e1e187ebfed66d48fe96ebce2d",
+    "dcec89ebe4d02d65b88c2988558dfad3e13f444371cdf7d43884b7a895347f96",
 ]
 #: ``StoreStats`` of the two smoke environments, recorded with the same
 #: rendering (SAN writes then encoded each value twice).
@@ -31,20 +37,20 @@ CHAOS_FLEET_SMOKE_STORE = [
 ]
 CONFORM = {
     "default": [
-        "5fe04155e6058f4aff661067bc16e2e723127c41464416dcdc93b9c68fbf4c08",
-        "f4bae04d51fce0d90444a51f3ab6a138b9dee77fba54015a0ddab3ec10ebf48d",
+        "105b148fc111424410a6afb2ddb54effa8f6686e4b3e478d3eb20eb1ed8ee9ce",
+        "f50a9f5fda528a6141ab6117b9a98d4dd39870d021b30bece594e11f401c9b9c",
     ],
     "crash": [
-        "2f3c786f5747f827718ecd75a8cd4f0f17dde2c6bfc459810f1cd51f8c944745",
-        "09bc880ed38f975804ab44ebd52857b237d4e1696b39b0918219d783a53d91c6",
+        "bee9a2f782507fde43b8b15186507c65cf381c2eac4c48105a18feed452b1198",
+        "bb60b50901c45f35573185742784a4de7755865d2d70b4034ff0cc895d40dd64",
     ],
     "partition": [
-        "124ae4232fffb568bf466c5e3cae9c67d79ef28712e3f467151b3e4091666732",
-        "34dd985cb320bbc78bb1e7116e0c48f6939ef424b4d6532b26e136057633728e",
+        "4772b6d981e8d46d7dc3d87762e9a668e29fe8f929c741b378d4d80a22775cd2",
+        "76008b8907020416ea59fcf8cac8dfbe85f12c9050a7dfea12e5fb0f0d119e21",
     ],
     "loss": [
-        "649e9b51a490f954c8994fd59e04fc956a25d539c13a305c70961f1abcdbf2ad",
-        "60f77e3093b6b1fadfddf8f2043c71dccb3dba54c1a90862e8e5c7e3ebbc8f5d",
+        "7ceee58a3ef1bb352ddb6fdf3fe729050cc5dfbe7a0e18c3dd2d33c44157ba67",
+        "07377e0363b2c56d81037ee70e9768d402ceaefe86ab9c5d726981d51a0aab8f",
     ],
 }
 

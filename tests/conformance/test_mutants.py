@@ -11,9 +11,12 @@ the matrix also guards against false positives.
 
 import pytest
 
+from benchmarks.suite.workloads import FleetScale, _fleet_scenario
 from repro.conformance import HistoryRecorder, check_history, protocol_mutation
 from repro.conformance.mutants import MUTANT_NAMES
 from repro.core import DependableEnvironment
+from repro.faults import FaultSchedule, replay_schedule
+from repro.faults.campaign import derive_episode_seed
 from repro.gcs.directory import GroupDirectory
 from repro.gcs.member import GroupMember
 from repro.migration.registry import CustomerDescriptor, CustomerDirectory
@@ -76,6 +79,7 @@ class TestMutantRegistry:
             "skip_view_install",
             "stale_directory_reads",
             "skip_drain",
+            "fifo_cursor_reset",
         )
 
     def test_enable_unknown_name_rejected(self):
@@ -267,6 +271,48 @@ class TestRolloutMutant:
         report = env.rollout_engine.report
         assert report.outcome in ("completed", "rolled-back")
         assert not report.mixed_version
+
+
+class TestFifoCursorMutant:
+    """fifo_cursor_reset: a member restarts a re-admitted sender's FIFO
+    cursor at 1, so that sender's later frames wait forever on seqs it
+    sent long ago. No axiom sees frames that are never delivered; the
+    quiescent ``fifo-delivered`` invariant does.
+
+    The script is 3-node ledger seed 43's episode cut down with
+    ``shrink_schedule`` under the mutant: n2 is partitioned off, n3
+    crashes and is repaired inside the partition, and the quiesce heals.
+    """
+
+    SCHEDULE = FaultSchedule.from_dicts([
+        {"at": 4.567604752528165, "kind": "partition",
+         "args": {"groups": (("n2",), ("n1", "n3"))}},
+        {"at": 15.402018177561294, "kind": "crash", "args": {"node": "n3"}},
+        {"at": 26.189010120531357, "kind": "repair", "args": {"node": "n3"}},
+    ])
+
+    def _checks_hit(self, mutate):
+        env = _fleet_scenario(FleetScale(3, 6, 3, 1, 30.0, 10.0), [])(
+            derive_episode_seed(43, 0)
+        )
+        with recorded(env.loop) as probe:
+            if mutate:
+                with protocol_mutation(env.loop, "fifo_cursor_reset"):
+                    _trace, violations = replay_schedule(
+                        env, self.SCHEDULE, duration=30.0, settle=10.0
+                    )
+            else:
+                _trace, violations = replay_schedule(
+                    env, self.SCHEDULE, duration=30.0, settle=10.0
+                )
+        conformance = check_history(probe.recorder.history)
+        return {v.invariant for v in violations} | {v.checker for v in conformance}
+
+    def test_fifo_cursor_reset_caught_by_fifo_delivered_only(self):
+        assert self._checks_hit(mutate=True) == {"fifo-delivered"}
+
+    def test_script_clean_without_mutant(self):
+        assert self._checks_hit(mutate=False) == set()
 
 
 def test_every_mutant_has_a_matrix_test():

@@ -1,14 +1,15 @@
 """The red-seed ledger's seeds as minimal fault scripts.
 
 ``benchmarks/ledger/chaos_seeds.json`` records which chaos seeds leave
-the fleet in a bad state. Three of them were cut down with
+the fleet in a bad state. Some of them were cut down with
 :func:`repro.faults.shrink_schedule` under the ledger's own scenario (a
 fleet of N nodes with six customers and three warm standbys, one 30 s
 episode, a 10 s settle, conformance on): every action left in a script
 is needed for the violation. Each test replays its script against the
-episode's scenario and asserts that the check it names holds, so it
-fails - marked ``xfail(strict=True)`` - until the platform converges;
-then it passes and the mark must go. docs/FAULTS.md, "The red-seed ledger".
+episode's scenario and asserts that the check it names holds. A seed
+the platform still fails is marked ``xfail(strict=True)``; once it
+passes the mark goes and the script stays as a regression test.
+docs/FAULTS.md, "The red-seed ledger".
 """
 
 import pytest
@@ -44,13 +45,11 @@ def test_fleet3_seed17_customers_placed():
     assert "customers-placed" not in violated_checks(3, 17, schedule)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="single-primary: after one crash and three loss bursts, three "
-    "customers each run on two nodes at the quiescent check",
-)
 def test_fleet8_seed5_single_primary():
+    # The third loss burst makes n4 drop n1, n2 and n3, which never drop
+    # n4-n8; re-admitted, their FIFO cursors at n4-n8 restarted at 1 and
+    # no SYNC came, so no INV of theirs was delivered and three customers
+    # stayed on two nodes.
     schedule = FaultSchedule.from_dicts([
         {"at": 4.751361296666433, "kind": "loss_burst",
          "args": {"duration": 2.34, "rate": 0.191}},
@@ -64,13 +63,10 @@ def test_fleet8_seed5_single_primary():
     assert "single-primary" not in violated_checks(8, 5, schedule)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="single-primary: n8 crashes, is partitioned off with n7 and "
-    "repaired inside the partition; cust5 then runs on n6 and n8",
-)
 def test_fleet8_seed8_single_primary():
+    # n8, repaired inside the partition, re-admits n6 after the heal with
+    # its FIFO cursor restarted at 1; n6 had admitted n8 a view earlier
+    # and sends no SYNC, so n8 never learns n6 hosts cust5 too.
     schedule = FaultSchedule.from_dicts([
         {"at": 6.980117293369457, "kind": "crash", "args": {"node": "n8"}},
         {"at": 20.607381856735728, "kind": "partition",
@@ -78,3 +74,15 @@ def test_fleet8_seed8_single_primary():
         {"at": 25.382784870335353, "kind": "repair", "args": {"node": "n8"}},
     ])
     assert "single-primary" not in violated_checks(8, 8, schedule)
+
+
+def test_fleet16_seed14_fifo_delivered():
+    # One loss burst. n14 re-admits n1 in its view 23 with the cursor it
+    # set from n1's SYNC restarted at 1, and n12 drops n13's frames 74-75
+    # when n13's SYNC arrives after them: both then hold frames they can
+    # never deliver.
+    schedule = FaultSchedule.from_dicts([
+        {"at": 26.559156620889194, "kind": "loss_burst",
+         "args": {"duration": 3.092, "rate": 0.286}},
+    ])
+    assert "fifo-delivered" not in violated_checks(16, 14, schedule)

@@ -8,6 +8,7 @@ import pytest
 from repro.gcs.channel import RTO, ReliableChannel
 from repro.gcs.directory import GroupDirectory
 from repro.gcs.member import GroupMember
+from repro.gcs.view import View
 from repro.sim.eventloop import EventLoop
 from repro.sim.network import Network
 from repro.sim.rng import RngStreams
@@ -312,3 +313,68 @@ class TestListenerErrors:
         # The view was installed before its listeners ran.
         assert members[0].view.size == 3
         assert seen == []
+
+
+class TestFifoCursors:
+    """A receiver's FIFO cursor belongs to the sender's incarnation: it
+    survives the receiver's view changes and only moves forward."""
+
+    def test_a_one_sided_readmission_keeps_delivering(
+        self, loop, network, directory
+    ):
+        # A long timeout keeps n1 from suspecting n2 before the merge.
+        n1, n2 = (
+            make_member(name, loop, network, directory, fd_timeout=5.0)
+            for name in ("n1", "n2")
+        )
+        for member in (n1, n2):
+            member.join()
+            loop.run_for(0.5)
+        got = []
+        n2.message_listeners.append(lambda sender, payload: got.append(payload))
+        n1.multicast("before")
+        loop.run_for(0.5)
+        # n2 alone drops n1, as its detector may under loss. n1 never drops
+        # n2, so the merge that follows re-admits n1 at n2 only, and n1
+        # has no joiner to send a SYNC to.
+        n2._install(View(n2.view.view_id + 1, (n2.endpoint_name,)), 1)
+        loop.run_for(3.0)
+        assert n2.view == n1.view and n2.view.size == 2
+        n1.multicast("after")
+        loop.run_for(1.0)
+        assert got == ["before", "after"]
+        assert n2.stranded_frames() == {}
+
+    def test_a_sync_keeps_frames_buffered_past_its_point(
+        self, loop, network, directory
+    ):
+        n1, n2 = form_group(loop, network, directory, ["n1", "n2"])
+        got = []
+        n2.message_listeners.append(lambda sender, payload: got.append(payload))
+        incarnation = n1._channel.incarnation
+        cursor = n2.fifo_cursor(n1.endpoint_name)
+        # The frame after the SYNC point overtakes the SYNC.
+        n2._on_channel(
+            n1.endpoint_name,
+            {"t": "FIFO", "seq": cursor + 1, "inc": incarnation, "body": "next"},
+        )
+        assert got == [] and n2.stranded_frames() == {n1.endpoint_name: [cursor + 1]}
+        n2._on_channel(
+            n1.endpoint_name, {"t": "SYNC", "fifo_seq": cursor, "inc": incarnation}
+        )
+        assert got == ["next"] and n2.stranded_frames() == {}
+
+    def test_an_older_incarnation_is_ignored_and_a_newer_one_restarts(
+        self, loop, network, directory
+    ):
+        n1, n2 = form_group(loop, network, directory, ["n1", "n2"])
+        got = []
+        n2.message_listeners.append(lambda sender, payload: got.append(payload))
+        incarnation = n1._channel.incarnation
+        lives = ((incarnation - 1, "previous life"), (incarnation + 1, "next life"))
+        for inc, body in lives:
+            n2._on_channel(
+                n1.endpoint_name, {"t": "FIFO", "seq": 1, "inc": inc, "body": body}
+            )
+        assert got == ["next life"]
+        assert n2.fifo_cursor(n1.endpoint_name) == 2

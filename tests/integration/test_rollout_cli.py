@@ -85,8 +85,10 @@ def test_deadline_ends_the_rollout_incomplete(tmp_path, capsys):
     assert document["rollout"]["reason"] == "deadline exceeded"
     assert document["rollout"]["mixed_version"] is False
     assert document["conformance_violations"] == []
+    # Re-pinned from 7a1e6c5f when inventory gossip became change-driven:
+    # the verdict is unchanged, the platform's message counts are not.
     assert document["digest"] == (
-        "7a1e6c5fc4090ed34d2feb3fd56fc61985a47688f24ab1dd018badc7c8d17ed5"
+        "4e067226a89ed45657e08f4aa6471221fb1076f0de3c65ce9e51d4c98d6a9940"
     )
     capsys.readouterr()
 
@@ -112,9 +114,11 @@ def test_crash_during_rollback_swaps_the_member_on_its_new_node(tmp_path, capsys
     assert document["requests"]["dropped_in_upgrade_windows"] == 0
     # Re-pinned when the engine learned to retry the rollback swap after a
     # failover and to stop treating a crashed node as drained (the parent
-    # verdict, f4cd7db0..., ended rolled-back with svc-1 at 2.0.0).
+    # verdict, f4cd7db0..., ended rolled-back with svc-1 at 2.0.0), and
+    # again from 16e0645c when inventory gossip became change-driven (same
+    # verdict, fewer messages).
     assert document["digest"] == (
-        "16e0645cf79bd0482f76c3d550491d2e2403abe6707b5aa5c3c07ffe5d0cfa82"
+        "1df59e37ba0d24679c04812aefc4a2c4a039b07d176cca1fa3ef75dddc306adf"
     )
     capsys.readouterr()
 

@@ -141,15 +141,17 @@ def test_committed_red_seed_ledger_holds_the_known_red_seeds():
         name: {seed: names for seed, names in fleet["verdicts"].items() if names}
         for name, fleet in fleets.items()
     }
+    # 3-node 12, 8-node 5, 8, 22, 31 and 16-node 5, 22, 23, 38 were
+    # `single-primary` until FIFO cursors were keyed to the sender's
+    # incarnation: each ended with INVs stranded in a FIFO buffer.
     assert red == {
         "fleet_3": {
-            "12": ["single-primary"],
             "17": ["customers-placed"],
             "23": ["customers-placed"],
             "55": ["customers-placed"],
         },
-        "fleet_8": {s: ["single-primary"] for s in ("05", "08", "22", "31")},
-        "fleet_16": {s: ["single-primary"] for s in ("05", "22", "23", "38")},
+        "fleet_8": {},
+        "fleet_16": {},
     }
 
 
